@@ -13,6 +13,7 @@ except ImportError:
 
 from robusthmm import (ControlProblem, SimplexGrid, StateFunctional,
                        brute_force, solve)
+from robusthmm.control import decision_nodes
 from robusthmm.cli import load_config
 from robusthmm.expectation import history_label
 
@@ -31,7 +32,7 @@ def main() -> None:
     print(f"optimal value: {solution.root_value:.6f}")
     exhaustive = brute_force(problem)
     print(f"exhaustive search over "
-          f"{problem.n_controls ** 7} policies: {exhaustive:.6f} "
+          f"{problem.n_controls ** len(decision_nodes(problem))} policies: {exhaustive:.6f} "
           f"(diff {abs(exhaustive - solution.root_value):.2e})")
     print("\ndecisions (history | surface-state id -> control):")
     for (history, sid), record in sorted(solution.values.items()):

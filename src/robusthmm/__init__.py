@@ -8,10 +8,8 @@ from .errors import (CapExceeded, ConfigError, DegenerateObservation,
                      InfeasibleSurface, RobustHMMError)
 from .hmm import (Generator, Path, as_filter_state, filter_step,
                   obs_predictive, predict, simulate_path)
-from .models import (DR, DYNAMIC, STATIC, UP, GeneratorGrid, ModelPoint,
-                     PriorSpec, SimplexGrid, divergence, gamma_at,
-                     log_likelihood_full, log_likelihood_obs,
-                     model_prior_penalty, parse_framework, posterior_weights)
+from .models import (DR, DYNAMIC, STATIC, UP, GeneratorGrid, PriorSpec,
+                     SimplexGrid, gamma_at, parse_framework)
 from .penalty import (ExactPrior, ExactSurface, ExtendedPenaltySurface,
                       PenaltySurface, StepReport, evolve, evolve_exact_tree,
                       exact_step, forward_image_step, initial_exact_surface,

@@ -6,9 +6,10 @@ Subcommands: ``simulate``, ``filter``, ``penalty-evolve``, ``expect``,
 mismatch, 2 invalid configuration, 3 infeasible (an observation is impossible
 under every admitted model), 4 enumeration cap exceeded.
 
+Runs are serial; ``--threads`` is accepted for compatibility and ignored.
 Artifacts are written atomically (temp file + rename) and are byte-identical
-across runs and thread counts for a fixed configuration; the run manifest is
-the only file carrying a wall-clock field.
+across runs for a fixed configuration; the run manifest is the only file
+carrying a wall-clock field.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +40,13 @@ from .oracles import (OracleReport, oracle_dr_direct, oracle_penalty,
 from .penalty import (ExactPrior, evolve, evolve_exact_tree,
                       initial_grid_surface, render_surface_csv)
 
-ENV_THREADS = "ROBUSTHMM_THREADS"
 ORACLE_TOL = 1e-9
 CONVERGENCE_RESOLUTIONS = (10, 20, 40)
 _PHI_DRAWS = 50
+_CONFIG_KEYS = frozenset({
+    "n_states", "n_symbols", "horizon", "grid_resolution", "framework",
+    "uncertainty", "generators", "control", "prior", "observations",
+    "simulation", "phi", "output_dir"})
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +125,9 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
+    unknown = sorted(set(cfg) - _CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
     n = _int_field(cfg, "n_states", 1)
     d = _int_field(cfg, "n_symbols", 1)
@@ -243,6 +249,10 @@ def build_grid_prior(prior_cfg: dict, grid: SimplexGrid) -> np.ndarray:
     if shape == "point-mass":
         belief = _matrix(_require(prior_cfg, "belief", "prior"),
                          (grid.n_states,), "prior.belief")
+        try:
+            belief = as_filter_state(belief)
+        except ValueError as exc:
+            raise ConfigError(f"prior.belief: {exc}") from None
         values = np.full(len(grid), np.inf)
         values[grid.round_to_index(belief)] = 0.0
         return values
@@ -321,18 +331,17 @@ def _write_json(out_dir: str, name: str, doc: dict) -> str:
 class Run:
     """Collects artifacts and finishes with a manifest."""
 
-    def __init__(self, command: str, cfg: RunConfig, out_dir: str,
-                 threads: int):
+    def __init__(self, command: str, cfg: RunConfig, out_dir: str):
         self.command = command
         self.cfg = cfg
         self.out_dir = out_dir
-        self.pool = ThreadPoolExecutor(max_workers=max(1, threads))
         self.files: list[str] = []
         self.extra: dict = {}
         self.started = time.perf_counter()
 
     def pmap(self, fn, items):
-        return list(self.pool.map(fn, items))
+        """Order-preserving map over independent work items."""
+        return [fn(item) for item in items]
 
     def add_csv(self, name: str, text: str) -> str:
         self.files.append(_write_atomic(self.out_dir, name, text))
@@ -352,7 +361,6 @@ class Run:
         }
         manifest.update(self.extra)
         _write_json(self.out_dir, "manifest.json", manifest)
-        self.pool.shutdown()
 
 
 def _fmt(x) -> str:
@@ -565,6 +573,13 @@ _COMMANDS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not >= 1")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="robusthmm",
@@ -578,9 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=None,
                          help="output directory (default: config output_dir "
                               "or ./out)")
-        cmd.add_argument("--threads", type=int,
-                         default=int(os.environ.get(ENV_THREADS, "1")),
-                         help=f"worker pool size (default ${ENV_THREADS} or 1)")
+        cmd.add_argument("--threads", type=_positive_int, default=1,
+                         help="accepted for compatibility; runs are serial")
         cmd.add_argument("--grid-resolution", type=int, default=None,
                          help="override the configured simplex resolution")
     return parser
@@ -598,12 +612,8 @@ def main(argv=None) -> int:
                              SimplexGrid.build(cfg.n_states,
                                                cfg.grid_resolution))
         out_dir = args.out or cfg.output_dir or "out"
-        run = Run(args.command, cfg, out_dir, args.threads)
-        try:
-            code = _COMMANDS[args.command](run)
-        except BaseException:
-            run.pool.shutdown()
-            raise
+        run = Run(args.command, cfg, out_dir)
+        code = _COMMANDS[args.command](run)
         run.finish()
         return code
     except ConfigError as exc:

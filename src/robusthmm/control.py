@@ -4,9 +4,11 @@ generator penalty.
 The controller state is the pair (observation history, penalty surface): the
 surface summarizes everything the past controls and observations imply about
 the hidden chain. Successor surfaces are produced by the forward image step
-with the chosen control's penalty row, so the solver enumerates the reachable
-surfaces per history node (deduplicated by value hash), fills values bottom
-up, and extracts the minimizing control per (node, surface) pair.
+with the chosen control's penalty row. One enumerator lists the reachable
+surfaces per history node (deduplicated by value hash, bounded by the state
+cap): the solver expands every control, the policy evaluator only the
+policy's choice. Values are then filled bottom up, and the solver extracts
+the minimizing control per (node, surface) pair.
 
 Costs: choosing control ``u`` at a node of depth ``t`` pays the running cost
 indexed ``t`` immediately; the terminal cost is charged against the leaf
@@ -36,9 +38,8 @@ _HASH_DECIMALS = 12
 class ControlProblem:
     """A finite control set acting through per-control generator penalties.
 
-    ``running_cost`` is either a ``(horizon, n_controls)`` array or a
-    callable ``(t, history, u) -> float``; ``terminal_cost`` gives the cost
-    per hidden state (optionally per history).
+    ``running_cost`` is a ``(horizon, n_controls)`` array; ``terminal_cost``
+    gives the cost per hidden state.
     """
 
     labels: tuple[str, ...]
@@ -47,7 +48,7 @@ class ControlProblem:
     grid: SimplexGrid
     horizon: int
     params: UncertaintyParams
-    running_cost: object
+    running_cost: np.ndarray
     terminal_cost: StateFunctional
     state_cap: int = STATE_CAP_DEFAULT
     policy_cap: int = POLICY_CAP_DEFAULT
@@ -64,11 +65,9 @@ class ControlProblem:
             raise ValueError("one penalty row per control required")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-        rc = self.running_cost
-        if not callable(rc):
-            rc = np.asarray(rc, dtype=np.float64)
-            if rc.shape != (self.horizon, len(self.labels)):
-                raise ValueError("running cost table must be (horizon, n_controls)")
+        rc = np.asarray(self.running_cost, dtype=np.float64)
+        if rc.shape != (self.horizon, len(self.labels)):
+            raise ValueError("running cost table must be (horizon, n_controls)")
         object.__setattr__(self, "running_cost", rc)
         object.__setattr__(self, "labels", tuple(self.labels))
 
@@ -77,8 +76,6 @@ class ControlProblem:
         return len(self.labels)
 
     def run_cost(self, t: int, history: tuple, u: int) -> float:
-        if callable(self.running_cost):
-            return float(self.running_cost(t, tuple(history), u))
         return float(self.running_cost[t, u])
 
 
@@ -177,14 +174,14 @@ def terminal_value(cost: np.ndarray, surface: PenaltySurface,
     return float(scores[pos]), surface.grid.points[idx].copy()
 
 
-def _zero_gammas(gens: GeneratorGrid) -> np.ndarray:
-    return np.zeros(len(gens))
-
-
 def _enumerate_states(problem: ControlProblem, root_history: tuple,
-                      root_surface: PenaltySurface):
+                      root_surface: PenaltySurface, controls):
     """Reachable (node, surface) pairs level by level, with the successor
-    map for every (state, control, symbol) triple."""
+    map for every (state, control, symbol) triple.
+
+    ``controls(history, surface)`` lists the controls to expand at a state:
+    every control for the solver, the policy's choice for the evaluator.
+    """
     d = problem.gens.n_symbols
     registry = StateRegistry()
     root_id = registry.intern(root_surface)
@@ -199,7 +196,7 @@ def _enumerate_states(problem: ControlProblem, root_history: tuple,
             child_lists = {history + (y,): [] for y in range(d)}
             for state_id in state_ids:
                 surface = registry.surfaces[state_id]
-                for u in range(problem.n_controls):
+                for u in controls(history, surface):
                     gammas = gamma_at(problem.gens, t_obs, history=history,
                                       control=u)
                     for y in range(d):
@@ -232,9 +229,9 @@ def _fill_values(problem: ControlProblem, registry, levels, successors,
     values: dict = {}
     choices: dict = {}
     for history, state_ids in levels[-1].items():
-        cost = problem.terminal_cost.at(history)
         for state_id in state_ids:
-            val, _ = terminal_value(cost, registry.surfaces[state_id],
+            val, _ = terminal_value(problem.terminal_cost.values,
+                                    registry.surfaces[state_id],
                                     problem.params)
             values[(history, state_id)] = ControlValue(val, None, None)
     for level in reversed(levels[:-1]):
@@ -253,7 +250,7 @@ def _fill_values(problem: ControlProblem, registry, levels, successors,
                                 successors[(history, state_id, u, y)])].value
                         for y in range(d)])
                     sup = one_step_expectation(xi, surface, problem.gens,
-                                               _zero_gammas(problem.gens),
+                                               np.zeros(len(problem.gens)),
                                                problem.params)
                     q_values.append(problem.run_cost(t, history, u) + sup)
                 pick = chooser(history, state_id, q_values)
@@ -276,8 +273,9 @@ def solve(problem: ControlProblem, root_history: tuple = (),
     if root_surface is None:
         root_surface = initial_grid_surface(problem.prior, problem.gens,
                                             problem.grid)
-    registry, levels, successors = _enumerate_states(problem, root_history,
-                                                     root_surface)
+    registry, levels, successors = _enumerate_states(
+        problem, root_history, root_surface,
+        lambda history, surface: range(problem.n_controls))
 
     def best(history, state_id, q_values):
         return int(np.argmin(q_values))
@@ -297,37 +295,17 @@ def evaluate_policy(problem: ControlProblem, policy: PolicyTree,
                     ) -> ControlSolution:
     """Remaining cost of a fixed policy, on the states it actually reaches.
 
-    Same backward recursion as :func:`solve` with the minimization replaced
-    by the policy's choice; the result dominates the optimal value pointwise.
+    Same enumeration and backward recursion as :func:`solve`, expanding and
+    charging only the policy's choice; the result dominates the optimal
+    value pointwise. The enumeration enforces ``problem.state_cap``.
     """
     root_history = tuple(root_history)
     if root_surface is None:
         root_surface = initial_grid_surface(problem.prior, problem.gens,
                                             problem.grid)
-    d = problem.gens.n_symbols
-    registry = StateRegistry()
-    root_id = registry.intern(root_surface)
-    levels = [{root_history: [root_id]}]
-    successors: dict = {}
-    steps = problem.horizon - len(root_history)
-    for depth in range(steps):
-        t_obs = len(root_history) + depth + 1
-        level, new_level = levels[-1], {}
-        for history, state_ids in level.items():
-            for state_id in state_ids:
-                u = policy.control_at(history, registry.surfaces[state_id])
-                gammas = gamma_at(problem.gens, t_obs, history=history,
-                                  control=u)
-                for y in range(d):
-                    child, _ = forward_image_step(
-                        registry.surfaces[state_id], problem.gens, gammas, y,
-                        problem.prior.framework)
-                    child_id = registry.intern(child)
-                    successors[(history, state_id, u, y)] = child_id
-                    bucket = new_level.setdefault(history + (y,), [])
-                    if child_id not in bucket:
-                        bucket.append(child_id)
-        levels.append(new_level)
+    registry, levels, successors = _enumerate_states(
+        problem, root_history, root_surface,
+        lambda history, surface: (policy.control_at(history, surface),))
 
     def fixed(history, state_id, q_values):
         return policy.control_at(history, registry.surfaces[state_id])

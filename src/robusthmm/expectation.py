@@ -59,11 +59,9 @@ def _rho(alpha: np.ndarray, params: UncertaintyParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateFunctional:
-    """Payoff per hidden state, optionally varying with the observation
-    history through a per-history table."""
+    """Payoff per hidden state."""
 
     values: np.ndarray
-    by_history: dict | None = None
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
@@ -71,13 +69,6 @@ class StateFunctional:
             raise ValueError("payoff values must be a finite vector")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-
-    def at(self, history: tuple) -> np.ndarray:
-        if self.by_history is not None:
-            hit = self.by_history.get(tuple(history))
-            if hit is not None:
-                return np.asarray(hit, dtype=np.float64)
-        return self.values
 
 
 def _rows(surface):
@@ -208,13 +199,6 @@ class ObservationTree:
     def nodes_at_depth(self, depth: int) -> list[TreeNode]:
         return [n for n in self.nodes if n.depth == depth]
 
-    def node_by_history(self, history: tuple) -> TreeNode:
-        history = tuple(history)
-        idx = 0
-        for y in history:
-            idx = self.nodes[idx].children[y]
-        return self.nodes[idx]
-
 
 @dataclass(frozen=True)
 class TreeSetup:
@@ -301,7 +285,7 @@ def backward_expectation(phi: StateFunctional,
     """
     tree = build_observation_tree(setup)
     for node in tree.nodes_at_depth(setup.horizon):
-        node.value, _ = dr_expectation(phi.at(node.history), node.surface,
+        node.value, _ = dr_expectation(phi.values, node.surface,
                                        setup.params)
     fill_backward(tree, setup, setup.horizon)
     return tree

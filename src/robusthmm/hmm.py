@@ -32,10 +32,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def as_filter_state(probs, atol: float = STOCHASTIC_ATOL) -> np.ndarray:
-    """Validate and return a belief vector (nonnegative, sums to 1)."""
+    """Validate and return a belief vector (finite, nonnegative, sums to 1)."""
     p = np.ascontiguousarray(np.asarray(probs, dtype=np.float64))
     if p.ndim != 1:
         raise ValueError(f"belief must be a vector, got shape {p.shape}")
+    if not np.isfinite(p).all():
+        raise ValueError("belief has non-finite entries")
     if np.any(p < 0):
         raise ValueError("belief has negative entries")
     if abs(p.sum() - 1.0) > atol:
@@ -69,6 +71,8 @@ class Generator:
         if c.ndim != 2 or c.shape[0] != a.shape[0]:
             raise ValueError(
                 f"emission rows ({c.shape}) must match state count {a.shape[0]}")
+        if not (np.isfinite(a).all() and np.isfinite(c).all()):
+            raise ValueError("generator entries must be finite")
         if np.any(a < 0) or np.any(c < 0):
             raise ValueError("generator entries must be nonnegative")
         if np.max(np.abs(a.sum(axis=0) - 1.0)) > STOCHASTIC_ATOL:

@@ -1,23 +1,24 @@
-"""Finite model classes: simplex grids, candidate-generator grids, prior
-penalties, per-model likelihoods, and the observation-driven divergence.
+"""Finite model classes: simplex grids, candidate-generator grids, and
+prior penalties.
 
-A "model point" is one concrete model from the class: an initial belief (a
-simplex-grid point) plus either a single generator (static) or one generator
-index per time step (dynamic). Penalties are additive in log space:
-``prior(p0) + sum_t gamma_t(gen_t)``, and in the data-driven framework the
-divergence subtracts the per-step observation log-likelihood.
+One model from the class is an initial belief (a simplex-grid point) plus
+either a single generator (static) or one generator index per time step
+(dynamic). Penalties are additive in log space:
+``prior(p0) + sum_t gamma_t(gen_t)``; in the data-driven framework the
+engines also subtract the per-step observation log-likelihood, and
+:mod:`robusthmm.oracles` computes the same divergence by enumerating models.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb, inf, log
+from math import comb
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateObservation, InfeasibleSurface
+from .errors import InfeasibleSurface
 from .hmm import Generator
 
 UP = "up"
@@ -231,123 +232,3 @@ class PriorSpec:
             np.asarray(self.initial_penalty, dtype=np.float64))
         pen.flags.writeable = False
         object.__setattr__(self, "initial_penalty", pen)
-
-
-@dataclass(frozen=True)
-class ModelPoint:
-    """One model from the class: initial-belief index plus generator indices
-    (a single index if the generator is static, one per step if dynamic)."""
-
-    p0_index: int
-    gen_indices: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "gen_indices",
-                           tuple(int(g) for g in self.gen_indices))
-
-    def gen_index_at(self, t: int) -> int:
-        """Generator index in force at step ``t`` (1-based)."""
-        if len(self.gen_indices) == 1:
-            return self.gen_indices[0]
-        return self.gen_indices[t - 1]
-
-
-def log_likelihood_obs(model: ModelPoint, obs: Sequence[int],
-                       gens: GeneratorGrid, grid: SimplexGrid) -> float:
-    """Log-probability of the observed symbols under the model.
-
-    Each step contributes the log predictive mass of the observed symbol at
-    the current belief; the belief then advances by the Bayes update. The
-    constant ``T log d`` relating this to a density against the uniform
-    reference is deliberately not included.
-    """
-    if len(model.gen_indices) not in (1, len(obs)):
-        raise ValueError("dynamic models need one generator index per step")
-    p = grid.points[model.p0_index]
-    total = 0.0
-    for t, y in enumerate(obs, start=1):
-        gen = gens.candidates[model.gen_index_at(t)]
-        pred = gen.transition @ p
-        weighted = gen.emission[:, y] * pred
-        mass = weighted.sum()
-        if mass <= 0.0:
-            raise DegenerateObservation(
-                f"symbol {y} at step {t} impossible under the model")
-        total += log(mass)
-        p = weighted / mass
-    return total
-
-
-def log_likelihood_full(model: ModelPoint, path, gens: GeneratorGrid,
-                        grid: SimplexGrid) -> float:
-    """Log-likelihood of a full (hidden, observed) trajectory relative to the
-    i.i.d.-uniform reference; ``-inf`` for impossible trajectories."""
-    p0 = grid.points[model.p0_index]
-    n = len(p0)
-    x_prev = int(path.hidden[0])
-    if p0[x_prev] <= 0.0:
-        return -inf
-    total = log(p0[x_prev]) + log(n)
-    for t, y in enumerate(path.observed, start=1):
-        gen = gens.candidates[model.gen_index_at(t)]
-        x = int(path.hidden[t])
-        trans = gen.transition[x, x_prev]
-        emit = gen.emission[x, y]
-        if trans <= 0.0 or emit <= 0.0:
-            return -inf
-        total += log(trans) + log(emit)
-        x_prev = x
-    return total
-
-
-def model_prior_penalty(model: ModelPoint, n_steps: int, prior: PriorSpec,
-                        gens: GeneratorGrid,
-                        obs: Sequence[int] = ()) -> float:
-    """Total prior penalty of a model point over ``n_steps`` steps."""
-    total = float(prior.initial_penalty[model.p0_index])
-    if prior.generator_mode == STATIC:
-        total += float(gens.prior_penalty[model.gen_indices[0]])
-    else:
-        for t in range(1, n_steps + 1):
-            gam = gamma_at(gens, t, history=tuple(obs[: t - 1]))
-            total += float(gam[model.gen_index_at(t)])
-    return total
-
-
-def divergence(model: ModelPoint, obs: Sequence[int],
-               model_class: Sequence[ModelPoint], prior: PriorSpec,
-               gens: GeneratorGrid, grid: SimplexGrid) -> float:
-    """Observation-driven divergence of one model within a finite class.
-
-    The score of a model is its observation log-likelihood minus its prior
-    penalty; the divergence is the score deficit to the best model in the
-    class, hence nonnegative with minimum exactly zero.
-    """
-    if not model_class:
-        raise ValueError("model class must be nonempty")
-    scores = [_posterior_score(m, obs, prior, gens, grid) for m in model_class]
-    best = max(scores)
-    if best == -inf:
-        raise InfeasibleSurface("every model in the class excludes the data")
-    own = _posterior_score(model, obs, prior, gens, grid)
-    return best - own
-
-
-def _posterior_score(model: ModelPoint, obs, prior, gens, grid) -> float:
-    penalty = model_prior_penalty(model, len(obs), prior, gens, obs)
-    if penalty == inf:
-        return -inf
-    try:
-        return log_likelihood_obs(model, obs, gens, grid) - penalty
-    except DegenerateObservation:
-        return -inf
-
-
-def posterior_weights(model_class: Sequence[ModelPoint], obs, prior, gens,
-                      grid) -> np.ndarray:
-    """Posterior probabilities over the class, proportional to
-    ``exp(-divergence)``."""
-    divs = np.array([divergence(m, obs, model_class, prior, gens, grid)
-                     for m in model_class])
-    w = np.exp(-divs)
-    return w / w.sum()

@@ -20,7 +20,7 @@ to minimum zero and the subtracted amount is recorded in the step report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import log
 from typing import Sequence
 
@@ -75,11 +75,6 @@ class ExtendedPenaltySurface:
     def infeasible(self) -> bool:
         return not np.isfinite(self.values).any()
 
-    def collapse(self) -> PenaltySurface:
-        """Belief penalty obtained by minimizing over the candidate axis."""
-        return PenaltySurface(grid=self.grid, values=self.values.min(axis=1),
-                              time=self.time)
-
 
 @dataclass(frozen=True, eq=False)
 class ExactSurface:
@@ -111,21 +106,6 @@ class ExactSurface:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def collapse(self) -> "ExactSurface":
-        """Minimize over candidates, leaving one row per distinct belief."""
-        if self.gen_ids is None:
-            return self
-        merged: dict[bytes, tuple[np.ndarray, float]] = {}
-        for row, val in zip(self.beliefs, self.values):
-            key = row.tobytes()
-            if key not in merged or val < merged[key][1]:
-                merged[key] = (row, float(val))
-        beliefs = np.array([bv[0] for bv in merged.values()])
-        values = np.array([bv[1] for bv in merged.values()])
-        order = _belief_order(beliefs)
-        return ExactSurface(beliefs=beliefs[order], values=values[order],
-                            gen_ids=None, time=self.time)
 
     def as_lookup(self) -> dict:
         """Mapping (belief bytes[, gen id]) -> value, for comparisons."""
@@ -164,17 +144,11 @@ def _belief_order(beliefs: np.ndarray, gen_ids: np.ndarray | None = None):
 
 
 def project(initial, grid: SimplexGrid, time: int = 0) -> PenaltySurface:
-    """Evaluate an initial penalty on the grid and normalize to minimum zero.
-
-    ``initial`` is either a callable on belief vectors or an array of values
-    aligned with the grid.
-    """
-    if callable(initial):
-        values = np.array([float(initial(p)) for p in grid.points])
-    else:
-        values = np.asarray(initial, dtype=np.float64)
-        if values.shape != (len(grid),):
-            raise ValueError("one initial value per grid point required")
+    """Normalize initial penalty values, one per grid point, to minimum
+    zero."""
+    values = np.asarray(initial, dtype=np.float64)
+    if values.shape != (len(grid),):
+        raise ValueError("one initial value per grid point required")
     return PenaltySurface(grid=grid, values=normalize_penalties(values),
                           time=time)
 
@@ -204,13 +178,13 @@ def forward_image_step(src, gens: GeneratorGrid,
     if isinstance(src, PenaltySurface):
         if gammas is None:
             raise ValueError("dynamic scope needs per-candidate penalties")
-        return _grid_step_dynamic(src, gens, np.asarray(gammas, float), y,
-                                  framework)
-    if isinstance(src, ExtendedPenaltySurface):
+        gammas = np.asarray(gammas, float)
+    elif isinstance(src, ExtendedPenaltySurface):
         if gammas is not None:
             raise ValueError("static scope takes no per-step penalties")
-        return _grid_step_static(src, y, framework)
-    raise TypeError(f"unsupported surface type {type(src).__name__}")
+    else:
+        raise TypeError(f"unsupported surface type {type(src).__name__}")
+    return _grid_step(src, gens, gammas, y, framework)
 
 
 def _gen_images(grid: SimplexGrid, gen, y: int):
@@ -224,15 +198,15 @@ def _gen_images(grid: SimplexGrid, gen, y: int):
     return posts, mass, alive
 
 
-def _reduce_candidates(dest, vals, srcs, gids, n_cells):
-    """Deterministic min-reduction per destination cell.
+def _reduce_candidates(dest, vals, srcs, gids, n_keys):
+    """Deterministic min-reduction per destination key.
 
     Candidates are ordered by (destination, value, source, candidate) so the
     winner on ties is always the lowest (source, candidate) pair.
     """
-    out = np.full(n_cells, np.inf)
-    out_src = np.full(n_cells, -1, dtype=np.int64)
-    out_gen = np.full(n_cells, -1, dtype=np.int64)
+    out = np.full(n_keys, np.inf)
+    out_src = np.full(n_keys, -1, dtype=np.int64)
+    out_gen = np.full(n_keys, -1, dtype=np.int64)
     if len(dest):
         order = np.lexsort((gids, srcs, vals, dest))
         dest, vals = dest[order], vals[order]
@@ -245,22 +219,32 @@ def _reduce_candidates(dest, vals, srcs, gids, n_cells):
     return out, out_src, out_gen
 
 
-def _grid_step_dynamic(src: PenaltySurface, gens, gammas, y, framework):
+def _grid_step(src, gens, gammas, y, framework):
+    """One scatter-min step for either scope.
+
+    Every live (cell, candidate) pair is pushed to the cell nearest its Bayes
+    image. A dynamic surface (``gammas`` given) reduces each destination cell
+    across candidates; a static one keeps the candidate axis, so its pairs
+    reduce per (destination cell, candidate) key.
+    """
     grid = src.grid
+    static = gammas is None
+    n_keys = len(grid) * (len(gens) if static else 1)
     dest_l, val_l, src_l, gid_l = [], [], [], []
     for g, gen in enumerate(gens.candidates):
-        if not np.isfinite(gammas[g]):
+        if not static and not np.isfinite(gammas[g]):
             continue
+        before = src.values[:, g] if static else src.values
         posts, mass, alive = _gen_images(grid, gen, y)
-        usable = alive & np.isfinite(src.values)
-        idx = np.nonzero(usable)[0]
+        idx = np.nonzero(alive & np.isfinite(before))[0]
         if idx.size == 0:
             continue
-        cand = src.values[idx] + gammas[g]
+        cand = before[idx] if static else before[idx] + gammas[g]
         if framework == DR:
             cand = cand - np.log(mass[idx])
-        dest_l.append(np.fromiter((grid.round_to_index(posts[i]) for i in idx),
-                                  dtype=np.int64, count=idx.size))
+        dest = np.fromiter((grid.round_to_index(posts[i]) for i in idx),
+                           dtype=np.int64, count=idx.size)
+        dest_l.append(dest * len(gens) + g if static else dest)
         val_l.append(cand)
         src_l.append(idx)
         gid_l.append(np.full(idx.size, g, dtype=np.int64))
@@ -268,41 +252,10 @@ def _grid_step_dynamic(src: PenaltySurface, gens, gammas, y, framework):
     vals = np.concatenate(val_l) if val_l else np.empty(0)
     srcs = np.concatenate(src_l) if src_l else np.empty(0, dtype=np.int64)
     gids = np.concatenate(gid_l) if gid_l else np.empty(0, dtype=np.int64)
-    out, out_src, out_gen = _reduce_candidates(dest, vals, srcs, gids,
-                                               len(grid))
+    out, out_src, out_gen = (a.reshape(src.values.shape) for a in
+                             _reduce_candidates(dest, vals, srcs, gids, n_keys))
     values, m_t = _normalize_step(out, src.time + 1)
-    surface = PenaltySurface(grid=grid, values=values, time=src.time + 1)
-    report = StepReport(time=src.time + 1, m_t=m_t,
-                        infeasible_cells=int(np.isinf(values).sum()),
-                        argmin_src=out_src, argmin_gen=out_gen)
-    return surface, report
-
-
-def _grid_step_static(src: ExtendedPenaltySurface, y, framework):
-    grid, gens = src.grid, src.gens
-    n_cells = len(grid)
-    out = np.full((n_cells, len(gens)), np.inf)
-    out_src = np.full((n_cells, len(gens)), -1, dtype=np.int64)
-    out_gen = np.full((n_cells, len(gens)), -1, dtype=np.int64)
-    for g, gen in enumerate(gens.candidates):
-        posts, mass, alive = _gen_images(grid, gen, y)
-        usable = alive & np.isfinite(src.values[:, g])
-        idx = np.nonzero(usable)[0]
-        if idx.size == 0:
-            continue
-        cand = src.values[idx, g]
-        if framework == DR:
-            cand = cand - np.log(mass[idx])
-        dest = np.fromiter((grid.round_to_index(posts[i]) for i in idx),
-                           dtype=np.int64, count=idx.size)
-        col, col_src, _ = _reduce_candidates(
-            dest, cand, idx, np.full(idx.size, g, dtype=np.int64), n_cells)
-        out[:, g] = col
-        out_src[:, g] = col_src
-        out_gen[col_src >= 0, g] = g
-    values, m_t = _normalize_step(out, src.time + 1)
-    surface = ExtendedPenaltySurface(grid=grid, gens=gens, values=values,
-                                     time=src.time + 1)
+    surface = replace(src, values=values, time=src.time + 1)
     report = StepReport(time=src.time + 1, m_t=m_t,
                         infeasible_cells=int(np.isinf(values).sum()),
                         argmin_src=out_src, argmin_gen=out_gen)

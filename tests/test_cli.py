@@ -152,3 +152,68 @@ def test_simulate_deterministic_across_runs(tmp_path):
     m1, m2 = read_manifest(out1), read_manifest(out2)
     m1.pop("wall_time_s"), m2.pop("wall_time_s")
     assert m1 == m2
+
+
+@pytest.mark.parametrize("threads", ["0", "-3", "abc"])
+def test_thread_count_below_one_exits_2(tmp_path, threads):
+    with pytest.raises(SystemExit) as exc:
+        main(["filter", "--config", str(CONFIGS / "example1.json"),
+              "--out", str(tmp_path / "run"), "--threads", threads])
+    assert exc.value.code == 2
+    assert not (tmp_path / "run").exists()
+
+
+def test_thread_environment_variable_is_not_read(tmp_path, monkeypatch):
+    monkeypatch.setenv("ROBUSTHMM_THREADS", "abc")
+    assert main(["filter", "--config", str(CONFIGS / "example1.json"),
+                 "--out", str(tmp_path / "run")]) == 0
+
+
+def _edited_config(tmp_path, name, edit):
+    cfg = json.loads((CONFIGS / name).read_text())
+    edit(cfg)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def _set_point_mass(belief):
+    def edit(cfg):
+        cfg["prior"] = {"shape": "point-mass", "belief": belief}
+    return edit
+
+
+@pytest.mark.parametrize("name,edit,command", [
+    ("oracle_t3.json",
+     lambda cfg: cfg["generators"][1]["transition"][0].__setitem__(
+         0, float("nan")), "penalty-evolve"),
+    ("example1.json",
+     lambda cfg: cfg["simulation"].update(p0=[float("nan"), 1.0]),
+     "simulate"),
+    ("oracle_t3.json", _set_point_mass([float("nan"), 1.0]),
+     "penalty-evolve"),
+    ("oracle_t3.json", _set_point_mass([-3.0, 1.0]), "penalty-evolve"),
+], ids=["nan-transition", "nan-p0", "nan-point-mass", "negative-point-mass"])
+def test_invalid_probabilities_exit_2(tmp_path, capsys, name, edit, command):
+    path = _edited_config(tmp_path, name, edit)
+    assert run_cli(command, path, tmp_path / "run") == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "run").exists()
+
+
+def test_point_mass_prior_pins_one_cell(tmp_path):
+    path = _edited_config(tmp_path, "oracle_t3.json",
+                          _set_point_mass([0.3, 0.7]))
+    out = tmp_path / "run"
+    assert run_cli("penalty-evolve", path, out) == 0
+    rows = (out / "surface_t000.csv").read_text().strip().split("\n")[1:]
+    finite = [row.split(",") for row in rows if ",inf," not in row]
+    assert len(finite) == 1
+    assert finite[0][2:5] == ["0.3", "0.7", "0.0"]
+
+
+def test_unknown_config_key_is_named(tmp_path, capsys):
+    path = _edited_config(tmp_path, "oracle_t3.json",
+                          lambda cfg: cfg.update(horizn=3))
+    assert run_cli("penalty-evolve", path, tmp_path / "run") == 2
+    assert "horizn" in capsys.readouterr().err

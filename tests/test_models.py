@@ -1,5 +1,4 @@
-import itertools
-from math import comb, inf, log
+from math import comb, log
 
 import numpy as np
 import pytest
@@ -7,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robusthmm import (DegenerateObservation, Generator, GeneratorGrid,
-                       ModelPoint, Path, PriorSpec, SimplexGrid, divergence,
-                       gamma_at, log_likelihood_full, log_likelihood_obs,
-                       posterior_weights)
-from robusthmm.oracles import bernoulli_closed_forms
+                       SimplexGrid, gamma_at)
+from robusthmm.oracles import (ORACLE_CAP_DEFAULT, _walk_models,
+                               bernoulli_closed_forms, oracle_dr_direct,
+                               oracle_penalty)
 from conftest import example1_generator
 
 
@@ -88,7 +87,8 @@ def test_gamma_at_stationary_control_and_hook():
 
 
 # ---------------------------------------------------------------------------
-# likelihoods
+# likelihoods: the data-driven penalty of one model from a zero prior is its
+# negated observation log-likelihood, accumulated by the enumeration oracle
 
 def _uniform_gens(n=2, d=2):
     return GeneratorGrid(candidates=(Generator(transition=np.eye(n),
@@ -96,69 +96,44 @@ def _uniform_gens(n=2, d=2):
                          prior_penalty=np.array([0.0]))
 
 
+def _log_likelihood(belief, obs, gens):
+    (_, penalty, _), = _walk_models([belief], [0.0], gens, obs, "dr",
+                                    "static", None, ORACLE_CAP_DEFAULT)
+    return -penalty
+
+
 def test_obs_likelihood_uniform_emissions():
     grid = SimplexGrid.build(2, 2)
-    model = ModelPoint(p0_index=1, gen_indices=(0,))
-    value = log_likelihood_obs(model, [0, 1, 1], _uniform_gens(), grid)
+    value = _log_likelihood(grid.points[1], [0, 1, 1], _uniform_gens())
     assert abs(value - 3 * log(0.5)) < 1e-12
 
 
 def test_obs_likelihood_example_values(ex1_gens):
     grid = SimplexGrid.build(2, 2)
-    half = ModelPoint(p0_index=1, gen_indices=(0,))
-    assert abs(log_likelihood_obs(half, [0], ex1_gens, grid) - log(0.5)) < 1e-12
-    point = ModelPoint(p0_index=2, gen_indices=(0,))  # (1, 0)
-    assert abs(log_likelihood_obs(point, [0, 0], ex1_gens, grid)
+    half = grid.points[1]
+    assert abs(_log_likelihood(half, [0], ex1_gens) - log(0.5)) < 1e-12
+    point = grid.points[2]  # (1, 0)
+    assert abs(_log_likelihood(point, [0, 0], ex1_gens)
                - 2 * log(0.75)) < 1e-12
 
 
-def test_full_likelihood_forced_and_impossible():
-    gens = GeneratorGrid(
-        candidates=(Generator(transition=np.array([[0.0, 1.0], [1.0, 0.0]]),
-                              emission=np.array([[1.0, 0.0], [0.0, 1.0]])),),
-        prior_penalty=np.array([0.0]))
-    grid = SimplexGrid.build(2, 1)
-    model = ModelPoint(p0_index=1, gen_indices=(0,))  # point mass at state 0
-    forced = Path(hidden=np.array([0, 1, 0]), observed=np.array([1, 0]), seed=0)
-    assert abs(log_likelihood_full(model, forced, gens, grid) - log(2)) < 1e-12
-    broken = Path(hidden=np.array([0, 0, 1]), observed=np.array([1, 0]), seed=0)
-    assert log_likelihood_full(model, broken, gens, grid) == -inf
-
-
-def test_full_likelihood_sums_to_obs_likelihood(ex1_gens):
-    # summing exp(full) over all hidden paths recovers exp(obs) times the
-    # reference constant N
-    gens = GeneratorGrid(
-        candidates=(Generator(transition=np.array([[0.8, 0.3], [0.2, 0.7]]),
-                              emission=np.array([[0.75, 0.25], [0.25, 0.75]])),),
-        prior_penalty=np.array([0.0]))
-    grid = SimplexGrid.build(2, 4)
-    model = ModelPoint(p0_index=1, gen_indices=(0,))
-    obs = [0, 1]
-    total = 0.0
-    for hidden in itertools.product(range(2), repeat=3):
-        path = Path(hidden=np.array(hidden), observed=np.array(obs), seed=0)
-        value = log_likelihood_full(model, path, gens, grid)
-        if value > -inf:
-            total += np.exp(value)
-    expected = 2 * np.exp(log_likelihood_obs(model, obs, gens, grid))
-    assert abs(total - expected) < 1e-12
-
-
 # ---------------------------------------------------------------------------
-# divergence
+# divergence: the data-driven penalty of each model within a finite class
 
-def _prior(grid, values=None, scope="static", framework="dr"):
-    table = np.zeros(len(grid)) if values is None else np.asarray(values)
-    return PriorSpec(initial_penalty=table, generator_mode=scope,
-                     framework=framework)
+def _divergence(grid, values, obs, gens):
+    """Class-normalized data-driven penalty per (candidate, terminal belief)
+    of the models starting at the grid points with finite prior value."""
+    values = np.asarray(values, dtype=np.float64)
+    finite = np.isfinite(values)
+    return oracle_penalty(grid.points[finite], values[finite], gens, obs,
+                          "dr", "static")
 
 
 def test_divergence_singleton_is_zero(ex1_gens):
     grid = SimplexGrid.build(2, 2)
-    model = ModelPoint(p0_index=1, gen_indices=(0,))
-    prior = _prior(grid)
-    assert divergence(model, [0, 1], [model], prior, ex1_gens, grid) == 0.0
+    table = np.full(len(grid), np.inf)
+    table[1] = 0.0
+    assert list(_divergence(grid, table, [0, 1], ex1_gens).values()) == [0.0]
 
 
 def test_divergence_reduces_to_prior_when_likelihoods_cancel():
@@ -167,11 +142,7 @@ def test_divergence_reduces_to_prior_when_likelihoods_cancel():
     table = np.full(len(grid), np.inf)
     table[1] = 0.0
     table[3] = 0.7
-    prior = _prior(grid, table)
-    models = [ModelPoint(p0_index=1, gen_indices=(0,)),
-              ModelPoint(p0_index=3, gen_indices=(0,))]
-    divs = [divergence(m, [0, 1, 0], models, prior, gens, grid)
-            for m in models]
+    divs = sorted(_divergence(grid, table, [0, 1, 0], gens).values())
     assert abs(divs[0] - 0.0) < 1e-12
     assert abs(divs[1] - 0.7) < 1e-12
 
@@ -181,71 +152,54 @@ def test_divergence_matches_bernoulli_posterior_formula(ex1_gens):
     # the closed-form posterior penalty at the mapped terminal belief
     grid = SimplexGrid.build(2, 10)
     obs = [0, 0, 1]
-    interior = [i for i in range(len(grid))
-                if 0 < grid.points[i][0] < 1]
-    models = [ModelPoint(p0_index=i, gen_indices=(0,)) for i in interior]
+    interior = (grid.points[:, 0] > 0) & (grid.points[:, 0] < 1)
     kappa0 = np.full(len(grid), np.inf)
-    for i in interior:
-        kappa0[i] = abs(np.log(grid.points[i][0] / grid.points[i][1]))
-    prior = _prior(grid, kappa0)
+    kappa0[interior] = np.abs(np.log(grid.points[interior, 0]
+                                     / grid.points[interior, 1]))
     _, data_driven = bernoulli_closed_forms(
         0.75, 0.25, obs, lambda ells: np.abs(ells))
-    terminal_ells = []
-    for i in interior:
-        p = grid.points[i]
-        for y in obs:
-            from robusthmm import filter_step
-            p = filter_step(p, ex1_gens.candidates[0], y)
-        terminal_ells.append(np.log(p[0] / p[1]))
-    expected = data_driven(np.array(terminal_ells))
-    got = np.array([divergence(m, obs, models, prior, ex1_gens, grid)
-                    for m in models])
+    table = _divergence(grid, kappa0, obs, ex1_gens)
+    assert len(table) == interior.sum()
+    terminal = np.array([np.frombuffer(b) for _, b in table])
+    expected = data_driven(np.log(terminal[:, 0] / terminal[:, 1]))
+    got = np.array(list(table.values()))
     assert np.max(np.abs(got - expected)) < 1e-9
 
 
 def test_divergence_only_depends_on_observed_prefix(ex1_gens):
     grid = SimplexGrid.build(2, 4)
-    models = [ModelPoint(p0_index=i, gen_indices=(0,)) for i in (1, 2, 3)]
-    prior = _prior(grid)
+    table = np.array([np.inf, 0.0, 0.0, 0.0, np.inf])
     obs = [0, 1, 0, 0]
     for t in range(1, len(obs) + 1):
-        first = [divergence(m, obs[:t], models, prior, ex1_gens, grid)
-                 for m in models]
-        again = [divergence(m, list(obs[:t]), models, prior, ex1_gens, grid)
-                 for m in models]
+        first = _divergence(grid, table, obs[:t], ex1_gens)
+        again = _divergence(grid, table, list(obs[:t]), ex1_gens)
         assert first == again
-        assert min(first) == 0.0
+        assert min(first.values()) == 0.0
 
 
 def test_divergence_invariant_to_constant_prior_shift(ex1_gens):
     grid = SimplexGrid.build(2, 4)
-    models = [ModelPoint(p0_index=i, gen_indices=(0,)) for i in (1, 2, 3)]
     base = np.array([np.inf, 0.3, 0.0, 1.1, np.inf])
-    for shift in (0.0, 2.5):
-        prior = _prior(grid, base + shift)
-        got = [divergence(m, [0, 1], models, prior, ex1_gens, grid)
-               for m in models]
-        if shift == 0.0:
-            reference = got
-        else:
-            assert np.allclose(got, reference, atol=1e-12)
-
-
-def test_posterior_weights_normalize(ex1_gens):
-    grid = SimplexGrid.build(2, 4)
-    models = [ModelPoint(p0_index=i, gen_indices=(0,)) for i in (1, 2, 3)]
-    w = posterior_weights(models, [0, 0], _prior(grid), ex1_gens, grid)
-    assert abs(w.sum() - 1.0) < 1e-12
-    assert np.all(w > 0)
+    reference = _divergence(grid, base, [0, 1], ex1_gens)
+    shifted = _divergence(grid, base + 2.5, [0, 1], ex1_gens)
+    assert set(shifted) == set(reference)
+    assert all(abs(shifted[k] - reference[k]) < 1e-12 for k in reference)
 
 
 def test_dynamic_model_points_and_degenerate_propagation():
-    gens = GeneratorGrid(candidates=(example1_generator(),
-                                     Generator(transition=np.eye(2),
-                                               emission=np.array([[1.0, 0.0],
-                                                                  [0.0, 1.0]]))),
-                        prior_penalty=np.array([0.0, 0.0]))
-    grid = SimplexGrid.build(2, 2)
-    model = ModelPoint(p0_index=2, gen_indices=(1, 1))  # p0 = (1, 0)
+    # from the point mass (1, 0), the noiseless candidate cannot emit symbol
+    # 1: generator paths that use it at step 2 are dropped, and when every
+    # model excludes the data the oracle reports it
+    noiseless = Generator(transition=np.eye(2),
+                          emission=np.array([[1.0, 0.0], [0.0, 1.0]]))
+    gens = GeneratorGrid(candidates=(example1_generator(), noiseless),
+                         prior_penalty=np.array([0.0, 0.0]))
+    p0 = np.array([[1.0, 0.0]])
+    survivors = _walk_models(p0, [0.0], gens, [0, 1], "dr", "dynamic", None,
+                             ORACLE_CAP_DEFAULT)
+    assert len(survivors) == 2  # paths (0, 0) and (1, 0) of the four
+    only_noiseless = GeneratorGrid(candidates=(noiseless,),
+                                   prior_penalty=np.array([0.0]))
     with pytest.raises(DegenerateObservation):
-        log_likelihood_obs(model, [0, 1], gens, grid)
+        oracle_dr_direct([1.0, 0.0], p0, [0.0], only_noiseless, [0, 1], "dr",
+                         "dynamic", k=1.0)
