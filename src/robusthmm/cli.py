@@ -47,6 +47,18 @@ _CONFIG_KEYS = frozenset({
     "n_states", "n_symbols", "horizon", "grid_resolution", "framework",
     "uncertainty", "generators", "control", "prior", "observations",
     "simulation", "phi", "output_dir"})
+_UNCERTAINTY_KEYS = frozenset({"k", "k_exp"})
+_GENERATOR_KEYS = frozenset({"transition", "emission", "gamma"})
+_CONTROL_KEYS = frozenset({"labels", "gamma", "running_cost",
+                           "terminal_cost"})
+_SIMULATION_KEYS = frozenset({"transition", "emission", "p0", "seed"})
+_PRIOR_KEYS = {  # per shape, the keys build_grid_prior reads
+    "zero": frozenset({"shape"}),
+    "point-mass": frozenset({"shape", "belief"}),
+    "abs-log-odds": frozenset({"shape"}),
+    "table": frozenset({"shape", "values"}),
+    "support": frozenset({"shape", "beliefs", "values"}),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +108,15 @@ def _require(cfg: dict, key: str, where: str = "config"):
     return cfg[key]
 
 
+def _check_keys(block, allowed, where: str) -> None:
+    """Reject a non-object block or one with keys outside ``allowed``."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where}: expected a JSON object")
+    unknown = sorted(set(block) - allowed)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys: {', '.join(unknown)}")
+
+
 def _int_field(cfg, key, minimum, where="config") -> int:
     value = _require(cfg, key, where)
     if isinstance(value, bool) or not isinstance(value, int):
@@ -123,11 +144,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = sorted(set(cfg) - _CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    _check_keys(cfg, _CONFIG_KEYS, "config")
 
     n = _int_field(cfg, "n_states", 1)
     d = _int_field(cfg, "n_symbols", 1)
@@ -139,6 +156,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"framework: {exc}") from None
 
     unc = _require(cfg, "uncertainty")
+    _check_keys(unc, _UNCERTAINTY_KEYS, "uncertainty")
     try:
         params = UncertaintyParams(k=_number(_require(unc, "k", "uncertainty"),
                                              "uncertainty.k"),
@@ -153,6 +171,7 @@ def load_config(path: str) -> RunConfig:
     candidates, gammas = [], []
     for i, entry in enumerate(raw_gens):
         where = f"generators[{i}]"
+        _check_keys(entry, _GENERATOR_KEYS, where)
         trans = _matrix(_require(entry, "transition", where), (n, n),
                         f"{where}.transition")
         emit = _matrix(_require(entry, "emission", where), (n, d),
@@ -166,6 +185,7 @@ def load_config(path: str) -> RunConfig:
     control_cfg = cfg.get("control")
     control_penalty = None
     if control_cfg is not None:
+        _check_keys(control_cfg, _CONTROL_KEYS, "control")
         labels = _require(control_cfg, "labels", "control")
         if not isinstance(labels, list) or not labels:
             raise ConfigError("control.labels must be a nonempty list")
@@ -193,6 +213,9 @@ def load_config(path: str) -> RunConfig:
     prior_cfg = _require(cfg, "prior")
     if not isinstance(prior_cfg, dict) or "shape" not in prior_cfg:
         raise ConfigError("prior must be an object with a 'shape' field")
+    shape = prior_cfg["shape"]
+    if isinstance(shape, str) and shape in _PRIOR_KEYS:
+        _check_keys(prior_cfg, _PRIOR_KEYS[shape], f"prior ({shape})")
 
     observations = cfg.get("observations")
     if observations is not None:
@@ -208,6 +231,7 @@ def load_config(path: str) -> RunConfig:
     simulation = cfg.get("simulation")
     if simulation is not None:
         where = "simulation"
+        _check_keys(simulation, _SIMULATION_KEYS, where)
         trans = _matrix(_require(simulation, "transition", where), (n, n),
                         f"{where}.transition")
         emit = _matrix(_require(simulation, "emission", where), (n, d),
@@ -508,16 +532,15 @@ def _check_one_framework(args):
             engine_value=engine[anchor] if anchor is not None else 0.0,
             instance=f"sup-over-{len(oracle)}-rows"))
     rng = np.random.Generator(np.random.Philox(key=2026))
-    final = surfaces[-1]
-    for j in range(_PHI_DRAWS):
-        phi = rng.uniform(-1.0, 1.0, size=cfg.n_states)
-        engine_val, _ = dr_expectation(phi, final, cfg.params)
-        oracle_val = oracle_dr_direct(phi, exact_prior.beliefs,
-                                      exact_prior.values, cfg.gens, obs,
-                                      framework, scope, k=cfg.params.k,
-                                      k_exp=cfg.params.k_exp)
+    phis = rng.uniform(-1.0, 1.0, size=(_PHI_DRAWS, cfg.n_states))
+    oracle_vals = oracle_dr_direct(phis, exact_prior.beliefs,
+                                   exact_prior.values, cfg.gens, obs,
+                                   framework, scope, k=cfg.params.k,
+                                   k_exp=cfg.params.k_exp)
+    for j, (phi, oracle_val) in enumerate(zip(phis, oracle_vals)):
+        engine_val, _ = dr_expectation(phi, surfaces[-1], cfg.params)
         reports.append(OracleReport(quantity=f"{label}/dr_expectation_{j}",
-                                    oracle_value=oracle_val,
+                                    oracle_value=float(oracle_val),
                                     engine_value=engine_val,
                                     instance="random-phi"))
     return reports

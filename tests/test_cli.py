@@ -217,3 +217,36 @@ def test_unknown_config_key_is_named(tmp_path, capsys):
                           lambda cfg: cfg.update(horizn=3))
     assert run_cli("penalty-evolve", path, tmp_path / "run") == 2
     assert "horizn" in capsys.readouterr().err
+
+
+
+def _point_mass_with_values(cfg):
+    # a point-mass prior reads only its belief; "values" belongs to other
+    # shapes and is rejected here
+    cfg["prior"] = {"shape": "point-mass", "belief": [0.3, 0.7],
+                    "values": [0.0]}
+
+
+@pytest.mark.parametrize("name,edit,command,where,key", [
+    ("oracle_t3.json", lambda cfg: cfg["uncertainty"].update(kexp=5.0),
+     "penalty-evolve", "uncertainty", "kexp"),
+    ("oracle_t3.json", lambda cfg: cfg["prior"].update(valuez=[0.0]),
+     "penalty-evolve", "prior (support)", "valuez"),
+    ("oracle_t3.json", _point_mass_with_values, "penalty-evolve",
+     "prior (point-mass)", "values"),
+    ("oracle_t3.json",
+     lambda cfg: cfg["generators"][2].update(emissions=[[1.0, 0.0]] * 2),
+     "penalty-evolve", "generators[2]", "emissions"),
+    ("example1.json", lambda cfg: cfg["simulation"].update(sed=3),
+     "simulate", "simulation", "sed"),
+    ("control_t3.json", lambda cfg: cfg["control"].update(label=["a"]),
+     "control", "control", "label"),
+], ids=["uncertainty", "prior", "point-mass-prior", "generator", "simulation",
+        "control"])
+def test_unknown_nested_key_is_named(tmp_path, capsys, name, edit, command,
+                                     where, key):
+    path = _edited_config(tmp_path, name, edit)
+    assert run_cli(command, path, tmp_path / "run") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {where}: unknown keys: {key}")
+    assert not (tmp_path / "run").exists()

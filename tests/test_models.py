@@ -201,5 +201,5 @@ def test_dynamic_model_points_and_degenerate_propagation():
     only_noiseless = GeneratorGrid(candidates=(noiseless,),
                                    prior_penalty=np.array([0.0]))
     with pytest.raises(DegenerateObservation):
-        oracle_dr_direct([1.0, 0.0], p0, [0.0], only_noiseless, [0, 1], "dr",
+        oracle_dr_direct([[1.0, 0.0]], p0, [0.0], only_noiseless, [0, 1], "dr",
                          "dynamic", k=1.0)

@@ -1,13 +1,22 @@
+import itertools
+from math import inf, log
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from robusthmm import CapExceeded, GeneratorGrid
-from robusthmm.oracles import (OracleReport, bernoulli_closed_forms,
-                               oracle_dr_direct, oracle_penalty,
-                               render_report_csv)
+import robusthmm.oracles
+from robusthmm import CapExceeded, Generator, GeneratorGrid, SimplexGrid
+from robusthmm.cli import _check_one_framework, build_exact_prior
+from robusthmm.hmm import filter_step
+from robusthmm.models import gamma_at
+from robusthmm.oracles import (ORACLE_CAP_DEFAULT, OracleReport, _walk_models,
+                               bernoulli_closed_forms, oracle_dr_direct,
+                               oracle_penalty, render_report_csv)
 from conftest import example1_generator
+
+FRAMEWORKS = [(scope, framework) for scope in ("static", "dynamic")
+              for framework in ("up", "dr")]
 
 
 def single_gen():
@@ -47,9 +56,9 @@ def test_oracle_cap():
 
 
 def test_dr_direct_singleton_is_plain_expectation():
-    value = oracle_dr_direct(np.array([1.0, 0.0]), np.array([[0.5, 0.5]]),
-                             np.zeros(1), single_gen(), [0], "dr", "dynamic",
-                             k=1.0)
+    value, = oracle_dr_direct(np.array([[1.0, 0.0]]), np.array([[0.5, 0.5]]),
+                              np.zeros(1), single_gen(), [0], "dr", "dynamic",
+                              k=1.0)
     assert abs(value - 0.75) < 1e-12  # posterior after one symbol-0 step
 
 
@@ -59,9 +68,9 @@ def test_dr_direct_confidence_set_selects_max():
     gens = GeneratorGrid(
         candidates=(example1_generator(0.5, 0.5),),  # uninformative
         prior_penalty=np.array([0.0]))
-    value = oracle_dr_direct(np.array([1.0, 0.0]), beliefs,
-                             np.array([0.0, 0.3]), gens, [0], "up", "dynamic",
-                             k=1.0, k_exp=np.inf)
+    value, = oracle_dr_direct(np.array([[1.0, 0.0]]), beliefs,
+                              np.array([0.0, 0.3]), gens, [0], "up",
+                              "dynamic", k=1.0, k_exp=np.inf)
     assert abs(value - 0.6) < 1e-12
 
 
@@ -95,3 +104,223 @@ def test_oracles_do_not_import_the_engines():
     for banned in ("penalty", "expectation", "control"):
         assert f"from .{banned} import" not in source
         assert f"import robusthmm.{banned}" not in source
+
+
+# ---------------------------------------------------------------------------
+# the walk's op order, pinned against a path-by-path reference walker
+
+def _reference_walk(prior_beliefs, prior_values, gens, obs, framework, scope,
+                    grid):
+    """Re-filter every full generator path from its prior belief."""
+    n_steps = len(obs)
+    gamma_rows = [gamma_at(gens, t, history=tuple(obs[: t - 1]))
+                  for t in range(1, n_steps + 1)]
+    if scope == "static":
+        paths = [(g,) * max(n_steps, 1) for g in range(len(gens))]
+    else:
+        paths = list(itertools.product(range(len(gens)), repeat=n_steps))
+    results = []
+    for b0, pen0 in zip(np.asarray(prior_beliefs, dtype=np.float64),
+                        np.asarray(prior_values, dtype=np.float64)):
+        if not np.isfinite(pen0):
+            continue
+        for path in paths:
+            penalty = float(pen0)
+            if scope == "static":
+                penalty += float(gens.prior_penalty[path[0]])
+            if not np.isfinite(penalty):
+                continue
+            belief = b0 + 0.0
+            dead = False
+            for t, y in enumerate(obs, start=1):
+                g = path[t - 1]
+                gen = gens.candidates[g]
+                if scope == "dynamic":
+                    penalty += float(gamma_rows[t - 1][g])
+                    if not np.isfinite(penalty):
+                        dead = True
+                        break
+                mass = float((gen.transition @ belief) @ gen.emission[:, y])
+                if mass <= 0.0:
+                    dead = True
+                    break
+                if framework == "dr":
+                    penalty -= log(mass)
+                belief = filter_step(belief, gen, y) + 0.0
+                if grid is not None:
+                    belief = grid.points[grid.round_to_index(belief)] + 0.0
+            if not dead:
+                results.append((belief, penalty, path[0] if path else 0))
+    return results
+
+
+def _reference_dr_direct(phi, results, k, k_exp=1.0):
+    """The per-payoff, per-model scoring loop the stacked call replaces."""
+    floor = min(penalty for _, penalty, _ in results)
+    best = -inf
+    for belief, penalty, _ in results:
+        alpha = penalty - floor
+        rho = ((0.0 if alpha <= k else inf) if k_exp == inf
+               else (alpha / k) ** k_exp)
+        best = max(best, float(belief @ phi) - rho)
+    return best
+
+
+def _random_instance(seed):
+    """A small instance with dead ends: some emission columns are zero, one
+    candidate has penalty inf, some prior beliefs are excluded."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 4))
+    d = int(rng.integers(2, 4))
+    candidates = []
+    for _ in range(3):
+        trans = rng.dirichlet(np.ones(n), size=n).T
+        emit = rng.dirichlet(np.ones(d), size=n)
+        if rng.random() < 0.5:
+            emit[:, int(rng.integers(d))] = 0.0
+            emit /= emit.sum(axis=1, keepdims=True)
+        candidates.append(Generator(transition=trans, emission=emit))
+    gammas = rng.uniform(0.0, 1.0, size=3)
+    gammas[int(rng.integers(3))] = inf
+    gens = GeneratorGrid(candidates=tuple(candidates), prior_penalty=gammas)
+    beliefs = SimplexGrid.build(n, 3).points
+    values = rng.uniform(0.0, 1.0, size=len(beliefs))
+    values[rng.random(len(beliefs)) < 0.3] = inf
+    return n, d, gens, beliefs, values, rng
+
+
+def _as_bits(results):
+    return [(belief.tobytes(), float(penalty).hex(), int(first))
+            for belief, penalty, first in results]
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("scope,framework", FRAMEWORKS)
+def test_walk_matches_path_by_path_reference(seed, scope, framework):
+    n, d, gens, beliefs, values, rng = _random_instance(seed)
+    for horizon in range(4):
+        obs = [int(y) for y in rng.integers(0, d, size=horizon)]
+        for grid in (None, SimplexGrid.build(n, 7)):
+            walked = _walk_models(beliefs, values, gens, obs, framework,
+                                  scope, grid, ORACLE_CAP_DEFAULT)
+            reference = _reference_walk(beliefs, values, gens, obs,
+                                        framework, scope, grid)
+            assert _as_bits(walked) == _as_bits(reference)
+            if not reference:
+                continue
+            phis = rng.uniform(-1.0, 1.0, size=(5, n))
+            stacked = oracle_dr_direct(phis, beliefs, values, gens, obs,
+                                       framework, scope, k=0.7, grid=grid)
+            for phi, value in zip(phis, stacked):
+                assert value == _reference_dr_direct(phi, reference, k=0.7)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic properties of the oracles
+
+def _shipped(oracle_cfg):
+    prior = build_exact_prior(oracle_cfg.prior_cfg,
+                              SimplexGrid.build(oracle_cfg.n_states,
+                                                oracle_cfg.grid_resolution))
+    return prior.beliefs, prior.values, oracle_cfg.gens, \
+        list(oracle_cfg.observations)
+
+
+def _phi_stack(n_states, rows=50, seed=7):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    return rng.uniform(-1.0, 1.0, size=(rows, n_states))
+
+
+@pytest.mark.parametrize("scope,framework", FRAMEWORKS)
+def test_excluded_candidate_changes_nothing(oracle_cfg, scope, framework):
+    beliefs, values, gens, obs = _shipped(oracle_cfg)
+    dead = Generator(transition=np.eye(2), emission=np.full((2, 2), 0.5))
+    padded = GeneratorGrid(candidates=gens.candidates + (dead,),
+                           prior_penalty=np.append(gens.prior_penalty, inf))
+    phis = _phi_stack(oracle_cfg.n_states)
+    for t in range(len(obs) + 1):
+        assert (oracle_penalty(beliefs, values, padded, obs[:t], framework,
+                               scope)
+                == oracle_penalty(beliefs, values, gens, obs[:t], framework,
+                                  scope))
+    args = (beliefs, values)
+    kwargs = dict(obs=obs, framework=framework, scope=scope, k=1.0)
+    assert np.array_equal(oracle_dr_direct(phis, *args, padded, **kwargs),
+                          oracle_dr_direct(phis, *args, gens, **kwargs))
+
+
+@pytest.mark.parametrize("scope,framework", FRAMEWORKS)
+def test_dr_direct_translation_and_monotonicity(oracle_cfg, scope, framework):
+    beliefs, values, gens, obs = _shipped(oracle_cfg)
+    phis = _phi_stack(oracle_cfg.n_states)
+
+    def oracle(stack):
+        return oracle_dr_direct(stack, beliefs, values, gens, obs, framework,
+                                scope, k=1.0)
+
+    base = oracle(phis)
+    for c in (-1.5, 0.25, 3.0):
+        assert np.max(np.abs(oracle(phis + c) - (base + c))) <= 1e-12
+    bump = np.random.default_rng(3).uniform(0.0, 0.5, size=phis.shape)
+    bump[::3] = 0.0
+    assert np.all(oracle(phis + bump) >= base)
+
+
+@pytest.mark.parametrize("scope,framework", FRAMEWORKS)
+def test_stacked_rows_equal_one_row_calls(oracle_cfg, scope, framework):
+    beliefs, values, gens, obs = _shipped(oracle_cfg)
+    phis = _phi_stack(oracle_cfg.n_states)
+    stacked = oracle_dr_direct(phis, beliefs, values, gens, obs, framework,
+                               scope, k=1.0)
+    assert stacked.shape == (len(phis),)
+    for phi, value in zip(phis, stacked):
+        single = oracle_dr_direct(phi[None, :], beliefs, values, gens, obs,
+                                  framework, scope, k=1.0)
+        assert single.shape == (1,) and single[0] == value
+
+
+# ---------------------------------------------------------------------------
+# walk-count regression guard: one walk per model set, not one per payoff
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(robusthmm.oracles, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(robusthmm.oracles, name, counted)
+    return calls
+
+
+def test_stacked_call_walks_once(oracle_cfg, monkeypatch):
+    beliefs, values, gens, obs = _shipped(oracle_cfg)
+    assert len(beliefs) == 5 and len(gens) == 3 and len(obs) == 3
+    steps = _count_calls(monkeypatch, "filter_step")
+    oracle_dr_direct(_phi_stack(oracle_cfg.n_states), beliefs, values, gens,
+                     obs, "dr", "dynamic", k=1.0)
+    assert len(steps) == 5 * (3 + 9 + 27)
+
+
+def test_cap_is_checked_before_walking(monkeypatch):
+    steps = _count_calls(monkeypatch, "filter_step")
+    gens = GeneratorGrid(candidates=(example1_generator(),
+                                     example1_generator(0.7, 0.3)),
+                         prior_penalty=np.zeros(2))
+    with pytest.raises(CapExceeded):
+        oracle_dr_direct(np.zeros((50, 2)), np.array([[0.5, 0.5]]),
+                         np.zeros(1), gens, [0] * 21, "dr", "dynamic", k=1.0)
+    assert steps == []
+
+
+@pytest.mark.parametrize("label", ["static-up", "dynamic-up", "static-dr",
+                                   "dynamic-dr"])
+def test_oracle_check_walks_once_per_prefix_plus_once(oracle_cfg, label,
+                                                      monkeypatch):
+    walks = _count_calls(monkeypatch, "_walk_models")
+    obs = list(oracle_cfg.observations)
+    grid = SimplexGrid.build(oracle_cfg.n_states, oracle_cfg.grid_resolution)
+    reports = _check_one_framework((label, oracle_cfg, grid, obs))
+    assert len(walks) == len(obs) + 2
+    assert max(r.abs_diff for r in reports) <= 1e-9
