@@ -4,6 +4,8 @@
 import sys
 from pathlib import Path
 
+import numpy as np
+
 try:
     import robusthmm  # noqa: F401
 except ImportError:
@@ -31,10 +33,9 @@ def main() -> None:
         surfaces, _ = evolve(prior, cfg.gens, obs, grid)
         worst = 0.0
         for g_surf, e_surf in zip(surfaces, exact):
-            for belief, value in zip(e_surf.beliefs, e_surf.values):
-                cell = grid.round_to_index(belief)
-                worst = max(worst,
-                            abs(float(g_surf.values[cell]) - float(value)))
+            cells = grid.round_rows(e_surf.beliefs)
+            worst = max(worst, float(np.max(np.abs(g_surf.values[cells]
+                                                   - e_surf.values))))
         print(f"{m:>5} {len(grid):>6} {worst:>12.6f}")
 
 

@@ -559,9 +559,9 @@ def _convergence_error(args):
                                           DYNAMIC)
     worst = 0.0
     for g_surf, e_surf in zip(grid_surfaces, exact_surfaces):
-        for belief, value in zip(e_surf.beliefs, e_surf.values):
-            cell = grid.round_to_index(belief)
-            worst = max(worst, abs(float(g_surf.values[cell]) - float(value)))
+        cells = grid.round_rows(e_surf.beliefs)
+        worst = max(worst, float(np.max(np.abs(g_surf.values[cells]
+                                               - e_surf.values))))
     return worst
 
 

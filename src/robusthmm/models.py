@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -54,13 +54,18 @@ def normalize_penalties(values: np.ndarray) -> np.ndarray:
 class SimplexGrid:
     """All beliefs with coordinates ``x / m`` for integer ``x`` summing to
     ``m``, stored in lexicographic order of the integer vectors (the
-    canonical indexing used for all deterministic tie-breaks)."""
+    canonical indexing used for all deterministic tie-breaks).
+
+    A grid is identified by ``(n_states, resolution)``: equality and hashing
+    ignore the derived arrays, so grids can key memo tables.
+    """
 
     n_states: int
     resolution: int
-    coords: np.ndarray = field(repr=False)
-    points: np.ndarray = field(repr=False)
-    _index: dict = field(repr=False, compare=False)
+    coords: np.ndarray = field(repr=False, compare=False)
+    points: np.ndarray = field(repr=False, compare=False)
+    # _binom[r, k] = C(r + k, k): compositions of r into k + 1 parts
+    _binom: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
     def build(cls, n_states: int, resolution: int) -> "SimplexGrid":
@@ -69,11 +74,12 @@ class SimplexGrid:
         coords = np.array(
             list(_compositions(resolution, n_states)), dtype=np.int64)
         points = coords.astype(np.float64) / resolution
-        coords.flags.writeable = False
-        points.flags.writeable = False
-        index = {tuple(map(int, c)): i for i, c in enumerate(coords)}
+        binom = np.array([[comb(r + k, k) for k in range(n_states)]
+                          for r in range(resolution + 1)], dtype=np.int64)
+        for arr in (coords, points, binom):
+            arr.flags.writeable = False
         return cls(n_states=n_states, resolution=resolution,
-                   coords=coords, points=points, _index=index)
+                   coords=coords, points=points, _binom=binom)
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -81,45 +87,65 @@ class SimplexGrid:
     def expected_size(self) -> int:
         return comb(self.resolution + self.n_states - 1, self.n_states - 1)
 
-    def index_of(self, coords: Sequence[int]) -> int:
-        return self._index[tuple(int(c) for c in coords)]
+    def rank(self, coords: np.ndarray) -> np.ndarray:
+        """Canonical index of each row of integer coordinates summing to
+        ``resolution``, by the combinatorial number system: position ``i``
+        with ``rem`` units left before it skips the
+        ``C(rem + k, k) - C(rem - x_i + k, k)`` lex-smaller compositions,
+        ``k = n_states - 1 - i``."""
+        coords = np.asarray(coords, dtype=np.int64)
+        rem = self.resolution - np.cumsum(coords, axis=1) + coords
+        k = np.arange(self.n_states - 1, -1, -1)
+        return (self._binom[rem, k] - self._binom[rem - coords, k]).sum(axis=1)
 
     def exact_index(self, belief: np.ndarray, atol: float = 1e-9) -> int:
         """Index of a belief that must lie exactly on the grid."""
         scaled = np.asarray(belief, dtype=np.float64) * self.resolution
         coords = np.rint(scaled).astype(np.int64)
-        if np.max(np.abs(scaled - coords)) > atol or coords.sum() != self.resolution:
+        if (scaled.shape != (self.n_states,) or np.min(coords) < 0
+                or np.max(np.abs(scaled - coords)) > atol
+                or coords.sum() != self.resolution):
             raise ValueError(f"belief {belief} is not a grid point")
-        return self.index_of(coords)
+        return int(self.rank(coords[None, :])[0])
+
+    def round_rows(self, beliefs: np.ndarray) -> np.ndarray:
+        """Index of the nearest grid point, in Euclidean distance, to each
+        row of a (rows x n_states) array of beliefs.
+
+        Each row is scaled by ``m`` and floored; the ``deficit`` units still
+        missing go to the largest remainders, and among equal remainders to
+        the highest coordinate, which makes the result the lexicographically
+        smallest nearest vector, i.e. the lowest canonical index, so rounding
+        is schedule-independent.
+
+        Raises ``ValueError`` unless every entry is finite and nonnegative
+        and every row sums to 1 within 1e-9; the floors then never sum above
+        ``m``.
+        """
+        beliefs = np.asarray(beliefs, dtype=np.float64)
+        if beliefs.ndim != 2 or beliefs.shape[1] != self.n_states:
+            raise ValueError(f"beliefs must be (rows, {self.n_states}), "
+                             f"got {beliefs.shape}")
+        # NaN fails the first test, +inf the second
+        if not ((beliefs >= 0.0).all()
+                and (np.abs(beliefs.sum(axis=1) - 1.0) <= 1e-9).all()):
+            raise ValueError("beliefs must be finite and nonnegative, each "
+                             "row summing to 1 within 1e-9")
+        scaled = beliefs * self.resolution
+        base = np.floor(scaled).astype(np.int64)
+        deficit = self.resolution - base.sum(axis=1)
+        # a stable sort of the reversed columns by descending remainder puts
+        # the highest index first among equal remainders
+        order = np.argsort(-(scaled - base)[:, ::-1], axis=1, kind="stable")
+        bump = np.arange(self.n_states) < deficit[:, None]
+        rows = np.arange(len(base))[:, None]
+        base[rows, self.n_states - 1 - order] += bump
+        return self.rank(base)
 
     def round_to_index(self, belief: np.ndarray) -> int:
-        """Nearest grid point in Euclidean distance.
-
-        Ties resolve to the lexicographically smallest integer vector, i.e.
-        the lowest canonical index, so rounding is schedule-independent.
-        """
-        scaled = np.maximum(np.asarray(belief, dtype=np.float64), 0.0)
-        scaled = scaled * self.resolution
-        base = np.floor(scaled).astype(np.int64)
-        deficit = self.resolution - int(base.sum())
-        if deficit > 0:
-            remainder = scaled - base
-            # Largest remainders get the extra units; among equal remainders
-            # bumping the highest index yields the lex-smallest result.
-            order = np.lexsort((-np.arange(self.n_states), -remainder))
-            base[order[:deficit]] += 1
-        elif deficit < 0:
-            # Only reachable for inputs summing above 1; shed units from the
-            # smallest remainders while keeping coordinates nonnegative.
-            remainder = scaled - base
-            order = np.lexsort((np.arange(self.n_states), remainder))
-            for i in order:
-                if deficit == 0:
-                    break
-                take = min(int(base[i]), -deficit)
-                base[i] -= take
-                deficit += take
-        return self.index_of(base)
+        """:meth:`round_rows` for a single belief."""
+        belief = np.asarray(belief, dtype=np.float64)
+        return int(self.round_rows(belief[None])[0])
 
 
 def _compositions(total: int, slots: int):
@@ -139,12 +165,18 @@ class GeneratorGrid:
     ``control_penalty`` optionally holds one penalty row per control, and
     ``gamma_fn`` is a hook for observation-history-dependent penalties; both
     are consulted by :func:`gamma_at`.
+
+    ``image_tables`` memoizes the candidates' rounded Bayes images per
+    (grid, symbol) for :mod:`robusthmm.penalty`'s grid steps; it lives and
+    dies with this object.
     """
 
     candidates: tuple[Generator, ...]
     prior_penalty: np.ndarray
     control_penalty: np.ndarray | None = None
     gamma_fn: Callable[[int, tuple, int | None], np.ndarray] | None = None
+    image_tables: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         cands = tuple(self.candidates)

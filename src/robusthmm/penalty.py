@@ -16,6 +16,17 @@ each step additionally minimizes over the candidate choice. The data-driven
 ("dr") framework subtracts the observation log-likelihood of each step; the
 fixed-prior ("up") framework does not. Every emitted surface is renormalized
 to minimum zero and the subtracted amount is recorded in the step report.
+
+In grid mode the image of a cell, its rounded destination and the log mass
+of the observed symbol depend only on (grid, candidate, symbol), never on the
+surface. They are computed once per (grid, symbol), the first time a step
+needs that symbol, into an :class:`ImageTable` memoized in the
+:class:`~robusthmm.models.GeneratorGrid`'s ``image_tables``; the table lives
+exactly as long as that object, and every step is a gather from it plus one
+scatter-min. Rounding goes through
+:meth:`~robusthmm.models.SimplexGrid.round_rows`, which raises ``ValueError``
+on a belief with a non-finite or negative entry or a sum off 1 by more than
+1e-9.
 """
 
 from __future__ import annotations
@@ -198,6 +209,39 @@ def _gen_images(grid: SimplexGrid, gen, y: int):
     return posts, mass, alive
 
 
+@dataclass(frozen=True, eq=False)
+class ImageTable:
+    """Where every (candidate, grid cell) pair goes on one symbol: rows are
+    candidates, columns are source cells. ``dest`` is the cell nearest the
+    Bayes image (-1 where the symbol has zero mass, ``alive`` false) and
+    ``logmass`` the log of the symbol's mass (-inf where dead)."""
+
+    alive: np.ndarray
+    dest: np.ndarray
+    logmass: np.ndarray
+
+
+def _image_table(gens: GeneratorGrid, grid: SimplexGrid, y: int) -> ImageTable:
+    """The image table of ``gens`` on ``grid`` for symbol ``y``, built on
+    first use and memoized on ``gens`` (the images do not depend on the
+    surface being stepped)."""
+    table = gens.image_tables.get((grid, y))
+    if table is None:
+        shape = (len(gens), len(grid))
+        alive = np.zeros(shape, dtype=bool)
+        dest = np.full(shape, -1, dtype=np.int64)
+        logmass = np.full(shape, -np.inf)
+        for g, gen in enumerate(gens.candidates):
+            posts, mass, alive[g] = _gen_images(grid, gen, y)
+            dest[g, alive[g]] = grid.round_rows(posts[alive[g]])
+            logmass[g, alive[g]] = np.log(mass[alive[g]])
+        for arr in (alive, dest, logmass):
+            arr.flags.writeable = False
+        table = ImageTable(alive=alive, dest=dest, logmass=logmass)
+        gens.image_tables[(grid, y)] = table
+    return table
+
+
 def _reduce_candidates(dest, vals, srcs, gids, n_keys):
     """Deterministic min-reduction per destination key.
 
@@ -220,40 +264,28 @@ def _reduce_candidates(dest, vals, srcs, gids, n_keys):
 
 
 def _grid_step(src, gens, gammas, y, framework):
-    """One scatter-min step for either scope.
+    """One scatter-min step for either scope: a gather from the image table
+    plus :func:`_reduce_candidates`.
 
-    Every live (cell, candidate) pair is pushed to the cell nearest its Bayes
-    image. A dynamic surface (``gammas`` given) reduces each destination cell
-    across candidates; a static one keeps the candidate axis, so its pairs
-    reduce per (destination cell, candidate) key.
+    Every live (candidate, cell) pair is pushed to the cell nearest its
+    Bayes image. A dynamic surface (``gammas`` given) reduces each
+    destination cell across candidates; a static one keeps the candidate
+    axis, so its pairs reduce per (destination cell, candidate) key.
     """
-    grid = src.grid
+    table = _image_table(gens, src.grid, y)
     static = gammas is None
-    n_keys = len(grid) * (len(gens) if static else 1)
-    dest_l, val_l, src_l, gid_l = [], [], [], []
-    for g, gen in enumerate(gens.candidates):
-        if not static and not np.isfinite(gammas[g]):
-            continue
-        before = src.values[:, g] if static else src.values
-        posts, mass, alive = _gen_images(grid, gen, y)
-        idx = np.nonzero(alive & np.isfinite(before))[0]
-        if idx.size == 0:
-            continue
-        cand = before[idx] if static else before[idx] + gammas[g]
-        if framework == DR:
-            cand = cand - np.log(mass[idx])
-        dest = np.fromiter((grid.round_to_index(posts[i]) for i in idx),
-                           dtype=np.int64, count=idx.size)
-        dest_l.append(dest * len(gens) + g if static else dest)
-        val_l.append(cand)
-        src_l.append(idx)
-        gid_l.append(np.full(idx.size, g, dtype=np.int64))
-    dest = np.concatenate(dest_l) if dest_l else np.empty(0, dtype=np.int64)
-    vals = np.concatenate(val_l) if val_l else np.empty(0)
-    srcs = np.concatenate(src_l) if src_l else np.empty(0, dtype=np.int64)
-    gids = np.concatenate(gid_l) if gid_l else np.empty(0, dtype=np.int64)
+    # (candidates x cells) values before the step: (before + gamma) - log mass
+    before = src.values.T if static else src.values[None, :] + gammas[:, None]
+    gids, srcs = np.nonzero(table.alive & np.isfinite(before))
+    vals = before[gids, srcs]
+    if framework == DR:
+        vals = vals - table.logmass[gids, srcs]
+    dest = table.dest[gids, srcs]
+    if static:
+        dest = dest * len(gens) + gids
     out, out_src, out_gen = (a.reshape(src.values.shape) for a in
-                             _reduce_candidates(dest, vals, srcs, gids, n_keys))
+                             _reduce_candidates(dest, vals, srcs, gids,
+                                                src.values.size))
     values, m_t = _normalize_step(out, src.time + 1)
     surface = replace(src, values=values, time=src.time + 1)
     report = StepReport(time=src.time + 1, m_t=m_t,

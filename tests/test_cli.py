@@ -193,7 +193,11 @@ def _set_point_mass(belief):
     ("oracle_t3.json", _set_point_mass([float("nan"), 1.0]),
      "penalty-evolve"),
     ("oracle_t3.json", _set_point_mass([-3.0, 1.0]), "penalty-evolve"),
-], ids=["nan-transition", "nan-p0", "nan-point-mass", "negative-point-mass"])
+    ("oracle_t3.json",
+     lambda cfg: cfg["prior"]["beliefs"].__setitem__(0, [-0.1, 1.1]),
+     "penalty-evolve"),
+], ids=["nan-transition", "nan-p0", "nan-point-mass", "negative-point-mass",
+        "negative-support-belief"])
 def test_invalid_probabilities_exit_2(tmp_path, capsys, name, edit, command):
     path = _edited_config(tmp_path, name, edit)
     assert run_cli(command, path, tmp_path / "run") == 2

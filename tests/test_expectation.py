@@ -3,6 +3,7 @@ from math import inf
 import numpy as np
 import pytest
 
+from robusthmm import penalty
 from robusthmm import (ExactPrior, Generator, GeneratorGrid, InfeasibleSurface,
                        PriorSpec, SimplexGrid, StateFunctional, TreeSetup,
                        UncertaintyParams, backward_expectation, bsde_decompose,
@@ -372,3 +373,52 @@ def test_reconstruction_identity_two_ways():
         # z is the canonical mean-zero representative
         assert abs(node.z.sum()) < 1e-12
         assert np.allclose(node.z, child_vals - child_vals.mean())
+
+
+# ---------------------------------------------------------------------------
+# backward expectation over grid surfaces
+
+def _grid_setup(gens, horizon=4, framework="dr"):
+    grid = SimplexGrid.build(2, 24)
+    prior = PriorSpec(initial_penalty=np.linspace(0.0, 1.5, len(grid)),
+                      generator_mode="dynamic", framework=framework)
+    return TreeSetup(gens=gens, framework=framework, scope="dynamic",
+                     horizon=horizon,
+                     initial_surface=initial_grid_surface(prior, gens, grid),
+                     params=P1)
+
+
+def test_grid_tree_builds_each_image_once(monkeypatch):
+    calls = []
+    original = penalty._gen_images
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(penalty, "_gen_images", counted)
+    gens = ex1_grid_of(2)
+    tree = backward_expectation(StateFunctional(values=np.array([1.0, 0.0])),
+                                _grid_setup(gens))
+    assert len(tree.nodes) == 31
+    assert len(calls) == len(gens) * gens.n_symbols
+
+
+@pytest.mark.parametrize("framework", ["up", "dr"])
+def test_grid_tree_ignores_an_infinite_gamma_candidate(framework):
+    base = ex1_grid_of(2)
+    extra = GeneratorGrid(candidates=base.candidates + (example1_generator(),),
+                          prior_penalty=np.append(base.prior_penalty, inf))
+    phi = StateFunctional(values=np.array([1.0, -0.5]))
+    want = backward_expectation(phi, _grid_setup(base, framework=framework))
+    got = backward_expectation(phi, _grid_setup(extra, framework=framework))
+    assert [n.value for n in got.nodes] == [n.value for n in want.nodes]
+
+
+def test_grid_tree_is_translation_equivariant_in_phi():
+    setup = _grid_setup(ex1_grid_of(2))
+    phi = np.array([1.0, -0.5])
+    root = backward_expectation(StateFunctional(values=phi), setup).nodes[0]
+    for c in (-3.0, 0.25, 7.5):
+        shifted = backward_expectation(StateFunctional(values=phi + c), setup)
+        assert abs(shifted.nodes[0].value - (root.value + c)) < 1e-12

@@ -57,6 +57,68 @@ def test_grid_points_round_to_themselves():
         assert grid.exact_index(p) == i
 
 
+@pytest.mark.parametrize("belief", [[0.2, 0.3], [-0.5, 1.5], [0.7, 0.7],
+                                    [np.nan, 1.0], [np.inf, 0.0],
+                                    [1.0 + 2e-9, 0.0]])
+def test_rounding_rejects_beliefs_off_the_simplex(belief):
+    grid = SimplexGrid.build(2, 10)
+    with pytest.raises(ValueError):
+        grid.round_to_index(np.array(belief))
+    with pytest.raises(ValueError):
+        grid.round_rows(np.array([[0.5, 0.5], belief]))
+
+
+@pytest.mark.parametrize("belief", [[-0.1, 1.1], [0.25, 0.75], [0.5],
+                                    [0.2, 0.3]])
+def test_exact_index_rejects_off_grid_beliefs(belief):
+    with pytest.raises(ValueError):
+        SimplexGrid.build(2, 10).exact_index(np.array(belief))
+
+
+def test_rounding_accepts_float_noise_in_the_sum():
+    grid = SimplexGrid.build(2, 10)
+    assert grid.round_to_index(np.array([0.3, 0.7 + 5e-10])) == 3
+
+
+def test_grids_compare_and_hash_by_shape_and_resolution():
+    a, b = SimplexGrid.build(2, 10), SimplexGrid.build(2, 10)
+    assert a == b and hash(a) == hash(b)
+    assert a != SimplexGrid.build(2, 11)
+    assert a != SimplexGrid.build(3, 10)
+    assert {a: 1}[b] == 1
+
+
+def _reference_round(grid, belief, index):
+    # one point at a time: floor, then the deficit goes to the largest
+    # remainders, the highest index first among equal ones; cells are found
+    # by a dict over the lex-ordered coordinates
+    scaled = belief * grid.resolution
+    base = np.floor(scaled).astype(np.int64)
+    deficit = grid.resolution - int(base.sum())
+    order = np.lexsort((-np.arange(grid.n_states), -(scaled - base)))
+    base[order[:deficit]] += 1
+    return index[tuple(map(int, base))]
+
+
+@pytest.mark.parametrize("n,m", [(2, 1000), (3, 80), (4, 20), (5, 7)])
+def test_row_rounding_equals_one_row_rounding(n, m):
+    grid = SimplexGrid.build(n, m)
+    index = {tuple(map(int, c)): i for i, c in enumerate(grid.coords)}
+    assert np.array_equal(grid.rank(grid.coords), np.arange(len(grid)))
+    rng = np.random.Generator(np.random.Philox(n * 1000 + m))
+    random = rng.dirichlet(np.full(n, 0.5), size=300)
+    ties = SimplexGrid.build(n, 2 * m).coords / (2 * m)
+    if len(ties) > 2000:
+        ties = ties[rng.choice(len(ties), 2000, replace=False)]
+    for beliefs in (random, ties, grid.points):
+        rows = grid.round_rows(beliefs)
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [grid.round_to_index(b) for b in beliefs]
+        assert rows.tolist() == [_reference_round(grid, b, index)
+                                 for b in beliefs]
+    assert np.array_equal(grid.round_rows(grid.points), np.arange(len(grid)))
+
+
 # ---------------------------------------------------------------------------
 # generator grid and penalties
 

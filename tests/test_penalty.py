@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from robusthmm import penalty
 from robusthmm import (CapExceeded, ExactPrior, Generator, GeneratorGrid,
                        InfeasibleSurface, PriorSpec, SimplexGrid, evolve,
                        evolve_exact_tree, exact_step, forward_image_step,
@@ -186,6 +190,144 @@ def test_normalizers_reconstruct_raw_floor():
                 p = filter_step(p, gen, y)
             raw_floor = min(raw_floor, pen)
     assert abs(sum(r.m_t for r in reports) - raw_floor) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# image tables: each grid step gathers from a table built once per
+# (grid, symbol) and kept on the GeneratorGrid
+
+def _reference_grid_step(src, gens, gammas, y, framework):
+    # the step body without a table: images recomputed and rounded one point
+    # at a time on every call
+    grid = src.grid
+    static = gammas is None
+    dest_l, val_l, src_l, gid_l = [], [], [], []
+    for g, gen in enumerate(gens.candidates):
+        if not static and not np.isfinite(gammas[g]):
+            continue
+        before = src.values[:, g] if static else src.values
+        posts, mass, alive = penalty._gen_images(grid, gen, y)
+        idx = np.nonzero(alive & np.isfinite(before))[0]
+        cand = before[idx] if static else before[idx] + gammas[g]
+        if framework == "dr":
+            cand = cand - np.log(mass[idx])
+        dest = np.array([grid.round_to_index(posts[i]) for i in idx],
+                        dtype=np.int64)
+        dest_l.append(dest * len(gens) + g if static else dest)
+        val_l.append(cand)
+        src_l.append(idx)
+        gid_l.append(np.full(idx.size, g, dtype=np.int64))
+    out, out_src, out_gen = (
+        a.reshape(src.values.shape) for a in penalty._reduce_candidates(
+            np.concatenate(dest_l), np.concatenate(val_l),
+            np.concatenate(src_l), np.concatenate(gid_l), src.values.size))
+    values, m_t = penalty._normalize_step(out, src.time + 1)
+    return values, m_t, out_src, out_gen
+
+
+def _random_gens(rng, n, d):
+    # three random candidates plus an identity chain that cannot emit symbol
+    # 0 from state 0, so cells die; the last candidate is excluded (gamma inf)
+    cands = [Generator(transition=rng.dirichlet(np.ones(n), size=n).T,
+                       emission=rng.dirichlet(np.ones(d), size=n))
+             for _ in range(3)]
+    emission = rng.dirichlet(np.ones(d), size=n)
+    emission[0] = np.eye(d)[d - 1]
+    cands.append(Generator(transition=np.eye(n), emission=emission))
+    return GeneratorGrid(candidates=tuple(cands),
+                         prior_penalty=np.array([0.0, 0.3, 1.1, 0.2]))
+
+
+@pytest.mark.parametrize("scope,framework", FRAMEWORK_LABELS)
+@pytest.mark.parametrize("seed,n,m", [(1, 2, 25), (2, 2, 9), (3, 3, 12),
+                                      (4, 3, 7)])
+def test_table_step_is_bit_identical_to_pointwise_step(scope, framework, seed,
+                                                       n, m):
+    rng = np.random.Generator(np.random.Philox(seed))
+    grid = SimplexGrid.build(n, m)
+    gens = _random_gens(rng, n, 2)
+    initial = rng.exponential(size=len(grid))
+    initial[rng.random(len(grid)) < 0.2] = np.inf
+    initial[0] = 0.0
+    prior = PriorSpec(initial_penalty=initial, generator_mode=scope,
+                      framework=framework)
+    surface = penalty.initial_grid_surface(prior, gens, grid)
+    for t, y in enumerate([0, 1, 0, 0, 1], start=1):
+        gammas = None
+        if scope == "dynamic":
+            gammas = np.array([0.0, 0.4, 0.25, 0.1])
+            gammas[t % 4] = np.inf
+        values, m_t, out_src, out_gen = _reference_grid_step(
+            surface, gens, gammas, y, framework)
+        surface, report = forward_image_step(surface, gens, gammas, y,
+                                             framework)
+        assert surface.values.tobytes() == values.tobytes()
+        assert report.m_t == m_t
+        assert np.array_equal(report.argmin_src, out_src)
+        assert np.array_equal(report.argmin_gen, out_gen)
+        assert report.infeasible_cells == int(np.isinf(values).sum())
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("scope", ["static", "dynamic"])
+def test_evolve_builds_each_image_once(monkeypatch, scope):
+    images = _count_calls(monkeypatch, penalty, "_gen_images")
+    rounds = _count_calls(monkeypatch, SimplexGrid, "round_to_index")
+    grid = SimplexGrid.build(2, 40)
+    gens = mixed_gens()
+    prior = PriorSpec(initial_penalty=np.zeros(len(grid)),
+                      generator_mode=scope, framework="dr")
+    surfaces, _ = evolve(prior, gens, [0, 1, 1, 0, 0, 1, 0, 1], grid)
+    assert len(surfaces) == 9
+    assert len(images) == len(gens) * gens.n_symbols
+    assert rounds == []
+
+
+def test_image_table_lives_with_its_generator_grid():
+    grid = SimplexGrid.build(2, 10)
+    gens = mixed_gens()
+    prior = PriorSpec(initial_penalty=np.zeros(len(grid)),
+                      generator_mode="dynamic", framework="dr")
+    evolve(prior, gens, [0, 1], grid)
+    # an equal grid built elsewhere finds the same table
+    assert set(gens.image_tables) == {(SimplexGrid.build(2, 10), 0),
+                                      (grid, 1)}
+    ref = weakref.ref(gens.image_tables[(grid, 0)])
+    del gens
+    gc.collect()
+    assert ref() is None
+
+
+def test_infinite_gamma_candidate_changes_no_dynamic_surface():
+    grid = SimplexGrid.build(2, 30)
+    base = mixed_gens()
+    extra = GeneratorGrid(
+        candidates=base.candidates + (example1_generator(),),
+        prior_penalty=np.append(base.prior_penalty, np.inf))
+    obs = [0, 1, 1, 0, 1]
+    for framework in ("up", "dr"):
+        prior = PriorSpec(initial_penalty=np.linspace(0, 2, len(grid)),
+                          generator_mode="dynamic", framework=framework)
+        want, want_reports = evolve(prior, base, obs, grid)
+        got, got_reports = evolve(prior, extra, obs, grid)
+        for a, b in zip(want, got):
+            assert a.values.tobytes() == b.values.tobytes()
+        for a, b in zip(want_reports, got_reports):
+            assert (a.time, a.m_t, a.infeasible_cells) == \
+                (b.time, b.m_t, b.infeasible_cells)
+            assert a.argmin_src.tobytes() == b.argmin_src.tobytes()
+            assert a.argmin_gen.tobytes() == b.argmin_gen.tobytes()
 
 
 # ---------------------------------------------------------------------------
