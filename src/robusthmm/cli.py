@@ -93,11 +93,19 @@ class RunConfig:
 
 
 def _number(value, where: str) -> float:
+    """A config number: finite, or +inf (also spelled ``"inf"``)."""
     if value == "inf":
         return math.inf
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number or \"inf\"")
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ConfigError(f"{where}: number out of range") from None
+    if math.isnan(value) or value == -math.inf:
+        raise ConfigError(f"{where}: expected a number or \"inf\", "
+                          f"got {value}")
+    return value
 
 
 def _require(cfg: dict, key: str, where: str = "config"):
@@ -127,12 +135,15 @@ def _int_field(cfg, key, minimum, where="config") -> int:
 
 
 def _matrix(raw, shape, where) -> np.ndarray:
+    """A config array of the given shape with finite entries."""
     try:
         arr = np.asarray(raw, dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}: not a numeric array") from None
     if arr.shape != shape:
         raise ConfigError(f"{where}: expected shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{where}: entries must be finite")
     return arr
 
 
@@ -142,7 +153,7 @@ def load_config(path: str) -> RunConfig:
         cfg = json.loads(raw_bytes)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an oversized integer
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     _check_keys(cfg, _CONFIG_KEYS, "config")
 
@@ -191,7 +202,8 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError("control.labels must be a nonempty list")
         table = _require(control_cfg, "gamma", "control")
         if (not isinstance(table, list) or len(table) != len(labels)
-                or any(len(row) != len(candidates) for row in table)):
+                or any(not isinstance(row, list) or len(row) != len(candidates)
+                       for row in table)):
             raise ConfigError(
                 "control.gamma must be one row per control, one entry per generator")
         control_penalty = np.array(

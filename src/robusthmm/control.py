@@ -4,11 +4,12 @@ generator penalty.
 The controller state is the pair (observation history, penalty surface): the
 surface summarizes everything the past controls and observations imply about
 the hidden chain. Successor surfaces are produced by the forward image step
-with the chosen control's penalty row. One enumerator lists the reachable
-surfaces per history node (deduplicated by value hash, bounded by the state
-cap): the solver expands every control, the policy evaluator only the
-policy's choice. Values are then filled bottom up, and the solver extracts
-the minimizing control per (node, surface) pair.
+with the chosen control's penalty row, which depends on neither the time nor
+the history and is looked up once per control. One enumerator lists the
+reachable surfaces per history node (deduplicated by value hash, bounded by
+the state cap): the solver expands every control, the policy evaluator only
+the policy's choice. Values are then filled bottom up, and the solver
+extracts the minimizing control per (node, surface) pair.
 
 Costs: choosing control ``u`` at a node of depth ``t`` pays the running cost
 indexed ``t`` immediately; the terminal cost is charged against the leaf
@@ -36,7 +37,8 @@ _HASH_DECIMALS = 12
 
 @dataclass(frozen=True, eq=False)
 class ControlProblem:
-    """A finite control set acting through per-control generator penalties.
+    """A finite control set acting through per-control generator penalties:
+    ``gens.control_penalty`` holds one row per control.
 
     ``running_cost`` is a ``(horizon, n_controls)`` array; ``terminal_cost``
     gives the cost per hidden state.
@@ -58,10 +60,9 @@ class ControlProblem:
             raise ValueError("control set must be nonempty")
         if self.prior.generator_mode != DYNAMIC:
             raise ValueError("control requires the dynamic generator scope")
-        if self.gens.control_penalty is None and self.gens.gamma_fn is None:
+        if self.gens.control_penalty is None:
             raise ValueError("generator grid carries no per-control penalties")
-        if (self.gens.control_penalty is not None
-                and self.gens.control_penalty.shape[0] != len(self.labels)):
+        if self.gens.control_penalty.shape[0] != len(self.labels):
             raise ValueError("one penalty row per control required")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
@@ -74,9 +75,6 @@ class ControlProblem:
     @property
     def n_controls(self) -> int:
         return len(self.labels)
-
-    def run_cost(self, t: int, history: tuple, u: int) -> float:
-        return float(self.running_cost[t, u])
 
 
 @dataclass(frozen=True)
@@ -183,25 +181,22 @@ def _enumerate_states(problem: ControlProblem, root_history: tuple,
     every control for the solver, the policy's choice for the evaluator.
     """
     d = problem.gens.n_symbols
+    gammas = [gamma_at(problem.gens, u) for u in range(problem.n_controls)]
     registry = StateRegistry()
     root_id = registry.intern(root_surface)
     levels = [{root_history: [root_id]}]
     successors: dict = {}
     total = 1
-    steps = problem.horizon - len(root_history)
-    for depth in range(steps):
-        t_obs = len(root_history) + depth + 1
+    for _ in range(problem.horizon - len(root_history)):
         level, new_level = levels[-1], {}
         for history, state_ids in level.items():
             child_lists = {history + (y,): [] for y in range(d)}
             for state_id in state_ids:
                 surface = registry.surfaces[state_id]
                 for u in controls(history, surface):
-                    gammas = gamma_at(problem.gens, t_obs, history=history,
-                                      control=u)
                     for y in range(d):
                         child, _ = forward_image_step(
-                            surface, problem.gens, gammas, y,
+                            surface, problem.gens, gammas[u], y,
                             problem.prior.framework)
                         child_id = registry.intern(child)
                         successors[(history, state_id, u, y)] = child_id
@@ -252,7 +247,7 @@ def _fill_values(problem: ControlProblem, registry, levels, successors,
                     sup = one_step_expectation(xi, surface, problem.gens,
                                                np.zeros(len(problem.gens)),
                                                problem.params)
-                    q_values.append(problem.run_cost(t, history, u) + sup)
+                    q_values.append(float(problem.running_cost[t, u]) + sup)
                 pick = chooser(history, state_id, q_values)
                 values[(history, state_id)] = ControlValue(
                     float(q_values[pick]), pick, tuple(q_values))
@@ -289,22 +284,19 @@ def solve(problem: ControlProblem, root_history: tuple = (),
                            root_history=root_history)
 
 
-def evaluate_policy(problem: ControlProblem, policy: PolicyTree,
-                    root_history: tuple = (),
-                    root_surface: PenaltySurface | None = None
-                    ) -> ControlSolution:
-    """Remaining cost of a fixed policy, on the states it actually reaches.
+def evaluate_policy(problem: ControlProblem,
+                    policy: PolicyTree) -> ControlSolution:
+    """Cost of a fixed policy from the root, on the states it actually
+    reaches.
 
     Same enumeration and backward recursion as :func:`solve`, expanding and
     charging only the policy's choice; the result dominates the optimal
     value pointwise. The enumeration enforces ``problem.state_cap``.
     """
-    root_history = tuple(root_history)
-    if root_surface is None:
-        root_surface = initial_grid_surface(problem.prior, problem.gens,
-                                            problem.grid)
+    root_surface = initial_grid_surface(problem.prior, problem.gens,
+                                        problem.grid)
     registry, levels, successors = _enumerate_states(
-        problem, root_history, root_surface,
+        problem, (), root_surface,
         lambda history, surface: (policy.control_at(history, surface),))
 
     def fixed(history, state_id, q_values):
@@ -313,7 +305,7 @@ def evaluate_policy(problem: ControlProblem, policy: PolicyTree,
     values, _ = _fill_values(problem, registry, levels, successors, fixed)
     return ControlSolution(policy=policy, values=values, registry=registry,
                            successors=successors, levels=levels,
-                           root_history=root_history)
+                           root_history=())
 
 
 def decision_nodes(problem: ControlProblem) -> list[tuple]:

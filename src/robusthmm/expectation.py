@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import CapExceeded, InfeasibleSurface
 from .models import DYNAMIC, GeneratorGrid, gamma_at
-from .penalty import (ExactSurface, ExtendedPenaltySurface, PenaltySurface,
-                      exact_step, forward_image_step)
+from .penalty import ExactSurface, _rows, exact_step, forward_image_step
 
 TREE_CAP_DEFAULT = 4096
 
@@ -69,20 +68,6 @@ class StateFunctional:
             raise ValueError("payoff values must be a finite vector")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-
-
-def _rows(surface):
-    """Canonically ordered (beliefs, penalties, gen_ids) of any surface."""
-    if isinstance(surface, PenaltySurface):
-        return surface.grid.points, surface.values, None
-    if isinstance(surface, ExtendedPenaltySurface):
-        n_gens = len(surface.gens)
-        beliefs = np.repeat(surface.grid.points, n_gens, axis=0)
-        gen_ids = np.tile(np.arange(n_gens, dtype=np.int64), len(surface.grid))
-        return beliefs, surface.values.ravel(), gen_ids
-    if isinstance(surface, ExactSurface):
-        return surface.beliefs, surface.values, surface.gen_ids
-    raise TypeError(f"unsupported surface type {type(surface).__name__}")
 
 
 def dr_expectation(phi, surface, params: UncertaintyParams):
@@ -202,7 +187,11 @@ class ObservationTree:
 
 @dataclass(frozen=True)
 class TreeSetup:
-    """Everything needed to grow surfaces along the observation tree."""
+    """Everything needed to grow surfaces along the observation tree.
+
+    ``gammas`` is the per-step candidate penalty in the dynamic scope (None
+    in the static scope), looked up once here for every step of the tree.
+    """
 
     gens: GeneratorGrid
     framework: str
@@ -211,20 +200,11 @@ class TreeSetup:
     initial_surface: object
     params: UncertaintyParams
     cap: int = TREE_CAP_DEFAULT
+    gammas: np.ndarray | None = field(init=False, repr=False, compare=False)
 
-
-def _step_surface(surface, setup: TreeSetup, t: int, history: tuple, y: int,
-                  control: int | None = None):
-    if setup.scope == DYNAMIC:
-        gammas = gamma_at(setup.gens, t, history=history, control=control)
-    else:
-        gammas = None
-    if isinstance(surface, ExactSurface):
-        new, _ = exact_step(surface, setup.gens, gammas, y, setup.framework)
-    else:
-        new, _ = forward_image_step(surface, setup.gens, gammas, y,
-                                    setup.framework)
-    return new
+    def __post_init__(self):
+        object.__setattr__(self, "gammas", gamma_at(self.gens)
+                           if self.scope == DYNAMIC else None)
 
 
 def build_observation_tree(setup: TreeSetup) -> ObservationTree:
@@ -236,15 +216,17 @@ def build_observation_tree(setup: TreeSetup) -> ObservationTree:
     tree = ObservationTree(n_symbols=d, horizon=setup.horizon)
     tree.nodes.append(TreeNode(index=0, history=(), parent=-1,
                                surface=setup.initial_surface))
+    step = (exact_step if isinstance(setup.initial_surface, ExactSurface)
+            else forward_image_step)
     frontier = [0]
-    for t in range(1, setup.horizon + 1):
+    for _ in range(setup.horizon):
         next_frontier = []
         for parent_idx in frontier:
             parent = tree.nodes[parent_idx]
             kids = []
             for y in range(d):
-                surface = _step_surface(parent.surface, setup, t,
-                                        parent.history, y)
+                surface = step(parent.surface, setup.gens, setup.gammas, y,
+                               setup.framework)[0]
                 node = TreeNode(index=len(tree.nodes),
                                 history=parent.history + (y,),
                                 parent=parent_idx, surface=surface)
@@ -267,12 +249,9 @@ def fill_backward(tree: ObservationTree, setup: TreeSetup,
     for t in range(terminal_depth - 1, -1, -1):
         for node in tree.nodes_at_depth(t):
             child_vals = np.array([tree.nodes[c].value for c in node.children])
-            if setup.scope == DYNAMIC:
-                gammas = gamma_at(setup.gens, t + 1, history=node.history)
-            else:
-                gammas = None
             node.value = one_step_expectation(child_vals, node.surface,
-                                              setup.gens, gammas, setup.params)
+                                              setup.gens, setup.gammas,
+                                              setup.params)
 
 
 def backward_expectation(phi: StateFunctional,
@@ -306,13 +285,9 @@ def bsde_decompose(tree: ObservationTree, setup: TreeSetup) -> ObservationTree:
             if any(v is None for v in child_vals):
                 raise ValueError("tree values must be filled first")
             z = child_vals - child_vals.mean()
-            if setup.scope == DYNAMIC:
-                gammas = gamma_at(setup.gens, t + 1, history=node.history)
-            else:
-                gammas = None
             node.z = z
-            node.driver = bsde_driver(z, node.surface, setup.gens, gammas,
-                                      setup.params)
+            node.driver = bsde_driver(z, node.surface, setup.gens,
+                                      setup.gammas, setup.params)
     return tree
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import comb
-from typing import Callable
 
 import numpy as np
 
@@ -161,10 +160,9 @@ def _compositions(total: int, slots: int):
 class GeneratorGrid:
     """A finite set of candidate generators with their prior penalties.
 
-    ``prior_penalty`` is normalized to minimum zero at construction.
-    ``control_penalty`` optionally holds one penalty row per control, and
-    ``gamma_fn`` is a hook for observation-history-dependent penalties; both
-    are consulted by :func:`gamma_at`.
+    ``prior_penalty`` is normalized to minimum zero at construction, and so
+    is each row of ``control_penalty``, which optionally holds one penalty
+    row per control; :func:`gamma_at` picks the one that applies.
 
     ``image_tables`` memoizes the candidates' rounded Bayes images per
     (grid, symbol) for :mod:`robusthmm.penalty`'s grid steps; it lives and
@@ -174,7 +172,6 @@ class GeneratorGrid:
     candidates: tuple[Generator, ...]
     prior_penalty: np.ndarray
     control_penalty: np.ndarray | None = None
-    gamma_fn: Callable[[int, tuple, int | None], np.ndarray] | None = None
     image_tables: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
 
@@ -218,27 +215,19 @@ class GeneratorGrid:
         return self.candidates[0].n_symbols
 
 
-def gamma_at(grid: GeneratorGrid, t: int, history: tuple = (),
-             control: int | None = None) -> np.ndarray:
-    """Per-candidate penalty applying to the time-``t`` generator choice.
+def gamma_at(grid: GeneratorGrid, control: int | None = None) -> np.ndarray:
+    """Per-candidate penalty on each step's generator choice.
 
-    The default is the grid's stationary prior; a control index selects the
-    matching row of the control table; the ``gamma_fn`` hook may use the
-    observation history. The result is always normalized to minimum zero.
+    The grid's stationary prior, or with a control index the matching row of
+    the control table. It does not depend on the time or the observation
+    history, so callers look it up once per run or per control. Both are
+    normalized to minimum zero at construction.
     """
-    if t < 1:
-        raise ValueError("generator penalties apply from time 1 on")
-    if grid.gamma_fn is not None:
-        vals = np.asarray(grid.gamma_fn(t, tuple(history), control), dtype=np.float64)
-        if vals.shape != (len(grid),):
-            raise ValueError("gamma_fn must return one value per candidate")
-    elif control is not None:
-        if grid.control_penalty is None:
-            raise ValueError("no control penalty table configured")
-        vals = grid.control_penalty[control]
-    else:
-        vals = grid.prior_penalty
-    return normalize_penalties(np.array(vals, dtype=np.float64))
+    if control is None:
+        return grid.prior_penalty
+    if grid.control_penalty is None:
+        raise ValueError("no control penalty table configured")
+    return grid.control_penalty[control]
 
 
 @dataclass(frozen=True, eq=False)

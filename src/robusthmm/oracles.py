@@ -82,8 +82,8 @@ def _walk_models(prior_beliefs, prior_values, gens: GeneratorGrid, obs,
             penalty = float(pen0) + float(gens.prior_penalty[g])
             if np.isfinite(penalty):
                 frontier.append((b0 + 0.0, penalty, g))
+    gamma = gamma_at(gens)
     for t, y in enumerate(obs, start=1):
-        gamma = gamma_at(gens, t, history=tuple(obs[: t - 1]))
         extended = []
         for belief, penalty, first in frontier:
             for g in (range(len(gens)) if scope == DYNAMIC else (first,)):

@@ -311,12 +311,9 @@ def evolve(prior: PriorSpec, gens: GeneratorGrid, obs: Sequence[int],
     reports. Surface kind follows the prior's generator scope.
     """
     surface = initial_grid_surface(prior, gens, grid)
+    gammas = gamma_at(gens) if prior.generator_mode == DYNAMIC else None
     surfaces, reports = [surface], []
-    for t, y in enumerate(obs, start=1):
-        if prior.generator_mode == DYNAMIC:
-            gammas = gamma_at(gens, t, history=tuple(obs[: t - 1]))
-        else:
-            gammas = None
+    for y in obs:
         surface, report = forward_image_step(surface, gens, gammas, int(y),
                                              prior.framework)
         surfaces.append(surface)
@@ -437,12 +434,9 @@ def evolve_exact_tree(prior: ExactPrior, gens: GeneratorGrid,
     if scope not in (STATIC, DYNAMIC):
         raise ValueError(f"bad scope {scope!r}")
     surface = initial_exact_surface(prior, gens, scope)
+    gammas = gamma_at(gens) if scope == DYNAMIC else None
     surfaces, reports = [surface], []
-    for t, y in enumerate(obs, start=1):
-        if scope == DYNAMIC:
-            gammas = gamma_at(gens, t, history=tuple(obs[: t - 1]))
-        else:
-            gammas = None
+    for y in obs:
         surface, report = exact_step(surface, gens, gammas, int(y),
                                      framework, cap=cap)
         surfaces.append(surface)
@@ -450,52 +444,46 @@ def evolve_exact_tree(prior: ExactPrior, gens: GeneratorGrid,
     return surfaces, reports
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _rows(surface):
+    """Canonically ordered (beliefs, penalties, gen_ids) of any surface:
+    cell-major, candidate-minor; ``gen_ids`` is None on surfaces that carry
+    no candidate axis."""
+    if isinstance(surface, PenaltySurface):
+        return surface.grid.points, surface.values, None
+    if isinstance(surface, ExtendedPenaltySurface):
+        n_gens = len(surface.gens)
+        beliefs = np.repeat(surface.grid.points, n_gens, axis=0)
+        gen_ids = np.tile(np.arange(n_gens, dtype=np.int64), len(surface.grid))
+        return beliefs, surface.values.ravel(), gen_ids
+    if isinstance(surface, ExactSurface):
+        return surface.beliefs, surface.values, surface.gen_ids
+    raise TypeError(f"unsupported surface type {type(surface).__name__}")
 
 
 def render_surface_csv(surface, report: StepReport | None = None) -> str:
-    """CSV text for one surface: integer coordinates, belief coordinates,
-    penalty value (``inf`` for excluded cells), and argmin provenance."""
-    lines = []
-    if isinstance(surface, PenaltySurface):
-        n = surface.grid.n_states
-        header = ([f"x{i}" for i in range(n)] + [f"p{i}" for i in range(n)]
-                  + ["value", "src_point", "src_gen"])
-        lines.append(",".join(header))
-        src = report.argmin_src if report is not None else None
-        gen = report.argmin_gen if report is not None else None
-        for i in range(len(surface.grid)):
-            row = ([str(int(c)) for c in surface.grid.coords[i]]
-                   + [_fmt(p) for p in surface.grid.points[i]]
-                   + [_fmt(surface.values[i]),
-                      str(int(src[i])) if src is not None else "-1",
-                      str(int(gen[i])) if gen is not None else "-1"])
-            lines.append(",".join(row))
-    elif isinstance(surface, ExtendedPenaltySurface):
-        n = surface.grid.n_states
-        header = ([f"x{i}" for i in range(n)] + [f"p{i}" for i in range(n)]
-                  + ["gen", "value", "src_point", "src_gen"])
-        lines.append(",".join(header))
-        src = report.argmin_src if report is not None else None
-        gen = report.argmin_gen if report is not None else None
-        for i in range(len(surface.grid)):
-            for g in range(len(surface.gens)):
-                row = ([str(int(c)) for c in surface.grid.coords[i]]
-                       + [_fmt(p) for p in surface.grid.points[i]]
-                       + [str(g), _fmt(surface.values[i, g]),
-                          str(int(src[i, g])) if src is not None else "-1",
-                          str(int(gen[i, g])) if gen is not None else "-1"])
-                lines.append(",".join(row))
-    elif isinstance(surface, ExactSurface):
-        n = surface.beliefs.shape[1]
-        header = ([f"p{i}" for i in range(n)] + ["gen", "value"])
-        lines.append(",".join(header))
-        for i in range(len(surface)):
-            gid = int(surface.gen_ids[i]) if surface.gen_ids is not None else -1
-            row = ([_fmt(p) for p in surface.beliefs[i]]
-                   + [str(gid), _fmt(surface.values[i])])
-            lines.append(",".join(row))
-    else:
-        raise TypeError(f"unsupported surface type {type(surface).__name__}")
+    """CSV text for one surface, one line per row of :func:`_rows`.
+
+    Columns: integer coordinates (grid surfaces), belief coordinates, the
+    candidate (surfaces other than :class:`PenaltySurface`; -1 on an exact
+    dynamic one), the penalty value (``inf`` for excluded cells), and argmin
+    provenance (grid surfaces; -1 without a report).
+    """
+    beliefs, values, gen_ids = _rows(surface)
+    n, unset = beliefs.shape[1], np.full(len(values), -1)
+    names, cols = [f"p{i}" for i in range(n)], list(beliefs.T)
+    if not isinstance(surface, PenaltySurface):
+        names.append("gen")
+        cols.append(unset if gen_ids is None else gen_ids)
+    names.append("value")
+    cols.append(values)
+    if not isinstance(surface, ExactSurface):
+        per_cell = len(values) // len(surface.grid)
+        coords = np.repeat(surface.grid.coords, per_cell, axis=0)
+        names = [f"x{i}" for i in range(n)] + names + ["src_point", "src_gen"]
+        cols = list(coords.T) + cols + (
+            [unset, unset] if report is None
+            else [report.argmin_src.ravel(), report.argmin_gen.ravel()])
+    lines = [",".join(names)]
+    lines.extend(",".join(map(repr, row))
+                 for row in zip(*(col.tolist() for col in cols)))
     return "\n".join(lines) + "\n"

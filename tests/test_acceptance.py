@@ -162,8 +162,7 @@ def test_criterion_5_dynamic_consistency(oracle_cfg):
         child_vals = np.array([tree.nodes[c].value for c in node.children])
         redo = one_step_expectation(
             child_vals, node.surface, setup.gens,
-            gamma_at(setup.gens, node.depth + 1, history=node.history),
-            setup.params)
+            gamma_at(setup.gens), setup.params)
         worst = max(worst, abs(redo - node.value))
     import copy
     for cut in (1, 2):
@@ -192,12 +191,12 @@ def test_criterion_6_bsde_reconstruction(oracle_cfg):
         child_vals = np.array([tree.nodes[c].value for c in node.children])
         worst = max(worst,
                     abs(node.value - (child_vals.mean() + node.driver)))
-        gammas = gamma_at(setup.gens, node.depth + 1, history=node.history)
+        gammas = gamma_at(setup.gens)
         zero_exact &= bsde_driver(np.zeros(2), node.surface, setup.gens,
                                   gammas, setup.params) == 0.0
     rng = np.random.Generator(np.random.Philox(key=99))
     root = tree.nodes[0]
-    gammas = gamma_at(setup.gens, 1)
+    gammas = gamma_at(setup.gens)
     base = bsde_driver(root.z, root.surface, setup.gens, gammas, setup.params)
     shift_worst = 0.0
     for _ in range(20):
@@ -244,7 +243,7 @@ def test_criterion_7_control_dp(control_cfg):
             np.zeros(len(problem.gens)), problem.params)
         dp_worst = max(dp_worst, abs(
             record.value
-            - (problem.run_cost(len(history), history, u) + one_step)))
+            - (problem.running_cost[len(history), u] + one_step)))
         for y in range(d):
             frontier.append((history + (y,),
                              solution.successors[(history, sid, u, y)]))

@@ -254,3 +254,58 @@ def test_unknown_nested_key_is_named(tmp_path, capsys, name, edit, command,
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {where}: unknown keys: {key}")
     assert not (tmp_path / "run").exists()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _set(block, key, value):
+    def edit(cfg):
+        (cfg[block] if block else cfg)[key] = value
+    return edit
+
+
+def _table_prior_with_nan(cfg):
+    cfg["prior"] = {"shape": "table", "values": [0.0] * 10 + [NAN]}
+
+
+@pytest.mark.parametrize("name,edit,command", [
+    ("oracle_t3.json", _set(None, "phi", [NAN, 1.0]), "expect"),
+    ("oracle_t3.json", _set(None, "phi", [INF, 1.0]), "expect"),
+    ("control_t3.json", _set("control", "gamma", [1.0, 2.0]), "control"),
+    ("control_t3.json", _set("control", "gamma", [[0.0, NAN], [2.0, 0.0]]),
+     "control"),
+    ("control_t3.json", _set("control", "terminal_cost", [NAN, 1.0]),
+     "control"),
+    ("control_t3.json",
+     _set("control", "running_cost", [[NAN, 0.0], [0.3, 0.0], [0.3, 0.0]]),
+     "control"),
+    ("oracle_t3.json", _table_prior_with_nan, "penalty-evolve"),
+    ("oracle_t3.json", lambda cfg: cfg["prior"]["values"].__setitem__(1, NAN),
+     "penalty-evolve"),
+    ("oracle_t3.json", lambda cfg: cfg["generators"][1].update(gamma=NAN),
+     "penalty-evolve"),
+    ("oracle_t3.json", lambda cfg: cfg["generators"][1].update(gamma=-INF),
+     "penalty-evolve"),
+    ("oracle_t3.json",
+     lambda cfg: cfg["generators"][1].update(gamma=10 ** 400),
+     "penalty-evolve"),
+], ids=["nan-phi", "inf-phi", "control-gamma-row-not-a-list",
+        "nan-control-gamma", "nan-terminal-cost", "nan-running-cost",
+        "nan-table-prior", "nan-support-prior", "nan-generator-gamma",
+        "minus-inf-generator-gamma", "huge-generator-gamma"])
+def test_bad_numbers_exit_2(tmp_path, capsys, name, edit, command):
+    path = _edited_config(tmp_path, name, edit)
+    assert run_cli(command, path, tmp_path / "run") == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "run").exists()
+
+
+def test_oversized_integer_literal_exits_2(tmp_path, capsys):
+    # json.dumps cannot write an integer this long, so splice it in as text
+    text = (CONFIGS / "oracle_t3.json").read_text()
+    path = tmp_path / "edited.json"
+    path.write_text(text.replace('"gamma": 0.35', '"gamma": ' + "1" * 5000))
+    assert run_cli("penalty-evolve", path, tmp_path / "run") == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "run").exists()

@@ -111,7 +111,7 @@ def test_dynamic_programming_identity_on_policy():
         one_step = one_step_expectation(
             child_vals, solution.registry.surfaces[sid], problem.gens,
             np.zeros(len(problem.gens)), problem.params)
-        recomposed = problem.run_cost(len(history), history, u) + one_step
+        recomposed = problem.running_cost[len(history), u] + one_step
         assert abs(record.value - recomposed) < 1e-9
         for y in range(d):
             frontier.append((history + (y,),
@@ -144,7 +144,7 @@ def test_bellman_difference_recomputation():
             sup = one_step_expectation(
                 child_vals, solution.registry.surfaces[sid], problem.gens,
                 np.zeros(len(problem.gens)), problem.params)
-            qs.append(problem.run_cost(len(history), history, u) + sup)
+            qs.append(problem.running_cost[len(history), u] + sup)
         assert abs(min(qs) - record.value) < 1e-12
         assert record.q_values == tuple(qs)
 

@@ -95,7 +95,7 @@ def test_one_step_constant_payoff_is_constant():
     gens = ex1_grid_of(2)
     surface = project(np.abs(grid.points[:, 0] - 0.3), grid)
     value = one_step_expectation(np.array([4.2, 4.2]), surface, gens,
-                                 gamma_at(gens, 1), P1)
+                                 gamma_at(gens), P1)
     assert abs(value - 4.2) < 1e-12
 
 
@@ -164,8 +164,8 @@ def test_one_step_monotone_in_payoff():
     for _ in range(30):
         lo = rng.uniform(-2, 2, 2)
         hi = lo + rng.uniform(0, 1, 2)
-        v_lo = one_step_expectation(lo, surface, gens, gamma_at(gens, 1), P1)
-        v_hi = one_step_expectation(hi, surface, gens, gamma_at(gens, 1), P1)
+        v_lo = one_step_expectation(lo, surface, gens, gamma_at(gens), P1)
+        v_hi = one_step_expectation(hi, surface, gens, gamma_at(gens), P1)
         assert v_hi >= v_lo - 1e-12
 
 
@@ -247,8 +247,7 @@ def test_backward_equals_manual_stepwise_composition():
             continue
         child_vals = np.array([tree.nodes[c].value for c in node.children])
         redo = one_step_expectation(child_vals, node.surface, setup.gens,
-                                    gamma_at(setup.gens, node.depth + 1,
-                                             history=node.history), P1)
+                                    gamma_at(setup.gens), P1)
         assert redo == node.value
 
 
@@ -343,7 +342,7 @@ def test_driver_zero_at_zero_and_constant_children():
     root = tree.nodes[0]
     assert np.allclose(root.z, 0.0, atol=1e-12)
     assert bsde_driver(np.zeros(2), root.surface, setup.gens,
-                       gamma_at(setup.gens, 1), P1) == 0.0
+                       gamma_at(setup.gens), P1) == 0.0
 
 
 def test_driver_invariant_under_constant_shift():
@@ -351,12 +350,12 @@ def test_driver_invariant_under_constant_shift():
     root_surface = setup.initial_surface
     rng = np.random.Generator(np.random.Philox(key=23))
     z = np.array([0.8, -0.8])
-    base = bsde_driver(z, root_surface, setup.gens, gamma_at(setup.gens, 1),
+    base = bsde_driver(z, root_surface, setup.gens, gamma_at(setup.gens),
                        P1)
     for _ in range(20):
         c = float(rng.uniform(-5, 5))
         shifted = bsde_driver(z + c, root_surface, setup.gens,
-                              gamma_at(setup.gens, 1), P1)
+                              gamma_at(setup.gens), P1)
         assert abs(shifted - base) < 1e-9
 
 

@@ -137,15 +137,13 @@ def test_gamma_at_stationary_control_and_hook():
                                      example1_generator(0.6, 0.4)),
                          prior_penalty=np.array([0.0, 1.0]),
                          control_penalty=np.array([[0.0, 2.0], [3.0, 0.0]]))
-    assert gamma_at(gens, 1).tolist() == [0.0, 1.0]
-    assert gamma_at(gens, 2, control=0).tolist() == [0.0, 2.0]
-    assert gamma_at(gens, 2, control=1).tolist() == [3.0, 0.0]
-    hooked = GeneratorGrid(candidates=gens.candidates,
-                           prior_penalty=np.array([0.0, 1.0]),
-                           gamma_fn=lambda t, hist, u: np.zeros(2))
-    assert gamma_at(hooked, 5, history=(0, 1)).tolist() == [0.0, 0.0]
+    assert gamma_at(gens).tolist() == [0.0, 1.0]
+    assert gamma_at(gens, control=0).tolist() == [0.0, 2.0]
+    assert gamma_at(gens, control=1).tolist() == [3.0, 0.0]
+    plain = GeneratorGrid(candidates=gens.candidates,
+                          prior_penalty=np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
-        gamma_at(gens, 0)
+        gamma_at(plain, control=0)
 
 
 # ---------------------------------------------------------------------------

@@ -113,8 +113,7 @@ def _reference_walk(prior_beliefs, prior_values, gens, obs, framework, scope,
                     grid):
     """Re-filter every full generator path from its prior belief."""
     n_steps = len(obs)
-    gamma_rows = [gamma_at(gens, t, history=tuple(obs[: t - 1]))
-                  for t in range(1, n_steps + 1)]
+    gamma = gamma_at(gens)
     if scope == "static":
         paths = [(g,) * max(n_steps, 1) for g in range(len(gens))]
     else:
@@ -136,7 +135,7 @@ def _reference_walk(prior_beliefs, prior_values, gens, obs, framework, scope,
                 g = path[t - 1]
                 gen = gens.candidates[g]
                 if scope == "dynamic":
-                    penalty += float(gamma_rows[t - 1][g])
+                    penalty += float(gamma[g])
                     if not np.isfinite(penalty):
                         dead = True
                         break

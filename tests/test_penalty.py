@@ -395,6 +395,77 @@ def test_zero_prior_dichotomy_small():
 # ---------------------------------------------------------------------------
 # serialization
 
+def _reference_render_surface_csv(surface, report=None):
+    # the renderer as three per-kind loops, one per surface type, formatting
+    # cell by cell
+    def fmt(x):
+        return repr(float(x))
+
+    lines = []
+    if isinstance(surface, penalty.PenaltySurface):
+        n = surface.grid.n_states
+        header = ([f"x{i}" for i in range(n)] + [f"p{i}" for i in range(n)]
+                  + ["value", "src_point", "src_gen"])
+        lines.append(",".join(header))
+        src = report.argmin_src if report is not None else None
+        gen = report.argmin_gen if report is not None else None
+        for i in range(len(surface.grid)):
+            row = ([str(int(c)) for c in surface.grid.coords[i]]
+                   + [fmt(p) for p in surface.grid.points[i]]
+                   + [fmt(surface.values[i]),
+                      str(int(src[i])) if src is not None else "-1",
+                      str(int(gen[i])) if gen is not None else "-1"])
+            lines.append(",".join(row))
+    elif isinstance(surface, penalty.ExtendedPenaltySurface):
+        n = surface.grid.n_states
+        header = ([f"x{i}" for i in range(n)] + [f"p{i}" for i in range(n)]
+                  + ["gen", "value", "src_point", "src_gen"])
+        lines.append(",".join(header))
+        src = report.argmin_src if report is not None else None
+        gen = report.argmin_gen if report is not None else None
+        for i in range(len(surface.grid)):
+            for g in range(len(surface.gens)):
+                row = ([str(int(c)) for c in surface.grid.coords[i]]
+                       + [fmt(p) for p in surface.grid.points[i]]
+                       + [str(g), fmt(surface.values[i, g]),
+                          str(int(src[i, g])) if src is not None else "-1",
+                          str(int(gen[i, g])) if gen is not None else "-1"])
+                lines.append(",".join(row))
+    else:
+        n = surface.beliefs.shape[1]
+        lines.append(",".join([f"p{i}" for i in range(n)] + ["gen", "value"]))
+        for i in range(len(surface)):
+            gid = -1 if surface.gen_ids is None else int(surface.gen_ids[i])
+            row = ([fmt(p) for p in surface.beliefs[i]]
+                   + [str(gid), fmt(surface.values[i])])
+            lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("scope", ["static", "dynamic"])
+@pytest.mark.parametrize("seed,n,m", [(5, 2, 25), (6, 3, 12), (7, 4, 7)])
+def test_renderer_is_byte_identical_to_per_kind_loops(scope, seed, n, m):
+    rng = np.random.Generator(np.random.Philox(seed))
+    grid = SimplexGrid.build(n, m)
+    gens = _random_gens(rng, n, 2)
+    initial = rng.exponential(size=len(grid))
+    initial[rng.random(len(grid)) < 0.2] = np.inf
+    initial[0] = 0.0
+    obs = [0, 1, 0]
+    prior = PriorSpec(initial_penalty=initial, generator_mode=scope,
+                      framework="dr")
+    surfaces, reports = evolve(prior, gens, obs, grid)
+    exact = ExactPrior(beliefs=grid.points, values=initial)
+    exact_surfaces, exact_reports = evolve_exact_tree(exact, gens, obs[:2],
+                                                      "dr", scope)
+    cases = ([(surfaces[0], None)] + list(zip(surfaces[1:], reports))
+             + [(s, None) for s in surfaces[1:]] + [(exact_surfaces[0], None)]
+             + list(zip(exact_surfaces[1:], exact_reports)))
+    assert any(np.isinf(s.values).any() for s, _ in cases)
+    for surface, report in cases:
+        assert (render_surface_csv(surface, report)
+                == _reference_render_surface_csv(surface, report))
+
 def test_exact_surface_csv_layout():
     gens = GeneratorGrid(candidates=(example1_generator(),),
                          prior_penalty=np.array([0.0]))
