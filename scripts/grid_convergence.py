@@ -4,15 +4,13 @@
 import sys
 from pathlib import Path
 
-import numpy as np
-
 try:
     import robusthmm  # noqa: F401
 except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from robusthmm import PriorSpec, SimplexGrid, evolve, evolve_exact_tree
-from robusthmm.cli import build_exact_prior, build_grid_prior, load_config
+from robusthmm import SimplexGrid, evolve_exact_tree
+from robusthmm.cli import _convergence_error, build_exact_prior, load_config
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "oracle_t3.json"
 
@@ -27,16 +25,9 @@ def main() -> None:
           f"{len(exact[-1])} exactly reachable beliefs at t={len(obs)}")
     print(f"{'m':>5} {'cells':>6} {'sup error':>12}")
     for m in (10, 20, 40, 80):
-        grid = SimplexGrid.build(cfg.n_states, m)
-        prior = PriorSpec(initial_penalty=build_grid_prior(cfg.prior_cfg, grid),
-                          generator_mode="dynamic", framework="dr")
-        surfaces, _ = evolve(prior, cfg.gens, obs, grid)
-        worst = 0.0
-        for g_surf, e_surf in zip(surfaces, exact):
-            cells = grid.round_rows(e_surf.beliefs)
-            worst = max(worst, float(np.max(np.abs(g_surf.values[cells]
-                                                   - e_surf.values))))
-        print(f"{m:>5} {len(grid):>6} {worst:>12.6f}")
+        cells = len(SimplexGrid.build(cfg.n_states, m))
+        worst = _convergence_error((m, cfg, obs))
+        print(f"{m:>5} {cells:>6} {worst:>12.6f}")
 
 
 if __name__ == "__main__":

@@ -399,10 +399,6 @@ class Run:
         _write_json(self.out_dir, "manifest.json", manifest)
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def _observations(cfg: RunConfig) -> list[int]:
     if cfg.observations is not None:
         return list(cfg.observations)
@@ -439,11 +435,10 @@ def _cmd_filter(run: Run) -> int:
     obs = _observations(cfg)
     model, p = cfg.simulation["model"], cfg.simulation["p0"]
     header = ["t", "observation"] + [f"p{i}" for i in range(cfg.n_states)]
-    lines = [",".join(header),
-             ",".join(["0", ""] + [_fmt(v) for v in p])]
+    lines = [",".join(header), ",".join(["0", "", *map(repr, p.tolist())])]
     for t, y in enumerate(obs, start=1):
         p = filter_step(p, model, y)
-        lines.append(",".join([str(t), str(y)] + [_fmt(v) for v in p]))
+        lines.append(",".join([str(t), str(y), *map(repr, p.tolist())]))
     run.add_csv("filter.csv", "\n".join(lines) + "\n")
     return 0
 
@@ -467,7 +462,7 @@ def _cmd_expect(run: Run) -> int:
     if cfg.phi is None:
         raise ConfigError("expect needs a phi field (payoff per state)")
     grid = SimplexGrid.build(cfg.n_states, cfg.grid_resolution)
-    setup = TreeSetup(gens=cfg.gens, framework=cfg.framework, scope=cfg.scope,
+    setup = TreeSetup(gens=cfg.gens, framework=cfg.framework,
                       horizon=cfg.horizon,
                       initial_surface=initial_grid_surface(
                           cfg.prior_spec(grid), cfg.gens, grid),

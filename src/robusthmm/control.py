@@ -291,16 +291,26 @@ def evaluate_policy(problem: ControlProblem,
 
     Same enumeration and backward recursion as :func:`solve`, expanding and
     charging only the policy's choice; the result dominates the optimal
-    value pointwise. The enumeration enforces ``problem.state_cap``.
+    value pointwise. The enumeration enforces ``problem.state_cap``, and a
+    policy choice outside ``range(problem.n_controls)`` raises
+    ``ValueError``.
     """
+    def choice(history, surface):
+        u = policy.control_at(history, surface)
+        if not 0 <= u < problem.n_controls:
+            raise ValueError(f"policy chooses control {u} at history "
+                             f"{history}, outside "
+                             f"range({problem.n_controls})")
+        return u
+
     root_surface = initial_grid_surface(problem.prior, problem.gens,
                                         problem.grid)
     registry, levels, successors = _enumerate_states(
         problem, (), root_surface,
-        lambda history, surface: (policy.control_at(history, surface),))
+        lambda history, surface: (choice(history, surface),))
 
     def fixed(history, state_id, q_values):
-        return policy.control_at(history, registry.surfaces[state_id])
+        return choice(history, registry.surfaces[state_id])
 
     values, _ = _fill_values(problem, registry, levels, successors, fixed)
     return ControlSolution(policy=policy, values=values, registry=registry,

@@ -17,8 +17,9 @@ from math import inf
 import numpy as np
 
 from .errors import CapExceeded, InfeasibleSurface
-from .models import DYNAMIC, GeneratorGrid, gamma_at
-from .penalty import ExactSurface, _rows, exact_step, forward_image_step
+from .models import GeneratorGrid
+from .penalty import (ExactSurface, _candidate_penalties, _default_gammas,
+                      _rows, exact_step, forward_image_step)
 
 TREE_CAP_DEFAULT = 4096
 
@@ -93,38 +94,14 @@ def _predictive_rows(beliefs: np.ndarray, gen) -> np.ndarray:
 def _sup_over_models(linear_fn, surface, gens: GeneratorGrid,
                      gammas: np.ndarray | None, params: UncertaintyParams,
                      ) -> float:
-    """Maximize ``linear_fn(predictive row) - rho(penalty)`` over the
-    surface's (belief, candidate) pairs.
-
-    With a plain belief surface every candidate applies to every belief and
-    ``gammas`` enters the penalty; with a (belief, candidate) surface each
-    row is tied to its own candidate and carries its full penalty already.
-    """
-    beliefs, penalties, gen_ids = _rows(surface)
-    best = -inf
-    if gen_ids is None:
-        if gammas is None:
-            raise ValueError("dynamic scope needs per-candidate penalties")
-        scores = np.full((len(beliefs), len(gens)), -np.inf)
-        for g, gen in enumerate(gens.candidates):
-            if not np.isfinite(gammas[g]):
-                continue
-            scores[:, g] = (linear_fn(_predictive_rows(beliefs, gen))
-                            - _rho(penalties + gammas[g], params))
-        if scores.size:
-            best = float(scores.max())
-    else:
-        if gammas is not None:
-            raise ValueError("static scope takes no per-step penalties")
-        scores = np.full(len(beliefs), -np.inf)
-        for g, gen in enumerate(gens.candidates):
-            sel = gen_ids == g
-            if not sel.any():
-                continue
-            scores[sel] = (linear_fn(_predictive_rows(beliefs[sel], gen))
-                           - _rho(penalties[sel], params))
-        if scores.size:
-            best = float(scores.max())
+    """Maximize ``linear_fn(predictive row) - rho(penalty)`` over every
+    (candidate, belief) pair, at the continuation penalties of
+    :func:`~robusthmm.penalty._candidate_penalties`."""
+    beliefs, before = _candidate_penalties(surface, gens, gammas)
+    scores = np.array([linear_fn(_predictive_rows(beliefs, gen))
+                       - _rho(before[g], params)
+                       for g, gen in enumerate(gens.candidates)])
+    best = float(scores.max()) if scores.size else -inf
     if best == -inf:
         raise InfeasibleSurface("every model is excluded in the one-step scan")
     return best
@@ -160,7 +137,6 @@ class TreeNode:
 
     index: int
     history: tuple[int, ...]
-    parent: int
     children: tuple[int, ...] = ()
     surface: object = None
     value: float | None = None
@@ -182,20 +158,24 @@ class ObservationTree:
     nodes: list[TreeNode] = field(default_factory=list)
 
     def nodes_at_depth(self, depth: int) -> list[TreeNode]:
-        return [n for n in self.nodes if n.depth == depth]
+        """One level of the tree: levels are stored one after another, so
+        depth ``t`` is the ``n_symbols ** t`` nodes after the shallower
+        ones."""
+        start = sum(self.n_symbols ** t for t in range(depth))
+        return self.nodes[start:start + self.n_symbols ** depth]
 
 
 @dataclass(frozen=True)
 class TreeSetup:
     """Everything needed to grow surfaces along the observation tree.
 
-    ``gammas`` is the per-step candidate penalty in the dynamic scope (None
-    in the static scope), looked up once here for every step of the tree.
+    The generator scope is the initial surface's. ``gammas`` is the
+    per-step candidate penalty in the dynamic scope (None in the static
+    scope), looked up once here for every step of the tree.
     """
 
     gens: GeneratorGrid
     framework: str
-    scope: str
     horizon: int
     initial_surface: object
     params: UncertaintyParams
@@ -203,8 +183,8 @@ class TreeSetup:
     gammas: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "gammas", gamma_at(self.gens)
-                           if self.scope == DYNAMIC else None)
+        object.__setattr__(self, "gammas", _default_gammas(
+            self.initial_surface, self.gens))
 
 
 def build_observation_tree(setup: TreeSetup) -> ObservationTree:
@@ -214,27 +194,20 @@ def build_observation_tree(setup: TreeSetup) -> ObservationTree:
         raise CapExceeded(
             f"{d ** setup.horizon} leaves would exceed the cap of {setup.cap}")
     tree = ObservationTree(n_symbols=d, horizon=setup.horizon)
-    tree.nodes.append(TreeNode(index=0, history=(), parent=-1,
+    tree.nodes.append(TreeNode(index=0, history=(),
                                surface=setup.initial_surface))
     step = (exact_step if isinstance(setup.initial_surface, ExactSurface)
             else forward_image_step)
-    frontier = [0]
-    for _ in range(setup.horizon):
-        next_frontier = []
-        for parent_idx in frontier:
-            parent = tree.nodes[parent_idx]
-            kids = []
+    for depth in range(setup.horizon):
+        for parent in tree.nodes_at_depth(depth):
+            first = len(tree.nodes)
             for y in range(d):
                 surface = step(parent.surface, setup.gens, setup.gammas, y,
                                setup.framework)[0]
-                node = TreeNode(index=len(tree.nodes),
-                                history=parent.history + (y,),
-                                parent=parent_idx, surface=surface)
-                tree.nodes.append(node)
-                kids.append(node.index)
-                next_frontier.append(node.index)
-            parent.children = tuple(kids)
-        frontier = next_frontier
+                tree.nodes.append(TreeNode(index=len(tree.nodes),
+                                           history=parent.history + (y,),
+                                           surface=surface))
+            parent.children = tuple(range(first, len(tree.nodes)))
     return tree
 
 

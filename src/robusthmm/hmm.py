@@ -45,13 +45,6 @@ def as_filter_state(probs, atol: float = STOCHASTIC_ATOL) -> np.ndarray:
     return p
 
 
-def check_symbol(y: int, n_symbols: int) -> int:
-    y = int(y)
-    if not 0 <= y < n_symbols:
-        raise ValueError(f"symbol {y} outside alphabet of size {n_symbols}")
-    return y
-
-
 @dataclass(frozen=True, eq=False)
 class Generator:
     """One candidate model: a transition matrix paired with an emission matrix.

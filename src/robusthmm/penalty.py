@@ -60,10 +60,6 @@ class PenaltySurface:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    @property
-    def infeasible(self) -> bool:
-        return not np.isfinite(self.values).any()
-
 
 @dataclass(frozen=True, eq=False)
 class ExtendedPenaltySurface:
@@ -81,10 +77,6 @@ class ExtendedPenaltySurface:
         _check_normalized(vals)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-    @property
-    def infeasible(self) -> bool:
-        return not np.isfinite(self.values).any()
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,20 +174,54 @@ def forward_image_step(src, gens: GeneratorGrid,
     Generator scope is carried by the surface type: a plain
     :class:`PenaltySurface` minimizes over candidates (``gammas`` required),
     an :class:`ExtendedPenaltySurface` evolves each candidate slice on its
-    own (``gammas`` must be omitted).
+    own (``gammas`` must be omitted), as :func:`_candidate_penalties` rules.
     """
     if framework not in (UP, DR):
         raise ValueError(f"bad framework {framework!r}")
-    if isinstance(src, PenaltySurface):
-        if gammas is None:
-            raise ValueError("dynamic scope needs per-candidate penalties")
-        gammas = np.asarray(gammas, float)
-    elif isinstance(src, ExtendedPenaltySurface):
-        if gammas is not None:
-            raise ValueError("static scope takes no per-step penalties")
-    else:
+    if not isinstance(src, (PenaltySurface, ExtendedPenaltySurface)):
         raise TypeError(f"unsupported surface type {type(src).__name__}")
     return _grid_step(src, gens, gammas, y, framework)
+
+
+def _static(surface) -> bool:
+    """Whether a surface carries a candidate axis (static scope)."""
+    return (isinstance(surface, ExtendedPenaltySurface)
+            or (isinstance(surface, ExactSurface)
+                and surface.gen_ids is not None))
+
+
+def _candidate_penalties(surface, gens: GeneratorGrid,
+                         gammas: np.ndarray | None):
+    """The scope rule: which candidates may follow each belief of a surface,
+    and at what penalty.
+
+    Returns the surface's beliefs and a (candidates x beliefs) matrix of
+    continuation penalties. In the dynamic scope every candidate may follow
+    every belief, at the belief's penalty plus the candidate's per-step
+    ``gammas``. In the static scope a row continues under its own candidate
+    only, at its own penalty, and is ``inf`` under every other; ``gammas``
+    must then be None.
+    """
+    static = _static(surface)
+    if static and gammas is not None:
+        raise ValueError("static scope takes no per-step penalties")
+    if not static and gammas is None:
+        raise ValueError("dynamic scope needs per-candidate penalties")
+    if isinstance(surface, ExtendedPenaltySurface):
+        return surface.grid.points, surface.values.T
+    beliefs, values, gen_ids = _rows(surface)
+    if not static:
+        return beliefs, values[None, :] + np.asarray(gammas, float)[:, None]
+    before = np.full((len(gens), len(values)), np.inf)
+    before[gen_ids, np.arange(len(values))] = values
+    return beliefs, before
+
+
+def _default_gammas(surface, gens: GeneratorGrid) -> np.ndarray | None:
+    """The per-step penalties a surface's scope takes when no control picks
+    them: the grid's stationary prior in the dynamic scope, None in the
+    static one."""
+    return None if _static(surface) else gamma_at(gens)
 
 
 def _gen_images(grid: SimplexGrid, gen, y: int):
@@ -267,21 +293,20 @@ def _grid_step(src, gens, gammas, y, framework):
     """One scatter-min step for either scope: a gather from the image table
     plus :func:`_reduce_candidates`.
 
-    Every live (candidate, cell) pair is pushed to the cell nearest its
-    Bayes image. A dynamic surface (``gammas`` given) reduces each
-    destination cell across candidates; a static one keeps the candidate
-    axis, so its pairs reduce per (destination cell, candidate) key.
+    Every live (candidate, cell) pair that :func:`_candidate_penalties`
+    admits is pushed to the cell nearest its Bayes image. A dynamic surface
+    reduces each destination cell across candidates; a static one keeps the
+    candidate axis, so its pairs reduce per (destination cell, candidate)
+    key.
     """
     table = _image_table(gens, src.grid, y)
-    static = gammas is None
-    # (candidates x cells) values before the step: (before + gamma) - log mass
-    before = src.values.T if static else src.values[None, :] + gammas[:, None]
+    before = _candidate_penalties(src, gens, gammas)[1]
     gids, srcs = np.nonzero(table.alive & np.isfinite(before))
     vals = before[gids, srcs]
     if framework == DR:
         vals = vals - table.logmass[gids, srcs]
     dest = table.dest[gids, srcs]
-    if static:
+    if _static(src):
         dest = dest * len(gens) + gids
     out, out_src, out_gen = (a.reshape(src.values.shape) for a in
                              _reduce_candidates(dest, vals, srcs, gids,
@@ -303,6 +328,21 @@ def _normalize_step(values: np.ndarray, time: int):
     return values - m_t, m_t
 
 
+def _propagate(step, surface, gens: GeneratorGrid, obs: Sequence[int],
+               framework: str, **step_kwargs):
+    """Step ``surface`` through every symbol of ``obs`` at the scope's
+    default per-step penalties; the surfaces (time zero included) and the
+    per-step reports."""
+    gammas = _default_gammas(surface, gens)
+    surfaces, reports = [surface], []
+    for y in obs:
+        surface, report = step(surface, gens, gammas, int(y), framework,
+                               **step_kwargs)
+        surfaces.append(surface)
+        reports.append(report)
+    return surfaces, reports
+
+
 def evolve(prior: PriorSpec, gens: GeneratorGrid, obs: Sequence[int],
            grid: SimplexGrid):
     """Propagate the prior surface through a whole observation sequence.
@@ -310,15 +350,9 @@ def evolve(prior: PriorSpec, gens: GeneratorGrid, obs: Sequence[int],
     Returns the list of surfaces (including time zero) and the per-step
     reports. Surface kind follows the prior's generator scope.
     """
-    surface = initial_grid_surface(prior, gens, grid)
-    gammas = gamma_at(gens) if prior.generator_mode == DYNAMIC else None
-    surfaces, reports = [surface], []
-    for y in obs:
-        surface, report = forward_image_step(surface, gens, gammas, int(y),
-                                             prior.framework)
-        surfaces.append(surface)
-        reports.append(report)
-    return surfaces, reports
+    return _propagate(forward_image_step,
+                      initial_grid_surface(prior, gens, grid), gens, obs,
+                      prior.framework)
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,40 +408,29 @@ def exact_step(src: ExactSurface, gens: GeneratorGrid,
     Beliefs that coincide bit-for-bit are merged by taking the minimal
     penalty; merging early is exact because equal beliefs evolve identically.
     """
-    static = src.gen_ids is not None
-    if static and gammas is not None:
-        raise ValueError("static scope takes no per-step penalties")
-    if not static and gammas is None:
-        raise ValueError("dynamic scope needs per-candidate penalties")
-    n_new = len(src) * (1 if static else len(gens))
+    beliefs, before = _candidate_penalties(src, gens, gammas)
+    n_new = int(np.isfinite(before).sum())
     if n_new > cap:
         raise CapExceeded(f"{n_new} tracked beliefs would exceed the cap of {cap}")
+    static = _static(src)
     merged: dict = {}
-    for r in range(len(src)):
-        value = src.values[r]
-        if not np.isfinite(value):
+    # rows outer, candidates inner: ties keep the lowest (row, candidate)
+    rows, cands = np.nonzero(np.isfinite(before.T))
+    for r, g in zip(rows.tolist(), cands.tolist()):
+        gen = gens.candidates[g]
+        pred = gen.transition @ beliefs[r]
+        weighted = gen.emission[:, y] * pred
+        mass = weighted.sum()
+        if mass <= 0.0:
             continue
-        belief = src.beliefs[r]
-        gen_choices = ((int(src.gen_ids[r]),) if static
-                       else range(len(gens)))
-        for g in gen_choices:
-            gen = gens.candidates[g]
-            extra = 0.0 if static else float(gammas[g])
-            if not np.isfinite(extra):
-                continue
-            pred = gen.transition @ belief
-            weighted = gen.emission[:, y] * pred
-            mass = weighted.sum()
-            if mass <= 0.0:
-                continue
-            post = weighted / mass + 0.0
-            cand = value + extra
-            if framework == DR:
-                cand = cand - log(mass)
-            key = (g, post.tobytes()) if static else post.tobytes()
-            hit = merged.get(key)
-            if hit is None or cand < hit[1]:
-                merged[key] = (post, cand, r, g)
+        post = weighted / mass + 0.0
+        cand = before[g, r]
+        if framework == DR:
+            cand = cand - log(mass)
+        key = (g, post.tobytes()) if static else post.tobytes()
+        hit = merged.get(key)
+        if hit is None or cand < hit[1]:
+            merged[key] = (post, cand, r, g)
     if not merged:
         raise InfeasibleSurface(
             f"observation at step {src.time + 1} impossible under every model")
@@ -433,15 +456,8 @@ def evolve_exact_tree(prior: ExactPrior, gens: GeneratorGrid,
     """Exact-belief analogue of :func:`evolve`; ground truth for grid runs."""
     if scope not in (STATIC, DYNAMIC):
         raise ValueError(f"bad scope {scope!r}")
-    surface = initial_exact_surface(prior, gens, scope)
-    gammas = gamma_at(gens) if scope == DYNAMIC else None
-    surfaces, reports = [surface], []
-    for y in obs:
-        surface, report = exact_step(surface, gens, gammas, int(y),
-                                     framework, cap=cap)
-        surfaces.append(surface)
-        reports.append(report)
-    return surfaces, reports
+    return _propagate(exact_step, initial_exact_surface(prior, gens, scope),
+                      gens, obs, framework, cap=cap)
 
 
 def _rows(surface):

@@ -144,7 +144,7 @@ def test_criterion_4_expectation_axioms(oracle_cfg):
 
 def _tree_setup(oracle_cfg, horizon=3):
     prior, gens, _ = _shipped_instance(oracle_cfg)
-    return TreeSetup(gens=gens, framework="dr", scope="dynamic",
+    return TreeSetup(gens=gens, framework="dr",
                      horizon=horizon,
                      initial_surface=initial_exact_surface(prior, gens,
                                                            "dynamic"),

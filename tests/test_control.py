@@ -93,6 +93,17 @@ def test_optimal_policy_evaluates_to_value_and_others_dominate():
         assert cost >= solution.root_value - 1e-9
 
 
+@pytest.mark.parametrize("control", [-1, 2])
+def test_evaluate_policy_rejects_control_out_of_range(control):
+    problem = _sensing_problem(horizon=2)
+    policy = PolicyTree.from_history_map(
+        {h: control for h in [(), (0,), (1,)]})
+    with pytest.raises(ValueError,
+                       match=rf"control {control} at history \(\), "
+                             rf"outside range\(2\)"):
+        evaluate_policy(problem, policy)
+
+
 def test_dynamic_programming_identity_on_policy():
     problem = _sensing_problem(horizon=3)
     solution = solve(problem)

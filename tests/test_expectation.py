@@ -134,6 +134,44 @@ def test_one_step_without_penalties_is_plain_predictive_sup():
     assert abs(value - best) < 1e-15
 
 
+def _scope_surface(scope, exact):
+    """Time-zero surface of one scope on a 2-state, 6-cell grid."""
+    gens = ex1_grid_of(2)
+    grid = SimplexGrid.build(2, 5)
+    if exact:
+        prior = ExactPrior(beliefs=grid.points, values=np.zeros(len(grid)))
+        return gens, initial_exact_surface(prior, gens, scope)
+    prior = PriorSpec(initial_penalty=np.zeros(len(grid)),
+                      generator_mode=scope, framework="dr")
+    return gens, initial_grid_surface(prior, gens, grid)
+
+
+_SCOPED_CALLS = {
+    "forward_image_step": (False, lambda s, gens, gammas:
+                           penalty.forward_image_step(s, gens, gammas, 0,
+                                                      "dr")),
+    "exact_step": (True, lambda s, gens, gammas:
+                   penalty.exact_step(s, gens, gammas, 0, "dr")),
+    "one_step_expectation": (False, lambda s, gens, gammas:
+                             one_step_expectation(np.zeros(2), s, gens,
+                                                  gammas, P1)),
+    "bsde_driver": (False, lambda s, gens, gammas:
+                    bsde_driver(np.zeros(2), s, gens, gammas, P1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCOPED_CALLS))
+@pytest.mark.parametrize("scope,message", [
+    ("static", "static scope takes no per-step penalties"),
+    ("dynamic", "dynamic scope needs per-candidate penalties")])
+def test_scope_and_step_penalties_must_pair(name, scope, message):
+    exact, call = _SCOPED_CALLS[name]
+    gens, surface = _scope_surface(scope, exact)
+    wrong = gamma_at(gens) if scope == "static" else None
+    with pytest.raises(ValueError, match=message):
+        call(surface, gens, wrong)
+
+
 def test_up_and_dr_trees_coincide_without_information():
     gens = GeneratorGrid(
         candidates=(Generator(transition=np.array([[0.7, 0.4], [0.3, 0.6]]),
@@ -145,7 +183,7 @@ def test_up_and_dr_trees_coincide_without_information():
                        values=np.array([0.1, 0.0]))
     trees = {}
     for framework in ("up", "dr"):
-        setup = TreeSetup(gens=gens, framework=framework, scope="dynamic",
+        setup = TreeSetup(gens=gens, framework=framework,
                           horizon=2,
                           initial_surface=initial_exact_surface(prior, gens,
                                                                 "dynamic"),
@@ -176,7 +214,7 @@ def _exact_setup(horizon=2, framework="dr", gens=None):
     gens = gens or ex1_grid_of(2)
     prior = ExactPrior(beliefs=np.array([[0.2, 0.8], [0.5, 0.5], [0.8, 0.2]]),
                        values=np.array([0.1, 0.0, 0.25]))
-    return TreeSetup(gens=gens, framework=framework, scope="dynamic",
+    return TreeSetup(gens=gens, framework=framework,
                      horizon=horizon,
                      initial_surface=initial_exact_surface(prior, gens,
                                                            "dynamic"),
@@ -206,7 +244,7 @@ def test_backward_matches_direct_recursion_from_enumeration():
     beliefs = np.array([[0.2, 0.8], [0.5, 0.5], [0.8, 0.2]])
     vals = np.array([0.1, 0.0, 0.25])
     phi = np.array([1.0, 0.0])
-    setup = TreeSetup(gens=gens, framework="dr", scope="dynamic", horizon=2,
+    setup = TreeSetup(gens=gens, framework="dr", horizon=2,
                       initial_surface=initial_exact_surface(
                           ExactPrior(beliefs=beliefs, values=vals), gens,
                           "dynamic"),
@@ -279,7 +317,7 @@ def test_same_surface_nodes_share_values():
     grid = SimplexGrid.build(2, 8)
     prior = PriorSpec(initial_penalty=np.abs(grid.points[:, 0] - 0.5),
                       generator_mode="dynamic", framework="dr")
-    setup = TreeSetup(gens=gens, framework="dr", scope="dynamic", horizon=2,
+    setup = TreeSetup(gens=gens, framework="dr", horizon=2,
                       initial_surface=initial_grid_surface(prior, gens, grid),
                       params=P1)
     tree = backward_expectation(StateFunctional(values=np.array([1.0, 0.0])),
@@ -381,7 +419,7 @@ def _grid_setup(gens, horizon=4, framework="dr"):
     grid = SimplexGrid.build(2, 24)
     prior = PriorSpec(initial_penalty=np.linspace(0.0, 1.5, len(grid)),
                       generator_mode="dynamic", framework=framework)
-    return TreeSetup(gens=gens, framework=framework, scope="dynamic",
+    return TreeSetup(gens=gens, framework=framework,
                      horizon=horizon,
                      initial_surface=initial_grid_surface(prior, gens, grid),
                      params=P1)

@@ -1,0 +1,57 @@
+"""The benchmark's layer tracer, ``bench/spans.py``, wraps package
+functions and class attributes by name. A rename or merge in the package
+that leaves one of those names behind, or that makes a static-scope step
+count no cells, fails here instead of only under ``bench/run.py --trace 1``.
+"""
+
+import importlib.util
+import json
+import sys
+
+from conftest import CONFIGS, REPO
+from robusthmm.cli import main
+
+
+def _load_spans():
+    """``bench/spans.py`` as a module, leaving no bytecode under bench/."""
+    spec = importlib.util.spec_from_file_location(
+        "spans", REPO / "bench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    keep = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = keep
+    return module
+
+
+def _with_label(tmp_path, name, label):
+    cfg = json.loads((CONFIGS / name).read_text())
+    cfg["framework"] = label
+    path = tmp_path / f"{label}.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_bench_tracer_wraps_every_layer(tmp_path):
+    spans = _load_spans()
+    benchmark = json.loads((REPO / "BENCHMARK.json").read_text())
+    wanted = {m["name"] for m in benchmark["per_layer"]} - {"trace.overhead_s"}
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        static = _with_label(tmp_path, "oracle_t3.json", "static-dr")
+        assert main(["penalty-evolve", "--config", str(static),
+                     "--out", str(tmp_path / "static")]) == 0
+        assert tracer.layer_metrics()["penalty.cell_steps"] > 0
+        runs = [("penalty-evolve",
+                 _with_label(tmp_path, "oracle_t3.json", "dynamic-up")),
+                ("expect", CONFIGS / "oracle_t3.json"),
+                ("control", CONFIGS / "control_t3.json")]
+        for command, config in runs:
+            assert main([command, "--config", str(config),
+                         "--out", str(tmp_path / command)]) == 0
+    finally:
+        tracer.remove()
+    assert wanted <= set(tracer.layer_metrics())
