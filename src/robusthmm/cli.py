@@ -350,7 +350,6 @@ def _sanitize(obj):
 
 
 def _write_atomic(out_dir: str, name: str, text: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
     final = os.path.join(out_dir, name)
     tmp = os.path.join(out_dir, f".{name}.tmp")
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
@@ -365,9 +364,18 @@ def _write_json(out_dir: str, name: str, doc: dict) -> str:
 
 
 class Run:
-    """Collects artifacts and finishes with a manifest."""
+    """Collects artifacts and finishes with a manifest.
+
+    The output directory is made here, before any computation, so a path
+    that cannot be one fails as a configuration error, not after the job.
+    """
 
     def __init__(self, command: str, cfg: RunConfig, out_dir: str):
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory "
+                              f"{out_dir!r}: {exc}") from None
         self.command = command
         self.cfg = cfg
         self.out_dir = out_dir

@@ -57,6 +57,10 @@ class SimplexGrid:
 
     A grid is identified by ``(n_states, resolution)``: equality and hashing
     ignore the derived arrays, so grids can key memo tables.
+
+    ``row_text`` memoizes the text that every surface CSV on this grid
+    repeats (header and fixed leading columns, per candidate axis) for
+    :mod:`robusthmm.penalty`'s renderer; it lives and dies with this object.
     """
 
     n_states: int
@@ -65,6 +69,8 @@ class SimplexGrid:
     points: np.ndarray = field(repr=False, compare=False)
     # _binom[r, k] = C(r + k, k): compositions of r into k + 1 parts
     _binom: np.ndarray = field(repr=False, compare=False)
+    row_text: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     @classmethod
     def build(cls, n_states: int, resolution: int) -> "SimplexGrid":

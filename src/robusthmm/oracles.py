@@ -62,7 +62,9 @@ def _walk_models(prior_beliefs, prior_values, gens: GeneratorGrid, obs,
     surviving prefix is extended once with each admissible generator (in the
     static scope only its own), so a shared prefix is filtered once, not
     once per path through it. Each step keeps one fixed float-op sequence,
-    so equal beliefs come out with equal bytes.
+    so equal beliefs come out with equal bytes. With a ``grid``, each level
+    is re-rounded by one :meth:`~robusthmm.models.SimplexGrid.round_rows`
+    call, which rounds every row as it would round that row alone.
     """
     prior_beliefs = np.asarray(prior_beliefs, dtype=np.float64)
     prior_values = np.asarray(prior_values, dtype=np.float64)
@@ -98,10 +100,13 @@ def _walk_models(prior_beliefs, prior_values, gens: GeneratorGrid, obs,
                     continue
                 if framework == DR:
                     step_penalty -= log(mass)
-                nxt = filter_step(belief, gen, y) + 0.0
-                if grid is not None:
-                    nxt = grid.points[grid.round_to_index(nxt)] + 0.0
-                extended.append((nxt, step_penalty, g if t == 1 else first))
+                extended.append((filter_step(belief, gen, y) + 0.0,
+                                 step_penalty, g if t == 1 else first))
+        if grid is not None and extended:
+            cells = grid.round_rows(np.array([e[0] for e in extended]))
+            extended = [(point, step_penalty, first)
+                        for point, (_, step_penalty, first)
+                        in zip(grid.points[cells] + 0.0, extended)]
         frontier = extended
     return frontier
 
@@ -119,10 +124,12 @@ def oracle_penalty(prior_beliefs, prior_values, gens: GeneratorGrid,
     """
     results = _walk_models(prior_beliefs, prior_values, gens, obs, framework,
                            scope, grid, cap)
+    if grid is not None and results:
+        wheres = grid.round_rows(np.array([b for b, _, _ in results])).tolist()
+    else:
+        wheres = [belief.tobytes() for belief, _, _ in results]
     table: dict = {}
-    for belief, penalty, g in results:
-        where = (grid.round_to_index(belief) if grid is not None
-                 else belief.tobytes())
+    for where, (_, penalty, g) in zip(wheres, results):
         key = (g, where) if scope == STATIC else where
         if key not in table or penalty < table[key]:
             table[key] = penalty

@@ -27,6 +27,13 @@ scatter-min. Rounding goes through
 :meth:`~robusthmm.models.SimplexGrid.round_rows`, which raises ``ValueError``
 on a belief with a non-finite or negative entry or a sum off 1 by more than
 1e-9.
+
+Surface CSVs on one grid share their header and every row's leading columns
+(integer coordinates, belief coordinates and, in the static scope, the
+candidate). That text is formatted once per (grid, candidate axis) into a
+:class:`RowText` memoized in the grid's ``row_text``, which lives exactly as
+long as the :class:`~robusthmm.models.SimplexGrid` object; rendering a grid
+surface then formats only its values and argmin provenance.
 """
 
 from __future__ import annotations
@@ -476,30 +483,74 @@ def _rows(surface):
     raise TypeError(f"unsupported surface type {type(surface).__name__}")
 
 
+@dataclass(frozen=True, eq=False)
+class RowText:
+    """The text of a grid surface's CSV that depends only on the grid and
+    the candidate axis: the header line and, for each row of :func:`_rows`,
+    its columns before ``value``, each with its trailing separator."""
+
+    header: str
+    prefixes: tuple[str, ...]
+
+
+def _row_text(surface) -> RowText:
+    """The :class:`RowText` of a grid surface, built on first use and
+    memoized in its grid's ``row_text``; the key is the candidate count of
+    a static surface and None on a dynamic one, which has no ``gen``
+    column."""
+    if isinstance(surface, PenaltySurface):
+        n_gens = None
+    elif isinstance(surface, ExtendedPenaltySurface):
+        n_gens = len(surface.gens)
+    else:
+        raise TypeError(f"unsupported surface type {type(surface).__name__}")
+    text = surface.grid.row_text.get(n_gens)
+    if text is None:
+        text = _build_row_text(surface.grid, n_gens)
+        surface.grid.row_text[n_gens] = text
+    return text
+
+
+def _build_row_text(grid: SimplexGrid, n_gens: int | None) -> RowText:
+    n = grid.n_states
+    names = [f"x{i}" for i in range(n)] + [f"p{i}" for i in range(n)]
+    cells = [",".join(map(repr, row)) + ","
+             for row in zip(*grid.coords.T.tolist(), *grid.points.T.tolist())]
+    if n_gens is not None:
+        names.append("gen")
+        cells = [f"{cell}{g}," for cell in cells for g in range(n_gens)]
+    header = ",".join(names + ["value", "src_point", "src_gen"]) + "\n"
+    return RowText(header=header, prefixes=tuple(cells))
+
+
 def render_surface_csv(surface, report: StepReport | None = None) -> str:
     """CSV text for one surface, one line per row of :func:`_rows`.
 
     Columns: integer coordinates (grid surfaces), belief coordinates, the
     candidate (surfaces other than :class:`PenaltySurface`; -1 on an exact
     dynamic one), the penalty value (``inf`` for excluded cells), and argmin
-    provenance (grid surfaces; -1 without a report).
+    provenance (grid surfaces; -1 without a report). On a grid surface only
+    the values and the provenance are formatted; the rest of each line comes
+    from the grid's :class:`RowText`.
     """
-    beliefs, values, gen_ids = _rows(surface)
-    n, unset = beliefs.shape[1], np.full(len(values), -1)
-    names, cols = [f"p{i}" for i in range(n)], list(beliefs.T)
-    if not isinstance(surface, PenaltySurface):
-        names.append("gen")
-        cols.append(unset if gen_ids is None else gen_ids)
-    names.append("value")
-    cols.append(values)
-    if not isinstance(surface, ExactSurface):
-        per_cell = len(values) // len(surface.grid)
-        coords = np.repeat(surface.grid.coords, per_cell, axis=0)
-        names = [f"x{i}" for i in range(n)] + names + ["src_point", "src_gen"]
-        cols = list(coords.T) + cols + (
-            [unset, unset] if report is None
-            else [report.argmin_src.ravel(), report.argmin_gen.ravel()])
-    lines = [",".join(names)]
-    lines.extend(",".join(map(repr, row))
-                 for row in zip(*(col.tolist() for col in cols)))
-    return "\n".join(lines) + "\n"
+    if isinstance(surface, ExactSurface):
+        beliefs, values, gen_ids = _rows(surface)
+        n = beliefs.shape[1]
+        names = [f"p{i}" for i in range(n)] + ["gen", "value"]
+        cols = list(beliefs.T) + [
+            np.full(len(values), -1) if gen_ids is None else gen_ids, values]
+        lines = [",".join(names)]
+        lines.extend(",".join(map(repr, row))
+                     for row in zip(*(col.tolist() for col in cols)))
+        return "\n".join(lines) + "\n"
+    text = _row_text(surface)
+    values = surface.values.ravel().tolist()
+    if report is None:
+        rows = [f"{prefix}{v!r},-1,-1\n"
+                for prefix, v in zip(text.prefixes, values)]
+    else:
+        rows = [f"{prefix}{v!r},{src},{gen}\n"
+                for prefix, v, src, gen in zip(
+                    text.prefixes, values, report.argmin_src.ravel().tolist(),
+                    report.argmin_gen.ravel().tolist())]
+    return text.header + "".join(rows)

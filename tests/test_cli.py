@@ -1,8 +1,10 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+from robusthmm import cli
 from robusthmm.cli import load_config, main
 from robusthmm.errors import ConfigError
 from conftest import CONFIGS
@@ -104,6 +106,34 @@ def test_control_artifacts(tmp_path):
                for entry in policy.values())
     for fname in states.values():
         assert (out / fname).exists()
+
+
+def test_out_naming_a_file_exits_2_before_solving(tmp_path, capsys,
+                                                  monkeypatch):
+    solves = []
+    monkeypatch.setattr(cli, "solve", lambda problem: solves.append(problem))
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    assert run_cli("control", CONFIGS / "control_t3.json", taken) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: cannot create output directory")
+    assert solves == []
+    assert taken.read_text() == "keep"
+
+
+def test_output_directory_is_made_once(tmp_path, monkeypatch):
+    made = []
+    makedirs = os.makedirs
+
+    def counted(path, *args, **kwargs):
+        made.append(path)
+        return makedirs(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "makedirs", counted)
+    out = tmp_path / "run"
+    assert run_cli("control", CONFIGS / "control_t3.json", out) == 0
+    assert len(list(out.iterdir())) > 3
+    assert made == [str(out)]
 
 
 def test_oracle_check_passes_on_shipped_instance(tmp_path):

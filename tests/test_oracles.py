@@ -214,6 +214,36 @@ def test_walk_matches_path_by_path_reference(seed, scope, framework):
                 assert value == _reference_dr_direct(phi, reference, k=0.7)
 
 
+@pytest.mark.parametrize("scope,framework", FRAMEWORKS)
+def test_gridded_walk_rounds_by_level(scope, framework, monkeypatch):
+    # each frontier level is rounded by one round_rows call, never point by
+    # point; the results are pinned bit for bit by the reference tests above
+    n, d, gens, beliefs, values, rng = _random_instance(3)
+    grid = SimplexGrid.build(n, 7)
+    obs = [int(y) for y in rng.integers(0, d, size=3)]
+
+    def refuse(*args):
+        raise AssertionError("round_to_index called during a gridded walk")
+
+    monkeypatch.setattr(SimplexGrid, "round_to_index", refuse)
+    rounds = []
+    original = SimplexGrid.round_rows
+
+    def counted(self, rows):
+        rounds.append(len(rows))
+        return original(self, rows)
+
+    monkeypatch.setattr(SimplexGrid, "round_rows", counted)
+    table = oracle_penalty(beliefs, values, gens, obs, framework, scope,
+                           grid=grid)
+    assert table
+    # one call per level, then one to key the terminal cells
+    assert len(rounds) == len(obs) + 1
+    oracle_dr_direct(np.ones((2, n)), beliefs, values, gens, obs, framework,
+                     scope, k=0.7, grid=grid)
+    assert len(rounds) == 2 * len(obs) + 1
+
+
 # ---------------------------------------------------------------------------
 # metamorphic properties of the oracles
 

@@ -443,7 +443,8 @@ def _reference_render_surface_csv(surface, report=None):
 
 
 @pytest.mark.parametrize("scope", ["static", "dynamic"])
-@pytest.mark.parametrize("seed,n,m", [(5, 2, 25), (6, 3, 12), (7, 4, 7)])
+@pytest.mark.parametrize("seed,n,m", [(5, 2, 25), (6, 3, 12), (7, 4, 7),
+                                      (8, 1, 3)])
 def test_renderer_is_byte_identical_to_per_kind_loops(scope, seed, n, m):
     rng = np.random.Generator(np.random.Philox(seed))
     grid = SimplexGrid.build(n, m)
@@ -461,10 +462,53 @@ def test_renderer_is_byte_identical_to_per_kind_loops(scope, seed, n, m):
     cases = ([(surfaces[0], None)] + list(zip(surfaces[1:], reports))
              + [(s, None) for s in surfaces[1:]] + [(exact_surfaces[0], None)]
              + list(zip(exact_surfaces[1:], exact_reports)))
-    assert any(np.isinf(s.values).any() for s, _ in cases)
+    assert any(np.isinf(s.values).any() for s, _ in cases) == (
+        scope == "static" or n > 1)
+    # unreached cells carry -1 provenance; the one-cell dynamic grid has none
+    assert any((r.argmin_src == -1).any() for r in reports) == (
+        scope == "static" or n > 1)
     for surface, report in cases:
         assert (render_surface_csv(surface, report)
                 == _reference_render_surface_csv(surface, report))
+
+
+def test_row_text_lives_with_its_simplex_grid():
+    grid = SimplexGrid.build(2, 10)
+    render_surface_csv(project(np.zeros(len(grid)), grid))
+    ref = weakref.ref(grid.row_text[None])
+    del grid
+    gc.collect()
+    assert ref() is None
+
+
+def test_second_render_builds_no_prefixes(monkeypatch):
+    builds = _count_calls(monkeypatch, penalty, "_build_row_text")
+    grid = SimplexGrid.build(2, 12)
+    prior = PriorSpec(initial_penalty=np.zeros(len(grid)),
+                      generator_mode="static", framework="dr")
+    surfaces, reports = evolve(prior, mixed_gens(), [0, 1, 1], grid)
+    first = [render_surface_csv(s, r)
+             for s, r in zip(surfaces, [None] + reports)]
+    assert len(builds) == 1
+    again = [render_surface_csv(s, r)
+             for s, r in zip(surfaces, [None] + reports)]
+    assert again == first
+    assert len(builds) == 1
+
+
+def test_static_and_dynamic_surfaces_keep_separate_row_text():
+    # with one candidate both scopes have K = 1, but only the static
+    # surface has a gen column
+    grid = SimplexGrid.build(2, 5)
+    dynamic = project(np.zeros(len(grid)), grid)
+    static = penalty.initial_grid_surface(
+        PriorSpec(initial_penalty=np.zeros(len(grid)),
+                  generator_mode="static", framework="up"),
+        uninformative_gens(), grid)
+    texts = [render_surface_csv(s) for s in (dynamic, static, dynamic)]
+    assert set(grid.row_text) == {None, 1}
+    assert texts[0] == texts[2] == _reference_render_surface_csv(dynamic)
+    assert texts[1] == _reference_render_surface_csv(static)
 
 def test_exact_surface_csv_layout():
     gens = GeneratorGrid(candidates=(example1_generator(),),

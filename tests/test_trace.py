@@ -1,7 +1,8 @@
 """The benchmark's layer tracer, ``bench/spans.py``, wraps package
 functions and class attributes by name. A rename or merge in the package
-that leaves one of those names behind, or that makes a static-scope step
-count no cells, fails here instead of only under ``bench/run.py --trace 1``.
+that leaves one of those names behind, that makes a static-scope step
+count no cells, or that renders a surface file past the traced renderer,
+fails here instead of only under ``bench/run.py --trace 1``.
 """
 
 import importlib.util
@@ -54,4 +55,9 @@ def test_bench_tracer_wraps_every_layer(tmp_path):
                          "--out", str(tmp_path / command)]) == 0
     finally:
         tracer.remove()
-    assert wanted <= set(tracer.layer_metrics())
+    metrics = tracer.layer_metrics()
+    assert wanted <= set(metrics)
+    # every surface file is rendered under the traced name, once
+    surface_files = list(tmp_path.rglob("surface_*.csv"))
+    assert len(surface_files) > len(runs)
+    assert metrics["penalty.render_calls"] == len(surface_files)
