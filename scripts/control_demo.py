@@ -1,7 +1,7 @@
 """Solve the shipped sensing problem: pay a fee to make observations
 informative, or idle and stay uncertain. Prints the optimal value, the
-decision at every reachable (history, surface) state, and the exhaustive
-policy-search cross-check."""
+exhaustive policy-search cross-check, the optimal policy (history -> control)
+and the decision at every reachable (history, surface) state."""
 
 import sys
 from pathlib import Path
@@ -11,8 +11,7 @@ try:
 except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from robusthmm import (ControlProblem, SimplexGrid, StateFunctional,
-                       brute_force, solve)
+from robusthmm import ControlProblem, StateFunctional, brute_force, solve
 from robusthmm.control import decision_nodes
 from robusthmm.cli import load_config
 from robusthmm.expectation import history_label
@@ -22,10 +21,9 @@ CONFIG = Path(__file__).resolve().parent.parent / "configs" / "control_t3.json"
 
 def main() -> None:
     cfg = load_config(str(CONFIG))
-    grid = SimplexGrid.build(cfg.n_states, cfg.grid_resolution)
     problem = ControlProblem(
         labels=tuple(cfg.control["labels"]), gens=cfg.gens,
-        prior=cfg.prior_spec(grid), grid=grid, horizon=cfg.horizon,
+        prior=cfg.prior_spec(), grid=cfg.grid, horizon=cfg.horizon,
         params=cfg.params, running_cost=cfg.control["running_cost"],
         terminal_cost=StateFunctional(values=cfg.control["terminal_cost"]))
     solution = solve(problem)
@@ -34,6 +32,9 @@ def main() -> None:
     print(f"exhaustive search over "
           f"{problem.n_controls ** len(decision_nodes(problem))} policies: {exhaustive:.6f} "
           f"(diff {abs(exhaustive - solution.root_value):.2e})")
+    print("\noptimal policy (history -> control):")
+    for history, u in solution.policy.items():
+        print(f"  {history_label(history):>8} -> {problem.labels[u]}")
     print("\ndecisions (history | surface-state id -> control):")
     for (history, sid), record in sorted(solution.values.items()):
         if record.control is None:

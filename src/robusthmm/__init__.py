@@ -20,7 +20,6 @@ from .expectation import (ObservationTree, StateFunctional, TreeSetup,
                           dr_expectation, fill_backward, one_step_expectation,
                           penalty_to_rho, tree_document)
 from .control import (ControlProblem, ControlSolution, ControlValue,
-                      PolicyTree, brute_force, evaluate_policy, solve,
-                      terminal_value)
+                      brute_force, evaluate_policy, solve, terminal_value)
 from .oracles import (OracleReport, bernoulli_closed_forms, oracle_dr_direct,
                       oracle_penalty, render_report_csv)

@@ -66,7 +66,8 @@ _PRIOR_KEYS = {  # per shape, the keys build_grid_prior reads
 
 @dataclass
 class RunConfig:
-    """Validated run configuration; one schema for every subcommand."""
+    """Validated run configuration; one schema for every subcommand. The
+    grid and the prior on it are built once, while validating."""
 
     n_states: int
     n_symbols: int
@@ -77,6 +78,8 @@ class RunConfig:
     params: UncertaintyParams
     gens: GeneratorGrid
     prior_cfg: dict
+    grid: SimplexGrid
+    prior_values: np.ndarray
     observations: list | None
     simulation: dict | None
     phi: np.ndarray | None
@@ -84,11 +87,8 @@ class RunConfig:
     output_dir: str | None
     raw_bytes: bytes
 
-    def prior_values(self, grid: SimplexGrid) -> np.ndarray:
-        return build_grid_prior(self.prior_cfg, grid)
-
-    def prior_spec(self, grid: SimplexGrid) -> PriorSpec:
-        return PriorSpec(initial_penalty=self.prior_values(grid),
+    def prior_spec(self) -> PriorSpec:
+        return PriorSpec(initial_penalty=self.prior_values,
                          generator_mode=self.scope, framework=self.framework)
 
 
@@ -265,14 +265,15 @@ def load_config(path: str) -> RunConfig:
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError("output_dir must be a string")
 
-    # validate the default-resolution prior eagerly so bad tables fail fast
+    # build the default-resolution prior eagerly so bad tables fail fast
     grid = SimplexGrid.build(n, resolution)
-    build_grid_prior(prior_cfg, grid)
+    prior_values = build_grid_prior(prior_cfg, grid)
 
     return RunConfig(n_states=n, n_symbols=d, horizon=horizon,
                      grid_resolution=resolution, scope=scope,
                      framework=framework, params=params, gens=gens,
-                     prior_cfg=prior_cfg, observations=observations,
+                     prior_cfg=prior_cfg, grid=grid,
+                     prior_values=prior_values, observations=observations,
                      simulation=simulation, phi=phi, control=control_cfg,
                      output_dir=out_dir, raw_bytes=raw_bytes)
 
@@ -407,15 +408,18 @@ class Run:
         _write_json(self.out_dir, "manifest.json", manifest)
 
 
+def _simulated_path(cfg: RunConfig):
+    sim = cfg.simulation
+    return simulate_path([sim["model"]] * cfg.horizon, sim["p0"], cfg.horizon,
+                         sim["seed"])
+
+
 def _observations(cfg: RunConfig) -> list[int]:
     if cfg.observations is not None:
         return list(cfg.observations)
     if cfg.simulation is None:
         raise ConfigError("need explicit observations or a simulation block")
-    sim = cfg.simulation
-    path = simulate_path([sim["model"]] * cfg.horizon, sim["p0"], cfg.horizon,
-                         sim["seed"])
-    return [int(y) for y in path.observed]
+    return [int(y) for y in _simulated_path(cfg).observed]
 
 
 # ---------------------------------------------------------------------------
@@ -425,14 +429,12 @@ def _cmd_simulate(run: Run) -> int:
     cfg = run.cfg
     if cfg.simulation is None:
         raise ConfigError("simulate needs a simulation block")
-    sim = cfg.simulation
-    path = simulate_path([sim["model"]] * cfg.horizon, sim["p0"], cfg.horizon,
-                         sim["seed"])
+    path = _simulated_path(cfg)
     lines = ["t,hidden,observation", f"0,{int(path.hidden[0])},"]
     for t in range(1, cfg.horizon + 1):
         lines.append(f"{t},{int(path.hidden[t])},{int(path.observed[t - 1])}")
     run.add_csv("path.csv", "\n".join(lines) + "\n")
-    run.extra["seed"] = sim["seed"]
+    run.extra["seed"] = cfg.simulation["seed"]
     return 0
 
 
@@ -454,8 +456,7 @@ def _cmd_filter(run: Run) -> int:
 def _cmd_penalty_evolve(run: Run) -> int:
     cfg = run.cfg
     obs = _observations(cfg)
-    grid = SimplexGrid.build(cfg.n_states, cfg.grid_resolution)
-    surfaces, reports = evolve(cfg.prior_spec(grid), cfg.gens, obs, grid)
+    surfaces, reports = evolve(cfg.prior_spec(), cfg.gens, obs, cfg.grid)
     for t, surface in enumerate(surfaces):
         report = reports[t - 1] if t >= 1 else None
         run.add_csv(f"surface_t{t:03d}.csv",
@@ -469,11 +470,10 @@ def _cmd_expect(run: Run) -> int:
     cfg = run.cfg
     if cfg.phi is None:
         raise ConfigError("expect needs a phi field (payoff per state)")
-    grid = SimplexGrid.build(cfg.n_states, cfg.grid_resolution)
     setup = TreeSetup(gens=cfg.gens, framework=cfg.framework,
                       horizon=cfg.horizon,
                       initial_surface=initial_grid_surface(
-                          cfg.prior_spec(grid), cfg.gens, grid),
+                          cfg.prior_spec(), cfg.gens, cfg.grid),
                       params=cfg.params)
     tree = backward_expectation(StateFunctional(values=cfg.phi), setup)
     bsde_decompose(tree, setup)
@@ -491,12 +491,15 @@ def _cmd_control(run: Run) -> int:
     cfg = run.cfg
     if cfg.control is None:
         raise ConfigError("control needs a control block")
-    grid = SimplexGrid.build(cfg.n_states, cfg.grid_resolution)
-    problem = ControlProblem(
-        labels=tuple(cfg.control["labels"]), gens=cfg.gens,
-        prior=cfg.prior_spec(grid), grid=grid, horizon=cfg.horizon,
-        params=cfg.params, running_cost=cfg.control["running_cost"],
-        terminal_cost=StateFunctional(values=cfg.control["terminal_cost"]))
+    try:
+        problem = ControlProblem(
+            labels=tuple(cfg.control["labels"]), gens=cfg.gens,
+            prior=cfg.prior_spec(), grid=cfg.grid, horizon=cfg.horizon,
+            params=cfg.params, running_cost=cfg.control["running_cost"],
+            terminal_cost=StateFunctional(
+                values=cfg.control["terminal_cost"]))
+    except ValueError as exc:  # the static generator scope
+        raise ConfigError(f"control: {exc}") from None
     solution = solve(problem)
     state_files = {}
     for sid, surface in enumerate(solution.registry.surfaces):
@@ -583,9 +586,8 @@ def _convergence_error(args):
 def _cmd_oracle_check(run: Run) -> int:
     cfg = run.cfg
     obs = _observations(cfg)
-    grid = SimplexGrid.build(cfg.n_states, cfg.grid_resolution)
     report_batches = run.pmap(_check_one_framework,
-                              [(label, cfg, grid, obs)
+                              [(label, cfg, cfg.grid, obs)
                                for label in _FRAMEWORK_LABELS])
     reports = [r for batch in report_batches for r in batch]
     errors = run.pmap(_convergence_error,
@@ -645,10 +647,9 @@ def main(argv=None) -> int:
         if args.grid_resolution is not None:
             if args.grid_resolution < 1:
                 raise ConfigError("--grid-resolution must be >= 1")
-            cfg.grid_resolution = args.grid_resolution
-            build_grid_prior(cfg.prior_cfg,
-                             SimplexGrid.build(cfg.n_states,
-                                               cfg.grid_resolution))
+            grid = SimplexGrid.build(cfg.n_states, args.grid_resolution)
+            cfg.prior_values = build_grid_prior(cfg.prior_cfg, grid)
+            cfg.grid_resolution, cfg.grid = args.grid_resolution, grid
         out_dir = args.out or cfg.output_dir or "out"
         run = Run(args.command, cfg, out_dir)
         code = _COMMANDS[args.command](run)

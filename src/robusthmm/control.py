@@ -3,13 +3,13 @@ generator penalty.
 
 The controller state is the pair (observation history, penalty surface): the
 surface summarizes everything the past controls and observations imply about
-the hidden chain. Successor surfaces are produced by the forward image step
-with the chosen control's penalty row, which depends on neither the time nor
-the history and is looked up once per control. One enumerator lists the
+the hidden chain. A successor surface is the forward image step of its state
+under the control's penalty row, so it depends on the (state, control, symbol)
+triple alone and each triple is stepped once. One enumerator lists the
 reachable surfaces per history node (deduplicated by value hash, bounded by
-the state cap): the solver expands every control, the policy evaluator only
-the policy's choice. Values are then filled bottom up, and the solver
-extracts the minimizing control per (node, surface) pair.
+the state cap), expanding the controls ``controls(history)`` names: all of
+them for the solver, the policy's choice for the evaluator. Values are then
+filled bottom up, and a policy is a plain ``{history: control}`` map.
 
 Costs: choosing control ``u`` at a node of depth ``t`` pays the running cost
 indexed ``t`` immediately; the terminal cost is charged against the leaf
@@ -20,7 +20,7 @@ surface by an infimum over beliefs of expected cost minus converted penalty
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import inf
 import numpy as np
 
@@ -78,34 +78,6 @@ class ControlProblem:
 
 
 @dataclass(frozen=True)
-class PolicyTree:
-    """Chosen control per decision point.
-
-    ``by_state`` keys are (history, surface key) pairs, where the surface key
-    is the registry-independent hash of the penalty surface reached at the
-    node; ``by_node`` keys are plain histories and apply to every surface
-    reached there. Controls are predictable by construction: a key never
-    mentions the symbol observed after the decision.
-    """
-
-    by_state: dict = field(default_factory=dict)
-    by_node: dict = field(default_factory=dict)
-
-    def control_at(self, history: tuple, surface: "PenaltySurface") -> int:
-        history = tuple(history)
-        hit = self.by_state.get((history, StateRegistry.key_of(surface)))
-        if hit is None:
-            hit = self.by_node.get(history)
-        if hit is None:
-            raise KeyError(f"policy undefined at history {history}")
-        return int(hit)
-
-    @classmethod
-    def from_history_map(cls, mapping: dict) -> "PolicyTree":
-        return cls(by_node={tuple(k): int(v) for k, v in mapping.items()})
-
-
-@dataclass(frozen=True)
 class ControlValue:
     """Value at one (node, surface) pair with its per-control breakdown."""
 
@@ -141,11 +113,11 @@ class StateRegistry:
 
 @dataclass
 class ControlSolution:
-    """Solver output: the policy, per-(node, surface) values, the surface
-    registry, and the successor map (history, state, control, symbol) ->
-    state."""
+    """Solver output: the ``{history: control}`` policy, the value and choice
+    per (history, state) pair, the surface registry, and the successor map
+    (state, control, symbol) -> state."""
 
-    policy: PolicyTree
+    policy: dict
     values: dict
     registry: StateRegistry
     successors: dict
@@ -175,10 +147,11 @@ def terminal_value(cost: np.ndarray, surface: PenaltySurface,
 def _enumerate_states(problem: ControlProblem, root_history: tuple,
                       root_surface: PenaltySurface, controls):
     """Reachable (node, surface) pairs level by level, with the successor
-    map for every (state, control, symbol) triple.
+    map (state, control, symbol) -> state.
 
-    ``controls(history, surface)`` lists the controls to expand at a state:
-    every control for the solver, the policy's choice for the evaluator.
+    ``controls(history)`` lists the controls to expand at a node: every
+    control for the solver, the policy's choice for the evaluator. A triple
+    reached again from another history is looked up, not stepped again.
     """
     d = problem.gens.n_symbols
     gammas = [gamma_at(problem.gens, u) for u in range(problem.n_controls)]
@@ -192,14 +165,15 @@ def _enumerate_states(problem: ControlProblem, root_history: tuple,
         for history, state_ids in level.items():
             child_lists = {history + (y,): [] for y in range(d)}
             for state_id in state_ids:
-                surface = registry.surfaces[state_id]
-                for u in controls(history, surface):
+                for u in controls(history):
                     for y in range(d):
-                        child, _ = forward_image_step(
-                            surface, problem.gens, gammas[u], y,
-                            problem.prior.framework)
-                        child_id = registry.intern(child)
-                        successors[(history, state_id, u, y)] = child_id
+                        child_id = successors.get((state_id, u, y))
+                        if child_id is None:
+                            child, _ = forward_image_step(
+                                registry.surfaces[state_id], problem.gens,
+                                gammas[u], y, problem.prior.framework)
+                            child_id = registry.intern(child)
+                            successors[(state_id, u, y)] = child_id
                         bucket = child_lists[history + (y,)]
                         if child_id not in bucket:
                             bucket.append(child_id)
@@ -214,15 +188,15 @@ def _enumerate_states(problem: ControlProblem, root_history: tuple,
 
 
 def _fill_values(problem: ControlProblem, registry, levels, successors,
-                 chooser) -> tuple[dict, dict]:
+                 controls) -> dict:
     """Backward pass shared by the solver and the policy evaluator.
 
-    ``chooser(history, state_id, q_values)`` returns the index of the control
-    to charge; the solver passes the argmin, the evaluator a fixed lookup.
+    At each node only the controls ``controls(history)`` lists get a
+    q-value (the rest read ``inf``), and the least of them is charged, ties
+    going to the control listed first.
     """
     d = problem.gens.n_symbols
     values: dict = {}
-    choices: dict = {}
     for history, state_ids in levels[-1].items():
         for state_id in state_ids:
             val, _ = terminal_value(problem.terminal_cost.values,
@@ -232,27 +206,23 @@ def _fill_values(problem: ControlProblem, registry, levels, successors,
     for level in reversed(levels[:-1]):
         for history, state_ids in level.items():
             t = len(history)
+            us = controls(history)
             for state_id in state_ids:
-                surface = registry.surfaces[state_id]
-                q_values = []
-                for u in range(problem.n_controls):
-                    key = (history, state_id, u, 0)
-                    if key not in successors:
-                        q_values.append(inf)
-                        continue
+                q_values = [inf] * problem.n_controls
+                for u in us:
                     xi = np.array([
                         values[(history + (y,),
-                                successors[(history, state_id, u, y)])].value
+                                successors[(state_id, u, y)])].value
                         for y in range(d)])
-                    sup = one_step_expectation(xi, surface, problem.gens,
+                    sup = one_step_expectation(xi, registry.surfaces[state_id],
+                                               problem.gens,
                                                np.zeros(len(problem.gens)),
                                                problem.params)
-                    q_values.append(float(problem.running_cost[t, u]) + sup)
-                pick = chooser(history, state_id, q_values)
+                    q_values[u] = float(problem.running_cost[t, u]) + sup
+                pick = us[int(np.argmin([q_values[u] for u in us]))]
                 values[(history, state_id)] = ControlValue(
                     float(q_values[pick]), pick, tuple(q_values))
-                choices[(history, state_id)] = pick
-    return values, choices
+    return values
 
 
 def solve(problem: ControlProblem, root_history: tuple = (),
@@ -261,58 +231,59 @@ def solve(problem: ControlProblem, root_history: tuple = (),
 
     Enumerates reachable (node, surface) states, fills values bottom up, and
     extracts the minimizing control everywhere; ties resolve to the lowest
-    control index. ``root_history``/``root_surface`` allow re-solving a
-    subproblem rooted mid-tree.
+    control index. The returned policy holds the optimal control at every
+    history reached from the root. ``root_history``/``root_surface`` allow
+    re-solving a subproblem rooted mid-tree.
     """
     root_history = tuple(root_history)
     if root_surface is None:
         root_surface = initial_grid_surface(problem.prior, problem.gens,
                                             problem.grid)
+
+    def every_control(history):
+        return range(problem.n_controls)
+
     registry, levels, successors = _enumerate_states(
-        problem, root_history, root_surface,
-        lambda history, surface: range(problem.n_controls))
-
-    def best(history, state_id, q_values):
-        return int(np.argmin(q_values))
-
-    values, choices = _fill_values(problem, registry, levels, successors, best)
-    policy = PolicyTree(by_state={
-        (history, StateRegistry.key_of(registry.surfaces[sid])): u
-        for (history, sid), u in choices.items()})
+        problem, root_history, root_surface, every_control)
+    values = _fill_values(problem, registry, levels, successors,
+                          every_control)
+    policy: dict = {}
+    frontier = {root_history: levels[0][root_history][0]}
+    for _ in levels[:-1]:
+        reached = {}
+        for history, sid in frontier.items():
+            u = policy[history] = values[(history, sid)].control
+            for y in range(problem.gens.n_symbols):
+                reached[history + (y,)] = successors[(sid, u, y)]
+        frontier = reached
     return ControlSolution(policy=policy, values=values, registry=registry,
                            successors=successors, levels=levels,
                            root_history=root_history)
 
 
-def evaluate_policy(problem: ControlProblem,
-                    policy: PolicyTree) -> ControlSolution:
-    """Cost of a fixed policy from the root, on the states it actually
-    reaches.
+def evaluate_policy(problem: ControlProblem, policy: dict) -> ControlSolution:
+    """Cost of a fixed ``{history: control}`` policy from the root, on the
+    states it actually reaches.
 
     Same enumeration and backward recursion as :func:`solve`, expanding and
     charging only the policy's choice; the result dominates the optimal
-    value pointwise. The enumeration enforces ``problem.state_cap``, and a
-    policy choice outside ``range(problem.n_controls)`` raises
-    ``ValueError``.
+    value pointwise. The enumeration enforces ``problem.state_cap``. A
+    reached history the policy does not map raises ``KeyError``, and a
+    choice outside ``range(problem.n_controls)`` raises ``ValueError``.
     """
-    def choice(history, surface):
-        u = policy.control_at(history, surface)
+    def chosen(history):
+        u = int(policy[history])
         if not 0 <= u < problem.n_controls:
             raise ValueError(f"policy chooses control {u} at history "
                              f"{history}, outside "
                              f"range({problem.n_controls})")
-        return u
+        return (u,)
 
     root_surface = initial_grid_surface(problem.prior, problem.gens,
                                         problem.grid)
-    registry, levels, successors = _enumerate_states(
-        problem, (), root_surface,
-        lambda history, surface: (choice(history, surface),))
-
-    def fixed(history, state_id, q_values):
-        return choice(history, registry.surfaces[state_id])
-
-    values, _ = _fill_values(problem, registry, levels, successors, fixed)
+    registry, levels, successors = _enumerate_states(problem, (), root_surface,
+                                                     chosen)
+    values = _fill_values(problem, registry, levels, successors, chosen)
     return ControlSolution(policy=policy, values=values, registry=registry,
                            successors=successors, levels=levels,
                            root_history=())
@@ -341,8 +312,8 @@ def brute_force(problem: ControlProblem) -> float:
     best = inf
     for assignment in itertools.product(range(problem.n_controls),
                                         repeat=len(nodes)):
-        policy = PolicyTree.from_history_map(dict(zip(nodes, assignment)))
-        cost = evaluate_policy(problem, policy).root_value
+        cost = evaluate_policy(problem,
+                               dict(zip(nodes, assignment))).root_value
         if cost < best:
             best = cost
     return best

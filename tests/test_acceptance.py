@@ -212,11 +212,9 @@ def test_criterion_6_bsde_reconstruction(oracle_cfg):
 
 def test_criterion_7_control_dp(control_cfg):
     started = time.perf_counter()
-    grid = SimplexGrid.build(control_cfg.n_states,
-                             control_cfg.grid_resolution)
     problem = ControlProblem(
         labels=tuple(control_cfg.control["labels"]), gens=control_cfg.gens,
-        prior=control_cfg.prior_spec(grid), grid=grid,
+        prior=control_cfg.prior_spec(), grid=control_cfg.grid,
         horizon=control_cfg.horizon, params=control_cfg.params,
         running_cost=control_cfg.control["running_cost"],
         terminal_cost=StateFunctional(
@@ -236,7 +234,7 @@ def test_criterion_7_control_dp(control_cfg):
         u = record.control
         child_vals = np.array([
             solution.values[(history + (y,),
-                             solution.successors[(history, sid, u, y)])].value
+                             solution.successors[(sid, u, y)])].value
             for y in range(d)])
         one_step = one_step_expectation(
             child_vals, solution.registry.surfaces[sid], problem.gens,
@@ -246,7 +244,7 @@ def test_criterion_7_control_dp(control_cfg):
             - (problem.running_cost[len(history), u] + one_step)))
         for y in range(d):
             frontier.append((history + (y,),
-                             solution.successors[(history, sid, u, y)]))
+                             solution.successors[(sid, u, y)]))
     elapsed = time.perf_counter() - started
     n_policies = problem.n_controls ** 7
     _report("criterion 7: solver equals exhaustive policy search + DP identity",

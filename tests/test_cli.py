@@ -7,6 +7,7 @@ import pytest
 from robusthmm import cli
 from robusthmm.cli import load_config, main
 from robusthmm.errors import ConfigError
+from robusthmm.models import SimplexGrid
 from conftest import CONFIGS
 
 
@@ -134,6 +135,39 @@ def test_output_directory_is_made_once(tmp_path, monkeypatch):
     assert run_cli("control", CONFIGS / "control_t3.json", out) == 0
     assert len(list(out.iterdir())) > 3
     assert made == [str(out)]
+
+
+def test_control_under_a_static_framework_exits_2(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "control_t3.json").read_text())
+    cfg["framework"] = "static-dr"
+    path = tmp_path / "static.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("control", path, tmp_path / "run") == 2
+    assert capsys.readouterr().err == (
+        "config error: control: control requires the dynamic generator "
+        "scope\n")
+
+
+@pytest.mark.parametrize("command, config, extra, builds", [
+    ("penalty-evolve", "oracle_t3.json", (), [10]),
+    ("expect", "oracle_t3.json", (), [10]),
+    ("control", "control_t3.json", (), [10]),
+    ("penalty-evolve", "oracle_t3.json", ("--grid-resolution", "20"),
+     [10, 20]),
+], ids=["penalty-evolve", "expect", "control", "override"])
+def test_one_grid_per_run(tmp_path, monkeypatch, command, config, extra,
+                          builds):
+    built = []
+    build = SimplexGrid.build
+
+    def counted(n_states, resolution):
+        built.append(resolution)
+        return build(n_states, resolution)
+
+    monkeypatch.setattr(SimplexGrid, "build", counted)
+    assert run_cli(command, CONFIGS / config, tmp_path / "run",
+                   extra=extra) == 0
+    assert built == builds
 
 
 def test_oracle_check_passes_on_shipped_instance(tmp_path):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from robusthmm import (CapExceeded, ControlProblem, Generator, GeneratorGrid,
-                       PolicyTree, PriorSpec, SimplexGrid, StateFunctional,
+                       PriorSpec, SimplexGrid, StateFunctional,
                        UncertaintyParams, brute_force, evaluate_policy,
-                       one_step_expectation, solve)
-from robusthmm.control import StateRegistry
+                       forward_image_step, one_step_expectation, solve)
+from robusthmm.control import StateRegistry, decision_nodes
 
 P1 = UncertaintyParams(k=1.0, k_exp=1.0)
 
@@ -70,8 +70,8 @@ def test_dominated_control_is_never_chosen():
         if record.control is not None:
             assert record.control == 0
     # forcing the dominated control pays the excess once per step
-    worst = evaluate_policy(problem, PolicyTree.from_history_map(
-        {h: 1 for h in [()] + [(y,) for y in range(2)]}))
+    worst = evaluate_policy(problem,
+                            {h: 1 for h in [()] + [(y,) for y in range(2)]})
     assert abs(worst.root_value - (solution.root_value + 2.0)) < 1e-9
 
 
@@ -84,20 +84,20 @@ def test_solver_matches_policy_enumeration():
 def test_optimal_policy_evaluates_to_value_and_others_dominate():
     problem = _sensing_problem(horizon=2)
     solution = solve(problem)
+    assert set(solution.policy) == set(decision_nodes(problem))
     replay = evaluate_policy(problem, solution.policy)
     assert abs(replay.root_value - solution.root_value) < 1e-12
     nodes = [()] + [(y,) for y in range(2)]
     for assignment in itertools.product(range(2), repeat=len(nodes)):
-        policy = PolicyTree.from_history_map(dict(zip(nodes, assignment)))
-        cost = evaluate_policy(problem, policy).root_value
+        cost = evaluate_policy(problem,
+                               dict(zip(nodes, assignment))).root_value
         assert cost >= solution.root_value - 1e-9
 
 
 @pytest.mark.parametrize("control", [-1, 2])
 def test_evaluate_policy_rejects_control_out_of_range(control):
     problem = _sensing_problem(horizon=2)
-    policy = PolicyTree.from_history_map(
-        {h: control for h in [(), (0,), (1,)]})
+    policy = {h: control for h in [(), (0,), (1,)]}
     with pytest.raises(ValueError,
                        match=rf"control {control} at history \(\), "
                              rf"outside range\(2\)"):
@@ -117,7 +117,7 @@ def test_dynamic_programming_identity_on_policy():
         u = record.control
         child_vals = np.array([
             solution.values[(history + (y,),
-                             solution.successors[(history, sid, u, y)])].value
+                             solution.successors[(sid, u, y)])].value
             for y in range(d)])
         one_step = one_step_expectation(
             child_vals, solution.registry.surfaces[sid], problem.gens,
@@ -125,8 +125,7 @@ def test_dynamic_programming_identity_on_policy():
         recomposed = problem.running_cost[len(history), u] + one_step
         assert abs(record.value - recomposed) < 1e-9
         for y in range(d):
-            frontier.append((history + (y,),
-                             solution.successors[(history, sid, u, y)]))
+            frontier.append((history + (y,), solution.successors[(sid, u, y)]))
 
 
 def test_nodes_sharing_surface_share_value():
@@ -137,6 +136,29 @@ def test_nodes_sharing_surface_share_value():
         by_state.setdefault(sid, set()).add(round(record.value, 12))
     for values in by_state.values():
         assert len(values) == 1
+
+
+def test_each_state_control_symbol_triple_is_stepped_once(monkeypatch):
+    steps = []
+
+    def counting_step(*args):
+        steps.append(args)
+        return forward_image_step(*args)
+
+    monkeypatch.setattr("robusthmm.control.forward_image_step", counting_step)
+    solution = solve(_sensing_problem(horizon=4))
+    assert len(steps) == len(solution.successors) == 316
+
+
+def test_policy_charges_its_own_control_where_histories_share_a_state():
+    # the flat surface is reached from both (0,) and (1,), which the policy
+    # expands under different controls
+    problem = _uninformative_problem(horizon=2, run_costs=[[0, 1], [0, 1]])
+    result = evaluate_policy(problem, {(): 0, (0,): 0, (1,): 1})
+    assert result.levels[1] == {(0,): [1], (1,): [1]}
+    assert result.values[((0,), 1)].value == pytest.approx(7.5, abs=1e-12)
+    assert result.values[((1,), 1)].value == pytest.approx(8.5, abs=1e-12)
+    assert result.root_value == pytest.approx(8.0, abs=1e-12)
 
 
 def test_bellman_difference_recomputation():
@@ -150,7 +172,7 @@ def test_bellman_difference_recomputation():
         for u in range(problem.n_controls):
             child_vals = np.array([
                 solution.values[(history + (y,),
-                                 solution.successors[(history, sid, u, y)])].value
+                                 solution.successors[(sid, u, y)])].value
                 for y in range(d)])
             sup = one_step_expectation(
                 child_vals, solution.registry.surfaces[sid], problem.gens,
@@ -165,18 +187,18 @@ def test_resolving_subtree_reproduces_policy():
     solution = solve(problem)
     root_sid = solution.levels[0][()][0]
     for y in range(2):
-        u_root = solution.policy.control_at(
-            (), solution.registry.surfaces[root_sid])
-        child_sid = solution.successors[((), root_sid, u_root, y)]
+        child_sid = solution.successors[(root_sid, solution.policy[()], y)]
         sub = solve(problem, root_history=(y,),
                     root_surface=solution.registry.surfaces[child_sid])
+        assert sub.policy == {h: u for h, u in solution.policy.items()
+                              if h[:1] == (y,)}
         for (history, sid), record in sub.values.items():
             if record.control is None:
                 continue
             surface = sub.registry.surfaces[sid]
             orig_sid = solution.registry._ids[StateRegistry.key_of(surface)]
-            assert (solution.policy.control_at(history, surface)
-                    == sub.policy.control_at(history, surface))
+            assert (solution.values[(history, orig_sid)].control
+                    == record.control)
             assert abs(solution.values[(history, orig_sid)].value
                        - record.value) < 1e-12
 
@@ -195,7 +217,7 @@ def test_caps_raise():
 def test_policy_lookup_failure():
     problem = _sensing_problem(horizon=2)
     with pytest.raises(KeyError):
-        evaluate_policy(problem, PolicyTree.from_history_map({(): 0}))
+        evaluate_policy(problem, {(): 0})
 
 
 def test_brute_force_single_control_equals_policy_evaluation():
@@ -213,8 +235,7 @@ def test_brute_force_single_control_equals_policy_evaluation():
                              running_cost=np.array([[0.5], [0.5]]),
                              terminal_cost=StateFunctional(
                                  values=np.array([1.0, 0.0])))
-    only = PolicyTree.from_history_map({h: 0 for h in
-                                        [()] + [(y,) for y in range(2)]})
+    only = {h: 0 for h in [()] + [(y,) for y in range(2)]}
     assert brute_force(problem) == evaluate_policy(problem, only).root_value
 
 
@@ -222,8 +243,7 @@ def test_brute_force_horizon_one_is_direct_scan():
     problem = _sensing_problem(horizon=1)
     per_control = []
     for u in range(problem.n_controls):
-        policy = PolicyTree.from_history_map({(): u})
-        per_control.append(evaluate_policy(problem, policy).root_value)
+        per_control.append(evaluate_policy(problem, {(): u}).root_value)
     assert brute_force(problem) == min(per_control)
 
 
