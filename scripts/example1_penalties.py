@@ -14,7 +14,7 @@ try:
 except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from robusthmm import (ExactPrior, Generator, GeneratorGrid, evolve_exact_tree,
+from robusthmm import (Generator, GeneratorGrid, evolve, initial_exact_surface,
                        simulate_path)
 
 A, B = 0.75, 0.25
@@ -32,10 +32,10 @@ def main() -> None:
 
     beliefs = np.array([[q, 1 - q] for q in np.linspace(0.1, 0.9, 9)])
     ells = np.log(beliefs[:, 0] / beliefs[:, 1])
-    prior = ExactPrior(beliefs=beliefs, values=np.abs(ells))
+    prior = initial_exact_surface(beliefs, np.abs(ells), gens, "static")
 
-    fixed, _ = evolve_exact_tree(prior, gens, obs, "up", "static")
-    data, _ = evolve_exact_tree(prior, gens, obs, "dr", "static")
+    fixed, _ = evolve(prior, gens, obs, "up")
+    data, _ = evolve(prior, gens, obs, "dr")
 
     rows = []
     for t in range(HORIZON + 1):

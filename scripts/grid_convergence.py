@@ -9,7 +9,7 @@ try:
 except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from robusthmm import SimplexGrid, evolve_exact_tree
+from robusthmm import SimplexGrid, evolve, initial_exact_surface
 from robusthmm.cli import _convergence_error, build_exact_prior, load_config
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "oracle_t3.json"
@@ -18,9 +18,9 @@ CONFIG = Path(__file__).resolve().parent.parent / "configs" / "oracle_t3.json"
 def main() -> None:
     cfg = load_config(str(CONFIG))
     obs = list(cfg.observations)
-    base_grid = SimplexGrid.build(cfg.n_states, cfg.grid_resolution)
-    exact_prior = build_exact_prior(cfg.prior_cfg, base_grid)
-    exact, _ = evolve_exact_tree(exact_prior, cfg.gens, obs, "dr", "dynamic")
+    beliefs, values = build_exact_prior(cfg.prior_values, cfg.grid)
+    exact, _ = evolve(initial_exact_surface(beliefs, values, cfg.gens,
+                                            "dynamic"), cfg.gens, obs, "dr")
     print(f"observations {obs}; "
           f"{len(exact[-1])} exactly reachable beliefs at t={len(obs)}")
     print(f"{'m':>5} {'cells':>6} {'sup error':>12}")

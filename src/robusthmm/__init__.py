@@ -8,12 +8,12 @@ from .errors import (CapExceeded, ConfigError, DegenerateObservation,
                      InfeasibleSurface, RobustHMMError)
 from .hmm import (Generator, Path, as_filter_state, filter_step,
                   obs_predictive, predict, simulate_path)
-from .models import (DR, DYNAMIC, STATIC, UP, GeneratorGrid, PriorSpec,
-                     SimplexGrid, gamma_at, parse_framework)
-from .penalty import (ExactPrior, ExactSurface, ExtendedPenaltySurface,
-                      PenaltySurface, StepReport, evolve, evolve_exact_tree,
-                      exact_step, forward_image_step, initial_exact_surface,
-                      initial_grid_surface, project, render_surface_csv)
+from .models import (DR, DYNAMIC, STATIC, UP, GeneratorGrid, SimplexGrid,
+                     gamma_at, parse_framework)
+from .penalty import (ExactSurface, ExtendedPenaltySurface, PenaltySurface,
+                      StepReport, evolve, exact_step, forward_image_step,
+                      initial_exact_surface, initial_grid_surface, project,
+                      render_surface_csv)
 from .expectation import (ObservationTree, StateFunctional, TreeSetup,
                           UncertaintyParams, backward_expectation,
                           bsde_decompose, bsde_driver, build_observation_tree,

@@ -33,12 +33,12 @@ from .expectation import (StateFunctional, TreeSetup, UncertaintyParams,
                           backward_expectation, bsde_decompose,
                           dr_expectation, history_label, tree_document)
 from .hmm import Generator, as_filter_state, filter_step, simulate_path
-from .models import (DYNAMIC, GeneratorGrid, PriorSpec, SimplexGrid,
-                     parse_framework)
+from .models import (DR, DYNAMIC, GeneratorGrid, SimplexGrid,
+                     normalize_penalties, parse_framework)
 from .oracles import (OracleReport, oracle_dr_direct, oracle_penalty,
                       render_report_csv)
-from .penalty import (ExactPrior, evolve, evolve_exact_tree,
-                      initial_grid_surface, render_surface_csv)
+from .penalty import (evolve, initial_exact_surface, initial_grid_surface,
+                      render_surface_csv)
 
 ORACLE_TOL = 1e-9
 CONVERGENCE_RESOLUTIONS = (10, 20, 40)
@@ -72,7 +72,6 @@ class RunConfig:
     n_states: int
     n_symbols: int
     horizon: int
-    grid_resolution: int
     scope: str
     framework: str
     params: UncertaintyParams
@@ -87,9 +86,10 @@ class RunConfig:
     output_dir: str | None
     raw_bytes: bytes
 
-    def prior_spec(self) -> PriorSpec:
-        return PriorSpec(initial_penalty=self.prior_values,
-                         generator_mode=self.scope, framework=self.framework)
+    def initial_surface(self):
+        """The time-zero grid surface of the configured prior and scope."""
+        return initial_grid_surface(self.prior_values, self.gens, self.grid,
+                                    self.scope)
 
 
 def _number(value, where: str) -> float:
@@ -255,6 +255,8 @@ def load_config(path: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from None
         seed = _int_field(simulation, "seed", 0, where)
+        if seed >= 2 ** 128:
+            raise ConfigError(f"{where}: seed must be < 2**128")
         simulation = {"model": model, "p0": p0, "seed": seed}
 
     phi = cfg.get("phi")
@@ -269,8 +271,7 @@ def load_config(path: str) -> RunConfig:
     grid = SimplexGrid.build(n, resolution)
     prior_values = build_grid_prior(prior_cfg, grid)
 
-    return RunConfig(n_states=n, n_symbols=d, horizon=horizon,
-                     grid_resolution=resolution, scope=scope,
+    return RunConfig(n_states=n, n_symbols=d, horizon=horizon, scope=scope,
                      framework=framework, params=params, gens=gens,
                      prior_cfg=prior_cfg, grid=grid,
                      prior_values=prior_values, observations=observations,
@@ -279,11 +280,12 @@ def load_config(path: str) -> RunConfig:
 
 
 def build_grid_prior(prior_cfg: dict, grid: SimplexGrid) -> np.ndarray:
-    """Initial penalty values on the grid from a named prior shape."""
+    """Initial penalty values on the grid from a named prior shape; a prior
+    that excludes every grid point is a configuration error."""
     shape = prior_cfg["shape"]
     if shape == "zero":
-        return np.zeros(len(grid))
-    if shape == "point-mass":
+        values = np.zeros(len(grid))
+    elif shape == "point-mass":
         belief = _matrix(_require(prior_cfg, "belief", "prior"),
                          (grid.n_states,), "prior.belief")
         try:
@@ -292,20 +294,19 @@ def build_grid_prior(prior_cfg: dict, grid: SimplexGrid) -> np.ndarray:
             raise ConfigError(f"prior.belief: {exc}") from None
         values = np.full(len(grid), np.inf)
         values[grid.round_to_index(belief)] = 0.0
-        return values
-    if shape == "abs-log-odds":
+    elif shape == "abs-log-odds":
         if grid.n_states != 2:
             raise ConfigError("abs-log-odds prior needs exactly two states")
         with np.errstate(divide="ignore"):
             ratio = grid.points[:, 0] / grid.points[:, 1]
-            return np.abs(np.where(ratio > 0, np.log(ratio), -np.inf))
-    if shape == "table":
-        values = _require(prior_cfg, "values", "prior")
-        if not isinstance(values, list) or len(values) != len(grid):
+            values = np.abs(np.where(ratio > 0, np.log(ratio), -np.inf))
+    elif shape == "table":
+        raw_vals = _require(prior_cfg, "values", "prior")
+        if not isinstance(raw_vals, list) or len(raw_vals) != len(grid):
             raise ConfigError(
                 f"prior.values must list one value per grid point ({len(grid)})")
-        return np.array([_number(v, "prior.values") for v in values])
-    if shape == "support":
+        values = np.array([_number(v, "prior.values") for v in raw_vals])
+    elif shape == "support":
         beliefs = _require(prior_cfg, "beliefs", "prior")
         raw_vals = _require(prior_cfg, "values", "prior")
         if not isinstance(beliefs, list) or len(beliefs) != len(raw_vals):
@@ -319,17 +320,18 @@ def build_grid_prior(prior_cfg: dict, grid: SimplexGrid) -> np.ndarray:
                 raise ConfigError(
                     f"prior support belief {list(b)} is not a grid point "
                     f"at resolution {grid.resolution}") from None
-        return values
-    raise ConfigError(f"unknown prior shape {shape!r}")
-
-
-def build_exact_prior(prior_cfg: dict, grid: SimplexGrid) -> ExactPrior:
-    """Exact-belief prior: the grid points the prior does not exclude."""
-    values = build_grid_prior(prior_cfg, grid)
-    finite = np.isfinite(values)
-    if not finite.any():
+    else:
+        raise ConfigError(f"unknown prior shape {shape!r}")
+    if not np.isfinite(values).any():
         raise ConfigError("prior excludes every belief")
-    return ExactPrior(beliefs=grid.points[finite], values=values[finite])
+    return values
+
+
+def build_exact_prior(values: np.ndarray, grid: SimplexGrid):
+    """Exact-belief prior from grid prior values: the grid points the prior
+    does not exclude, and their values normalized to minimum zero."""
+    finite = np.isfinite(values)
+    return grid.points[finite], normalize_penalties(values[finite])
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +458,8 @@ def _cmd_filter(run: Run) -> int:
 def _cmd_penalty_evolve(run: Run) -> int:
     cfg = run.cfg
     obs = _observations(cfg)
-    surfaces, reports = evolve(cfg.prior_spec(), cfg.gens, obs, cfg.grid)
+    surfaces, reports = evolve(cfg.initial_surface(), cfg.gens, obs,
+                               cfg.framework)
     for t, surface in enumerate(surfaces):
         report = reports[t - 1] if t >= 1 else None
         run.add_csv(f"surface_t{t:03d}.csv",
@@ -472,8 +475,7 @@ def _cmd_expect(run: Run) -> int:
         raise ConfigError("expect needs a phi field (payoff per state)")
     setup = TreeSetup(gens=cfg.gens, framework=cfg.framework,
                       horizon=cfg.horizon,
-                      initial_surface=initial_grid_surface(
-                          cfg.prior_spec(), cfg.gens, cfg.grid),
+                      initial_surface=cfg.initial_surface(),
                       params=cfg.params)
     tree = backward_expectation(StateFunctional(values=cfg.phi), setup)
     bsde_decompose(tree, setup)
@@ -494,8 +496,9 @@ def _cmd_control(run: Run) -> int:
     try:
         problem = ControlProblem(
             labels=tuple(cfg.control["labels"]), gens=cfg.gens,
-            prior=cfg.prior_spec(), grid=cfg.grid, horizon=cfg.horizon,
-            params=cfg.params, running_cost=cfg.control["running_cost"],
+            initial_surface=cfg.initial_surface(), framework=cfg.framework,
+            horizon=cfg.horizon, params=cfg.params,
+            running_cost=cfg.control["running_cost"],
             terminal_cost=StateFunctional(
                 values=cfg.control["terminal_cost"]))
     except ValueError as exc:  # the static generator scope
@@ -527,15 +530,16 @@ _FRAMEWORK_LABELS = ("static-up", "dynamic-up", "static-dr", "dynamic-dr")
 def _check_one_framework(args):
     """Exact-tree evolution versus enumeration, plus worst-case expectations
     against enumerated models, for one framework label."""
-    label, cfg, grid, obs = args
+    label, cfg, obs = args
     scope, framework = parse_framework(label)
-    exact_prior = build_exact_prior(cfg.prior_cfg, grid)
-    surfaces, _ = evolve_exact_tree(exact_prior, cfg.gens, obs, framework,
-                                    scope)
+    beliefs, values = build_exact_prior(cfg.prior_values, cfg.grid)
+    surfaces, _ = evolve(initial_exact_surface(beliefs, values, cfg.gens,
+                                               scope),
+                         cfg.gens, obs, framework)
     reports = []
     for t in range(len(surfaces)):
-        oracle = oracle_penalty(exact_prior.beliefs, exact_prior.values,
-                                cfg.gens, obs[:t], framework, scope)
+        oracle = oracle_penalty(beliefs, values, cfg.gens, obs[:t], framework,
+                                scope)
         engine = surfaces[t].as_lookup()
         if set(oracle) != set(engine):
             reports.append(OracleReport(
@@ -551,8 +555,7 @@ def _check_one_framework(args):
             instance=f"sup-over-{len(oracle)}-rows"))
     rng = np.random.Generator(np.random.Philox(key=2026))
     phis = rng.uniform(-1.0, 1.0, size=(_PHI_DRAWS, cfg.n_states))
-    oracle_vals = oracle_dr_direct(phis, exact_prior.beliefs,
-                                   exact_prior.values, cfg.gens, obs,
+    oracle_vals = oracle_dr_direct(phis, beliefs, values, cfg.gens, obs,
                                    framework, scope, k=cfg.params.k,
                                    k_exp=cfg.params.k_exp)
     for j, (phi, oracle_val) in enumerate(zip(phis, oracle_vals)):
@@ -569,12 +572,13 @@ def _convergence_error(args):
     and every reachable exact belief."""
     resolution, cfg, obs = args
     grid = SimplexGrid.build(cfg.n_states, resolution)
-    prior = PriorSpec(initial_penalty=build_grid_prior(cfg.prior_cfg, grid),
-                      generator_mode=DYNAMIC, framework="dr")
-    grid_surfaces, _ = evolve(prior, cfg.gens, obs, grid)
-    exact_prior = build_exact_prior(cfg.prior_cfg, grid)
-    exact_surfaces, _ = evolve_exact_tree(exact_prior, cfg.gens, obs, "dr",
-                                          DYNAMIC)
+    values = build_grid_prior(cfg.prior_cfg, grid)
+    grid_surfaces, _ = evolve(
+        initial_grid_surface(values, cfg.gens, grid, DYNAMIC), cfg.gens, obs,
+        DR)
+    exact_surfaces, _ = evolve(
+        initial_exact_surface(*build_exact_prior(values, grid), cfg.gens,
+                              DYNAMIC), cfg.gens, obs, DR)
     worst = 0.0
     for g_surf, e_surf in zip(grid_surfaces, exact_surfaces):
         cells = grid.round_rows(e_surf.beliefs)
@@ -587,7 +591,7 @@ def _cmd_oracle_check(run: Run) -> int:
     cfg = run.cfg
     obs = _observations(cfg)
     report_batches = run.pmap(_check_one_framework,
-                              [(label, cfg, cfg.grid, obs)
+                              [(label, cfg, obs)
                                for label in _FRAMEWORK_LABELS])
     reports = [r for batch in report_batches for r in batch]
     errors = run.pmap(_convergence_error,
@@ -649,7 +653,7 @@ def main(argv=None) -> int:
                 raise ConfigError("--grid-resolution must be >= 1")
             grid = SimplexGrid.build(cfg.n_states, args.grid_resolution)
             cfg.prior_values = build_grid_prior(cfg.prior_cfg, grid)
-            cfg.grid_resolution, cfg.grid = args.grid_resolution, grid
+            cfg.grid = grid
         out_dir = args.out or cfg.output_dir or "out"
         run = Run(args.command, cfg, out_dir)
         code = _COMMANDS[args.command](run)

@@ -27,8 +27,8 @@ import numpy as np
 from .errors import CapExceeded, InfeasibleSurface
 from .expectation import (StateFunctional, UncertaintyParams, _rho,
                           one_step_expectation)
-from .models import DYNAMIC, GeneratorGrid, PriorSpec, SimplexGrid, gamma_at
-from .penalty import PenaltySurface, forward_image_step, initial_grid_surface
+from .models import GeneratorGrid, gamma_at
+from .penalty import PenaltySurface, forward_image_step
 
 STATE_CAP_DEFAULT = 20000
 POLICY_CAP_DEFAULT = 10 ** 7
@@ -40,14 +40,16 @@ class ControlProblem:
     """A finite control set acting through per-control generator penalties:
     ``gens.control_penalty`` holds one row per control.
 
-    ``running_cost`` is a ``(horizon, n_controls)`` array; ``terminal_cost``
-    gives the cost per hidden state.
+    A run starts from ``initial_surface``, which must be a grid surface in
+    the dynamic generator scope (a :class:`PenaltySurface`), and steps it
+    under ``framework``. ``running_cost`` is a ``(horizon, n_controls)``
+    array; ``terminal_cost`` gives the cost per hidden state.
     """
 
     labels: tuple[str, ...]
     gens: GeneratorGrid
-    prior: PriorSpec
-    grid: SimplexGrid
+    initial_surface: PenaltySurface
+    framework: str
     horizon: int
     params: UncertaintyParams
     running_cost: np.ndarray
@@ -58,7 +60,7 @@ class ControlProblem:
     def __post_init__(self):
         if not self.labels:
             raise ValueError("control set must be nonempty")
-        if self.prior.generator_mode != DYNAMIC:
+        if not isinstance(self.initial_surface, PenaltySurface):
             raise ValueError("control requires the dynamic generator scope")
         if self.gens.control_penalty is None:
             raise ValueError("generator grid carries no per-control penalties")
@@ -171,7 +173,7 @@ def _enumerate_states(problem: ControlProblem, root_history: tuple,
                         if child_id is None:
                             child, _ = forward_image_step(
                                 registry.surfaces[state_id], problem.gens,
-                                gammas[u], y, problem.prior.framework)
+                                gammas[u], y, problem.framework)
                             child_id = registry.intern(child)
                             successors[(state_id, u, y)] = child_id
                         bucket = child_lists[history + (y,)]
@@ -233,12 +235,12 @@ def solve(problem: ControlProblem, root_history: tuple = (),
     extracts the minimizing control everywhere; ties resolve to the lowest
     control index. The returned policy holds the optimal control at every
     history reached from the root. ``root_history``/``root_surface`` allow
-    re-solving a subproblem rooted mid-tree.
+    re-solving a subproblem rooted mid-tree; the root surface defaults to
+    ``problem.initial_surface``.
     """
     root_history = tuple(root_history)
     if root_surface is None:
-        root_surface = initial_grid_surface(problem.prior, problem.gens,
-                                            problem.grid)
+        root_surface = problem.initial_surface
 
     def every_control(history):
         return range(problem.n_controls)
@@ -279,10 +281,8 @@ def evaluate_policy(problem: ControlProblem, policy: dict) -> ControlSolution:
                              f"range({problem.n_controls})")
         return (u,)
 
-    root_surface = initial_grid_surface(problem.prior, problem.gens,
-                                        problem.grid)
-    registry, levels, successors = _enumerate_states(problem, (), root_surface,
-                                                     chosen)
+    registry, levels, successors = _enumerate_states(
+        problem, (), problem.initial_surface, chosen)
     values = _fill_values(problem, registry, levels, successors, chosen)
     return ControlSolution(policy=policy, values=values, registry=registry,
                            successors=successors, levels=levels,

@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import CapExceeded, InfeasibleSurface
 from .models import GeneratorGrid
-from .penalty import (ExactSurface, _candidate_penalties, _default_gammas,
-                      _rows, exact_step, forward_image_step)
+from .penalty import _candidate_penalties, _default_gammas, _rows, _step_for
 
 TREE_CAP_DEFAULT = 4096
 
@@ -196,8 +195,7 @@ def build_observation_tree(setup: TreeSetup) -> ObservationTree:
     tree = ObservationTree(n_symbols=d, horizon=setup.horizon)
     tree.nodes.append(TreeNode(index=0, history=(),
                                surface=setup.initial_surface))
-    step = (exact_step if isinstance(setup.initial_surface, ExactSurface)
-            else forward_image_step)
+    step = _step_for(setup.initial_surface)
     for depth in range(setup.horizon):
         for parent in tree.nodes_at_depth(depth):
             first = len(tree.nodes)

@@ -234,28 +234,3 @@ def gamma_at(grid: GeneratorGrid, control: int | None = None) -> np.ndarray:
     if grid.control_penalty is None:
         raise ValueError("no control penalty table configured")
     return grid.control_penalty[control]
-
-
-@dataclass(frozen=True, eq=False)
-class PriorSpec:
-    """Initial penalty over beliefs plus the framework switches.
-
-    ``initial_penalty`` holds one value per simplex-grid point (``inf`` marks
-    excluded beliefs) and is normalized to minimum zero at construction.
-    ``generator_mode`` is ``"static"`` or ``"dynamic"``; ``framework`` is
-    ``"up"`` (fixed prior penalty) or ``"dr"`` (observation-driven penalty).
-    """
-
-    initial_penalty: np.ndarray
-    generator_mode: str
-    framework: str
-
-    def __post_init__(self):
-        if self.generator_mode not in _SCOPES:
-            raise ValueError(f"bad generator_mode {self.generator_mode!r}")
-        if self.framework not in _FRAMEWORKS:
-            raise ValueError(f"bad framework {self.framework!r}")
-        pen = normalize_penalties(
-            np.asarray(self.initial_penalty, dtype=np.float64))
-        pen.flags.writeable = False
-        object.__setattr__(self, "initial_penalty", pen)

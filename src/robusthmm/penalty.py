@@ -10,6 +10,11 @@ Two representations are maintained:
   beliefs, with no rounding; this is the ground truth that grid runs are
   measured against.
 
+A run starts from its time-zero surface, built by
+:func:`initial_grid_surface` or :func:`initial_exact_surface` (the only
+readers of a scope string); :func:`evolve` and the observation tree step
+either kind with the step its representation picks.
+
 In the static-generator setting the surface is indexed by (belief, candidate)
 pairs and each candidate's slice evolves on its own; in the dynamic setting
 each step additionally minimizes over the candidate choice. The data-driven
@@ -39,14 +44,15 @@ surface then formats only its values and argmin provenance.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from math import log
 from typing import Sequence
 
 import numpy as np
 
 from .errors import CapExceeded, InfeasibleSurface
-from .models import (DR, DYNAMIC, STATIC, UP, GeneratorGrid, PriorSpec,
-                     SimplexGrid, gamma_at, normalize_penalties)
+from .models import (DR, DYNAMIC, STATIC, UP, GeneratorGrid, SimplexGrid,
+                     gamma_at, normalize_penalties)
 
 EXACT_CAP_DEFAULT = 10 ** 6
 
@@ -163,31 +169,57 @@ def project(initial, grid: SimplexGrid, time: int = 0) -> PenaltySurface:
                           time=time)
 
 
-def initial_grid_surface(prior: PriorSpec, gens: GeneratorGrid,
-                         grid: SimplexGrid):
-    """Time-zero surface of the kind matching the prior's generator scope."""
-    if prior.generator_mode == DYNAMIC:
-        return project(prior.initial_penalty, grid)
-    values = prior.initial_penalty[:, None] + gens.prior_penalty[None, :]
+def initial_grid_surface(values, gens: GeneratorGrid, grid: SimplexGrid,
+                         scope: str):
+    """Time-zero surface on ``grid`` from one initial penalty per grid point
+    (``inf`` marks excluded beliefs): a :class:`PenaltySurface` in the
+    dynamic generator scope, an :class:`ExtendedPenaltySurface` carrying
+    ``gens.prior_penalty`` per candidate in the static one. The values are
+    normalized to minimum zero before the candidate axis is added, and the
+    static surface again after."""
+    if scope not in (STATIC, DYNAMIC):
+        raise ValueError(f"bad scope {scope!r}")
+    surface = project(values, grid)
+    if scope == DYNAMIC:
+        return surface
+    values = surface.values[:, None] + gens.prior_penalty[None, :]
     return ExtendedPenaltySurface(grid=grid, gens=gens,
                                   values=normalize_penalties(values), time=0)
 
 
-def forward_image_step(src, gens: GeneratorGrid,
-                       gammas: np.ndarray | None, y: int, framework: str):
-    """Push a grid surface one step forward after observing symbol ``y``.
+def initial_exact_surface(beliefs, values, gens: GeneratorGrid,
+                          scope: str) -> ExactSurface:
+    """Time-zero surface on a finite set of exact beliefs (no grid), one
+    initial penalty per row.
 
-    Returns the updated surface of the same kind and a :class:`StepReport`.
-    Generator scope is carried by the surface type: a plain
-    :class:`PenaltySurface` minimizes over candidates (``gammas`` required),
-    an :class:`ExtendedPenaltySurface` evolves each candidate slice on its
-    own (``gammas`` must be omitted), as :func:`_candidate_penalties` rules.
+    The values are normalized to minimum zero, rows whose beliefs coincide
+    bit-for-bit are merged at their least penalty, and the rows are put in
+    canonical belief order. The static scope then tracks one row per
+    (belief, candidate) at ``gens.prior_penalty`` and normalizes again.
     """
-    if framework not in (UP, DR):
-        raise ValueError(f"bad framework {framework!r}")
-    if not isinstance(src, (PenaltySurface, ExtendedPenaltySurface)):
-        raise TypeError(f"unsupported surface type {type(src).__name__}")
-    return _grid_step(src, gens, gammas, y, framework)
+    if scope not in (STATIC, DYNAMIC):
+        raise ValueError(f"bad scope {scope!r}")
+    b = np.asarray(beliefs, dtype=np.float64) + 0.0
+    v = normalize_penalties(np.asarray(values, dtype=np.float64))
+    if b.ndim != 2 or v.shape != (b.shape[0],):
+        raise ValueError("beliefs must be (n, N) with one value per row")
+    merged: dict[bytes, tuple] = {}
+    for row, val in zip(b, v.tolist()):
+        hit = merged.get(row.tobytes())
+        if hit is None or val < hit[1]:
+            merged[row.tobytes()] = (row, val)
+    b = np.array([row for row, _ in merged.values()])
+    v = np.array([val for _, val in merged.values()])
+    order = _belief_order(b)
+    b, v = b[order], v[order]
+    if scope == DYNAMIC:
+        return ExactSurface(beliefs=b, values=v, gen_ids=None, time=0)
+    n, g = len(v), len(gens)
+    gen_ids = np.tile(np.arange(g, dtype=np.int64), n)
+    values = (v[:, None] + gens.prior_penalty[None, :]).ravel()
+    return ExactSurface(beliefs=np.repeat(b, g, axis=0),
+                        values=normalize_penalties(values), gen_ids=gen_ids,
+                        time=0)
 
 
 def _static(surface) -> bool:
@@ -296,16 +328,23 @@ def _reduce_candidates(dest, vals, srcs, gids, n_keys):
     return out, out_src, out_gen
 
 
-def _grid_step(src, gens, gammas, y, framework):
-    """One scatter-min step for either scope: a gather from the image table
-    plus :func:`_reduce_candidates`.
+def forward_image_step(src, gens: GeneratorGrid,
+                       gammas: np.ndarray | None, y: int, framework: str):
+    """Push a grid surface one step forward after observing symbol ``y``.
 
+    Returns the updated surface of the same kind and a :class:`StepReport`.
     Every live (candidate, cell) pair that :func:`_candidate_penalties`
-    admits is pushed to the cell nearest its Bayes image. A dynamic surface
-    reduces each destination cell across candidates; a static one keeps the
-    candidate axis, so its pairs reduce per (destination cell, candidate)
-    key.
+    admits is pushed to the cell nearest its Bayes image: a gather from the
+    image table plus :func:`_reduce_candidates`. Generator scope is carried
+    by the surface type: a plain :class:`PenaltySurface` (``gammas``
+    required) reduces each destination cell across candidates, an
+    :class:`ExtendedPenaltySurface` (``gammas`` omitted) keeps the candidate
+    axis and reduces per (destination cell, candidate) key.
     """
+    if framework not in (UP, DR):
+        raise ValueError(f"bad framework {framework!r}")
+    if not isinstance(src, (PenaltySurface, ExtendedPenaltySurface)):
+        raise TypeError(f"unsupported surface type {type(src).__name__}")
     table = _image_table(gens, src.grid, y)
     before = _candidate_penalties(src, gens, gammas)[1]
     gids, srcs = np.nonzero(table.alive & np.isfinite(before))
@@ -335,78 +374,6 @@ def _normalize_step(values: np.ndarray, time: int):
     return values - m_t, m_t
 
 
-def _propagate(step, surface, gens: GeneratorGrid, obs: Sequence[int],
-               framework: str, **step_kwargs):
-    """Step ``surface`` through every symbol of ``obs`` at the scope's
-    default per-step penalties; the surfaces (time zero included) and the
-    per-step reports."""
-    gammas = _default_gammas(surface, gens)
-    surfaces, reports = [surface], []
-    for y in obs:
-        surface, report = step(surface, gens, gammas, int(y), framework,
-                               **step_kwargs)
-        surfaces.append(surface)
-        reports.append(report)
-    return surfaces, reports
-
-
-def evolve(prior: PriorSpec, gens: GeneratorGrid, obs: Sequence[int],
-           grid: SimplexGrid):
-    """Propagate the prior surface through a whole observation sequence.
-
-    Returns the list of surfaces (including time zero) and the per-step
-    reports. Surface kind follows the prior's generator scope.
-    """
-    return _propagate(forward_image_step,
-                      initial_grid_surface(prior, gens, grid), gens, obs,
-                      prior.framework)
-
-
-@dataclass(frozen=True, eq=False)
-class ExactPrior:
-    """Initial penalty on a finite set of exact beliefs (no grid)."""
-
-    beliefs: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        b = np.ascontiguousarray(np.asarray(self.beliefs, dtype=np.float64)) + 0.0
-        v = normalize_penalties(np.asarray(self.values, dtype=np.float64))
-        if b.ndim != 2 or v.shape != (b.shape[0],):
-            raise ValueError("beliefs must be (n, N) with one value per row")
-        merged: dict[bytes, int] = {}
-        keep_b, keep_v = [], []
-        for row, val in zip(b, v):
-            key = row.tobytes()
-            if key in merged:
-                keep_v[merged[key]] = min(keep_v[merged[key]], float(val))
-            else:
-                merged[key] = len(keep_b)
-                keep_b.append(row)
-                keep_v.append(float(val))
-        b = np.array(keep_b)
-        v = np.array(keep_v)
-        order = _belief_order(b)
-        b, v = b[order], v[order]
-        b.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "beliefs", b)
-        object.__setattr__(self, "values", v)
-
-
-def initial_exact_surface(prior: ExactPrior, gens: GeneratorGrid,
-                          scope: str) -> ExactSurface:
-    if scope == DYNAMIC:
-        return ExactSurface(beliefs=prior.beliefs, values=prior.values,
-                            gen_ids=None, time=0)
-    n, g = len(prior.values), len(gens)
-    beliefs = np.repeat(prior.beliefs, g, axis=0)
-    gen_ids = np.tile(np.arange(g, dtype=np.int64), n)
-    values = (prior.values[:, None] + gens.prior_penalty[None, :]).ravel()
-    return ExactSurface(beliefs=beliefs, values=normalize_penalties(values),
-                        gen_ids=gen_ids, time=0)
-
-
 def exact_step(src: ExactSurface, gens: GeneratorGrid,
                gammas: np.ndarray | None, y: int, framework: str,
                cap: int = EXACT_CAP_DEFAULT):
@@ -415,6 +382,8 @@ def exact_step(src: ExactSurface, gens: GeneratorGrid,
     Beliefs that coincide bit-for-bit are merged by taking the minimal
     penalty; merging early is exact because equal beliefs evolve identically.
     """
+    if framework not in (UP, DR):
+        raise ValueError(f"bad framework {framework!r}")
     beliefs, before = _candidate_penalties(src, gens, gammas)
     n_new = int(np.isfinite(before).sum())
     if n_new > cap:
@@ -457,14 +426,33 @@ def exact_step(src: ExactSurface, gens: GeneratorGrid,
     return surface, report
 
 
-def evolve_exact_tree(prior: ExactPrior, gens: GeneratorGrid,
-                      obs: Sequence[int], framework: str, scope: str,
-                      cap: int = EXACT_CAP_DEFAULT):
-    """Exact-belief analogue of :func:`evolve`; ground truth for grid runs."""
-    if scope not in (STATIC, DYNAMIC):
-        raise ValueError(f"bad scope {scope!r}")
-    return _propagate(exact_step, initial_exact_surface(prior, gens, scope),
-                      gens, obs, framework, cap=cap)
+def _step_for(surface, cap: int = EXACT_CAP_DEFAULT):
+    """The one-step propagator of a surface's representation, called as
+    ``step(surface, gens, gammas, y, framework)``: :func:`exact_step`,
+    bounded by ``cap``, on an :class:`ExactSurface`, and
+    :func:`forward_image_step` on a grid surface."""
+    if isinstance(surface, ExactSurface):
+        return partial(exact_step, cap=cap)
+    return forward_image_step
+
+
+def evolve(surface, gens: GeneratorGrid, obs: Sequence[int], framework: str,
+           cap: int = EXACT_CAP_DEFAULT):
+    """Propagate an initial surface through a whole observation sequence at
+    its scope's default per-step penalties.
+
+    Returns the list of surfaces (including time zero) and the per-step
+    reports. Grid surfaces are stepped on their grid, exact ones on exactly
+    tracked beliefs with at most ``cap`` candidate rows a step.
+    """
+    step = _step_for(surface, cap)
+    gammas = _default_gammas(surface, gens)
+    surfaces, reports = [surface], []
+    for y in obs:
+        surface, report = step(surface, gens, gammas, int(y), framework)
+        surfaces.append(surface)
+        reports.append(report)
+    return surfaces, reports
 
 
 def _rows(surface):

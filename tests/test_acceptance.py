@@ -9,12 +9,11 @@ from math import inf
 
 import numpy as np
 
-from robusthmm import (ControlProblem, ExactPrior, Generator, GeneratorGrid,
-                       PriorSpec, SimplexGrid, StateFunctional,
-                       TreeSetup, UncertaintyParams, backward_expectation,
-                       brute_force, bsde_decompose, bsde_driver,
-                       dr_expectation, evolve, evolve_exact_tree,
-                       fill_backward, gamma_at, initial_exact_surface,
+from robusthmm import (ControlProblem, Generator, GeneratorGrid, SimplexGrid,
+                       StateFunctional, TreeSetup, UncertaintyParams,
+                       backward_expectation, brute_force, bsde_decompose,
+                       bsde_driver, dr_expectation, evolve, fill_backward,
+                       gamma_at, initial_exact_surface, initial_grid_surface,
                        one_step_expectation, project, solve)
 from robusthmm.cli import build_exact_prior, main
 from robusthmm.oracles import (bernoulli_closed_forms, oracle_dr_direct,
@@ -30,21 +29,23 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
 
 
 def _shipped_instance(oracle_cfg):
-    grid = SimplexGrid.build(oracle_cfg.n_states, oracle_cfg.grid_resolution)
-    prior = build_exact_prior(oracle_cfg.prior_cfg, grid)
-    return prior, oracle_cfg.gens, list(oracle_cfg.observations)
+    beliefs, values = build_exact_prior(oracle_cfg.prior_values,
+                                        oracle_cfg.grid)
+    return beliefs, values, oracle_cfg.gens, list(oracle_cfg.observations)
 
 
 def test_criterion_1_penalty_oracle_equivalence(oracle_cfg):
-    prior, gens, obs = _shipped_instance(oracle_cfg)
+    beliefs, values, gens, obs = _shipped_instance(oracle_cfg)
     started = time.perf_counter()
     worst = 0.0
     for label in FRAMEWORK_LABELS:
         scope, framework = label.split("-")
-        surfaces, _ = evolve_exact_tree(prior, gens, obs, framework, scope)
+        surfaces, _ = evolve(initial_exact_surface(beliefs, values, gens,
+                                                   scope),
+                             gens, obs, framework)
         for t, surface in enumerate(surfaces):
-            oracle = oracle_penalty(prior.beliefs, prior.values, gens,
-                                    obs[:t], framework, scope)
+            oracle = oracle_penalty(beliefs, values, gens, obs[:t], framework,
+                                    scope)
             engine = surface.as_lookup()
             assert set(oracle) == set(engine), (label, t)
             worst = max(worst, max(abs(oracle[k] - engine[k])
@@ -56,15 +57,17 @@ def test_criterion_1_penalty_oracle_equivalence(oracle_cfg):
 
 
 def test_criterion_2_dr_expectation_oracle(oracle_cfg):
-    prior, gens, obs = _shipped_instance(oracle_cfg)
+    beliefs, values, gens, obs = _shipped_instance(oracle_cfg)
     rng = np.random.Generator(np.random.Philox(key=42))
     worst = 0.0
     for label in FRAMEWORK_LABELS:
         scope, framework = label.split("-")
-        surfaces, _ = evolve_exact_tree(prior, gens, obs, framework, scope)
+        surfaces, _ = evolve(initial_exact_surface(beliefs, values, gens,
+                                                   scope),
+                             gens, obs, framework)
         phis = rng.uniform(-2.0, 2.0, size=(50, oracle_cfg.n_states))
-        oracle = oracle_dr_direct(phis, prior.beliefs, prior.values, gens,
-                                  obs, framework, scope,
+        oracle = oracle_dr_direct(phis, beliefs, values, gens, obs,
+                                  framework, scope,
                                   k=oracle_cfg.params.k,
                                   k_exp=oracle_cfg.params.k_exp)
         for phi, oracle_value in zip(phis, oracle):
@@ -80,16 +83,16 @@ def test_criterion_3_example1_closed_forms():
     beliefs = np.array([[q, 1 - q] for q in np.arange(0.1, 0.95, 0.1)])
     ells0 = np.log(beliefs[:, 0] / beliefs[:, 1])
     kappa0_fn = lambda ells: np.abs(ells)
-    prior = ExactPrior(beliefs=beliefs, values=kappa0_fn(ells0))
+    prior = initial_exact_surface(beliefs, kappa0_fn(ells0), gens, "static")
     worst = 0.0
     for obs in ([0], [0, 1, 0, 0, 1], [1] * 10):
         fixed_prior, data_driven = bernoulli_closed_forms(0.75, 0.25, obs,
                                                           kappa0_fn)
-        up, _ = evolve_exact_tree(prior, gens, obs, "up", "static")
+        up, _ = evolve(prior, gens, obs, "up")
         ells = np.log(up[-1].beliefs[:, 0] / up[-1].beliefs[:, 1])
         worst = max(worst, float(np.max(np.abs(up[-1].values
                                                - fixed_prior(ells)))))
-        dr, _ = evolve_exact_tree(prior, gens, obs, "dr", "static")
+        dr, _ = evolve(prior, gens, obs, "dr")
         ells = np.log(dr[-1].beliefs[:, 0] / dr[-1].beliefs[:, 1])
         worst = max(worst, float(np.max(np.abs(dr[-1].values
                                                - data_driven(ells)))))
@@ -143,11 +146,11 @@ def test_criterion_4_expectation_axioms(oracle_cfg):
 
 
 def _tree_setup(oracle_cfg, horizon=3):
-    prior, gens, _ = _shipped_instance(oracle_cfg)
+    beliefs, values, gens, _ = _shipped_instance(oracle_cfg)
     return TreeSetup(gens=gens, framework="dr",
                      horizon=horizon,
-                     initial_surface=initial_exact_surface(prior, gens,
-                                                           "dynamic"),
+                     initial_surface=initial_exact_surface(beliefs, values,
+                                                           gens, "dynamic"),
                      params=oracle_cfg.params)
 
 
@@ -214,7 +217,8 @@ def test_criterion_7_control_dp(control_cfg):
     started = time.perf_counter()
     problem = ControlProblem(
         labels=tuple(control_cfg.control["labels"]), gens=control_cfg.gens,
-        prior=control_cfg.prior_spec(), grid=control_cfg.grid,
+        initial_surface=control_cfg.initial_surface(),
+        framework=control_cfg.framework,
         horizon=control_cfg.horizon, params=control_cfg.params,
         running_cost=control_cfg.control["running_cost"],
         terminal_cost=StateFunctional(
@@ -267,20 +271,14 @@ def test_criterion_8_up_dr_coincide_under_uniform_emissions():
         table = np.abs(np.log(grid.points[:, 0] / grid.points[:, 1]))
     for framework_pair in ("grid", "exact"):
         if framework_pair == "grid":
-            up, _ = evolve(PriorSpec(initial_penalty=table,
-                                     generator_mode="dynamic",
-                                     framework="up"), gens, obs, grid)
-            dr, _ = evolve(PriorSpec(initial_penalty=table,
-                                     generator_mode="dynamic",
-                                     framework="dr"), gens, obs, grid)
-            pairs = [(a.values, b.values) for a, b in zip(up, dr)]
+            prior = initial_grid_surface(table, gens, grid, "dynamic")
         else:
-            prior = ExactPrior(
-                beliefs=np.array([[0.2, 0.8], [0.5, 0.5], [0.9, 0.1]]),
-                values=np.array([0.3, 0.0, 0.5]))
-            up, _ = evolve_exact_tree(prior, gens, obs, "up", "dynamic")
-            dr, _ = evolve_exact_tree(prior, gens, obs, "dr", "dynamic")
-            pairs = [(a.values, b.values) for a, b in zip(up, dr)]
+            prior = initial_exact_surface(
+                np.array([[0.2, 0.8], [0.5, 0.5], [0.9, 0.1]]),
+                np.array([0.3, 0.0, 0.5]), gens, "dynamic")
+        up, _ = evolve(prior, gens, obs, "up")
+        dr, _ = evolve(prior, gens, obs, "dr")
+        pairs = [(a.values, b.values) for a, b in zip(up, dr)]
         for a, b in pairs:
             finite_a, finite_b = np.isfinite(a), np.isfinite(b)
             assert (finite_a == finite_b).all()
@@ -299,13 +297,15 @@ def test_criterion_9_learning_dichotomy():
                                                  [0.25, 0.75]])),),
         prior_penalty=np.array([0.0]))
     beliefs = np.array([[q, 1 - q] for q in (0.2, 0.35, 0.5, 0.65, 0.8)])
-    prior = ExactPrior(beliefs=beliefs, values=np.zeros(len(beliefs)))
+    zeros = np.zeros(len(beliefs))
     obs = [0, 1, 0, 0, 1, 1, 0, 1, 0, 0]
     up_flat = True
     for scope in ("static", "dynamic"):
-        surfaces, _ = evolve_exact_tree(prior, gens, obs, "up", scope)
+        surfaces, _ = evolve(initial_exact_surface(beliefs, zeros, gens, scope),
+                             gens, obs, "up")
         up_flat &= all(float(np.max(s.values)) == 0.0 for s in surfaces)
-    dr_surfaces, _ = evolve_exact_tree(prior, gens, obs, "dr", "static")
+    dr_surfaces, _ = evolve(initial_exact_surface(beliefs, zeros, gens,
+                                                  "static"), gens, obs, "dr")
     dr_spread = min(float(np.max(s.values)) for s in dr_surfaces[1:])
     _report("criterion 9: flat priors stay flat without data feedback but "
             "sharpen with it", up_flat and dr_spread > 0,

@@ -170,6 +170,22 @@ def test_one_grid_per_run(tmp_path, monkeypatch, command, config, extra,
     assert built == builds
 
 
+def test_oracle_check_builds_each_grid_prior_once(tmp_path, monkeypatch):
+    # the configured grid's prior serves all four exact frameworks; each
+    # convergence resolution builds its own once
+    built = []
+    build = cli.build_grid_prior
+
+    def counted(prior_cfg, grid):
+        built.append(grid.resolution)
+        return build(prior_cfg, grid)
+
+    monkeypatch.setattr(cli, "build_grid_prior", counted)
+    assert run_cli("oracle-check", CONFIGS / "oracle_t3.json",
+                   tmp_path / "run") == 0
+    assert built == [10, *cli.CONVERGENCE_RESOLUTIONS]
+
+
 def test_oracle_check_passes_on_shipped_instance(tmp_path):
     out = tmp_path / "run"
     assert run_cli("oracle-check", CONFIGS / "oracle_t3.json", out) == 0
@@ -354,10 +370,12 @@ def _table_prior_with_nan(cfg):
     ("oracle_t3.json",
      lambda cfg: cfg["generators"][1].update(gamma=10 ** 400),
      "penalty-evolve"),
+    ("example1.json", _set("simulation", "seed", 2 ** 128), "simulate"),
 ], ids=["nan-phi", "inf-phi", "control-gamma-row-not-a-list",
         "nan-control-gamma", "nan-terminal-cost", "nan-running-cost",
         "nan-table-prior", "nan-support-prior", "nan-generator-gamma",
-        "minus-inf-generator-gamma", "huge-generator-gamma"])
+        "minus-inf-generator-gamma", "huge-generator-gamma",
+        "huge-simulation-seed"])
 def test_bad_numbers_exit_2(tmp_path, capsys, name, edit, command):
     path = _edited_config(tmp_path, name, edit)
     assert run_cli(command, path, tmp_path / "run") == 2
@@ -372,4 +390,33 @@ def test_oversized_integer_literal_exits_2(tmp_path, capsys):
     path.write_text(text.replace('"gamma": 0.35', '"gamma": ' + "1" * 5000))
     assert run_cli("penalty-evolve", path, tmp_path / "run") == 2
     assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "run").exists()
+
+
+def test_largest_simulation_seed_runs(tmp_path):
+    path = _edited_config(tmp_path, "example1.json",
+                          _set("simulation", "seed", 2 ** 128 - 1))
+    assert run_cli("simulate", path, tmp_path / "run") == 0
+
+
+def _exclude_every_belief(cfg):
+    cfg["prior"]["values"] = ["inf"] * len(cfg["prior"]["values"])
+
+
+@pytest.mark.parametrize("command,name,edit,extra", [
+    ("penalty-evolve", "oracle_t3.json", _exclude_every_belief, ()),
+    ("expect", "oracle_t3.json", _exclude_every_belief, ()),
+    ("oracle-check", "oracle_t3.json", _exclude_every_belief, ()),
+    ("control", "control_t3.json",
+     _set(None, "prior", {"shape": "table", "values": ["inf"] * 11}), ()),
+    # abs-log-odds puts inf on both cells of a resolution-1 grid
+    ("penalty-evolve", "example1.json", lambda cfg: None,
+     ("--grid-resolution", "1")),
+], ids=["penalty-evolve", "expect", "oracle-check", "control", "override"])
+def test_prior_excluding_every_belief_exits_2(tmp_path, capsys, command, name,
+                                              edit, extra):
+    path = _edited_config(tmp_path, name, edit)
+    assert run_cli(command, path, tmp_path / "run", extra=extra) == 2
+    assert capsys.readouterr().err == (
+        "config error: prior excludes every belief\n")
     assert not (tmp_path / "run").exists()

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from robusthmm import (CapExceeded, ControlProblem, Generator, GeneratorGrid,
-                       PriorSpec, SimplexGrid, StateFunctional,
-                       UncertaintyParams, brute_force, evaluate_policy,
-                       forward_image_step, one_step_expectation, solve)
+                       SimplexGrid, StateFunctional, UncertaintyParams,
+                       brute_force, evaluate_policy, forward_image_step,
+                       initial_exact_surface, initial_grid_surface,
+                       one_step_expectation, solve)
 from robusthmm.control import StateRegistry, decision_nodes
 
 P1 = UncertaintyParams(k=1.0, k_exp=1.0)
@@ -21,12 +22,12 @@ def _uninformative_problem(horizon=2, run_costs=None, terminal=7.5):
         prior_penalty=np.array([0.0]),
         control_penalty=np.array([[0.0], [0.0]]))
     grid = SimplexGrid.build(2, 5)
-    prior = PriorSpec(initial_penalty=np.zeros(len(grid)),
-                      generator_mode="dynamic", framework="dr")
     if run_costs is None:
         run_costs = np.zeros((horizon, 2))
-    return ControlProblem(labels=("a", "b"), gens=gens, prior=prior,
-                          grid=grid, horizon=horizon, params=P1,
+    return ControlProblem(labels=("a", "b"), gens=gens,
+                          initial_surface=initial_grid_surface(
+                              np.zeros(len(grid)), gens, grid, "dynamic"),
+                          framework="dr", horizon=horizon, params=P1,
                           running_cost=np.asarray(run_costs, float),
                           terminal_cost=StateFunctional(
                               values=np.full(2, terminal)))
@@ -42,10 +43,10 @@ def _sensing_problem(horizon=2, grid_m=8):
         prior_penalty=np.array([0.0, 0.0]),
         control_penalty=np.array([[0.0, 2.0], [2.0, 0.0]]))
     grid = SimplexGrid.build(2, grid_m)
-    prior = PriorSpec(initial_penalty=np.zeros(len(grid)),
-                      generator_mode="dynamic", framework="dr")
-    return ControlProblem(labels=("listen", "idle"), gens=gens, prior=prior,
-                          grid=grid, horizon=horizon, params=P1,
+    return ControlProblem(labels=("listen", "idle"), gens=gens,
+                          initial_surface=initial_grid_surface(
+                              np.zeros(len(grid)), gens, grid, "dynamic"),
+                          framework="dr", horizon=horizon, params=P1,
                           running_cost=np.tile([0.3, 0.0], (horizon, 1)),
                           terminal_cost=StateFunctional(
                               values=np.array([2.0, 0.5])))
@@ -228,10 +229,10 @@ def test_brute_force_single_control_equals_policy_evaluation():
         prior_penalty=np.array([0.0]),
         control_penalty=np.array([[0.0]]))
     grid = SimplexGrid.build(2, 6)
-    prior = PriorSpec(initial_penalty=np.zeros(len(grid)),
-                      generator_mode="dynamic", framework="dr")
-    problem = ControlProblem(labels=("only",), gens=gens, prior=prior,
-                             grid=grid, horizon=2, params=P1,
+    problem = ControlProblem(labels=("only",), gens=gens,
+                             initial_surface=initial_grid_surface(
+                                 np.zeros(len(grid)), gens, grid, "dynamic"),
+                             framework="dr", horizon=2, params=P1,
                              running_cost=np.array([[0.5], [0.5]]),
                              terminal_cost=StateFunctional(
                                  values=np.array([1.0, 0.0])))
@@ -254,9 +255,14 @@ def test_static_scope_rejected():
         prior_penalty=np.array([0.0]),
         control_penalty=np.array([[0.0], [0.0]]))
     grid = SimplexGrid.build(2, 4)
-    prior = PriorSpec(initial_penalty=np.zeros(len(grid)),
-                      generator_mode="static", framework="dr")
-    with pytest.raises(ValueError):
-        ControlProblem(labels=("a", "b"), gens=gens, prior=prior, grid=grid,
-                       horizon=1, params=P1, running_cost=np.zeros((1, 2)),
-                       terminal_cost=StateFunctional(values=np.zeros(2)))
+    # a static grid surface and a dynamic exact one
+    for initial in (initial_grid_surface(np.zeros(len(grid)), gens, grid,
+                                         "static"),
+                    initial_exact_surface(grid.points, np.zeros(len(grid)),
+                                          gens, "dynamic")):
+        with pytest.raises(ValueError, match="dynamic generator scope"):
+            ControlProblem(labels=("a", "b"), gens=gens,
+                           initial_surface=initial, framework="dr",
+                           horizon=1, params=P1,
+                           running_cost=np.zeros((1, 2)),
+                           terminal_cost=StateFunctional(values=np.zeros(2)))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from robusthmm import penalty
-from robusthmm import (ExactPrior, Generator, GeneratorGrid, InfeasibleSurface,
-                       PriorSpec, SimplexGrid, StateFunctional, TreeSetup,
+from robusthmm import (Generator, GeneratorGrid, InfeasibleSurface,
+                       SimplexGrid, StateFunctional, TreeSetup,
                        UncertaintyParams, backward_expectation, bsde_decompose,
                        bsde_driver, dr_expectation, fill_backward, gamma_at,
                        initial_exact_surface, initial_grid_surface,
@@ -139,11 +139,9 @@ def _scope_surface(scope, exact):
     gens = ex1_grid_of(2)
     grid = SimplexGrid.build(2, 5)
     if exact:
-        prior = ExactPrior(beliefs=grid.points, values=np.zeros(len(grid)))
-        return gens, initial_exact_surface(prior, gens, scope)
-    prior = PriorSpec(initial_penalty=np.zeros(len(grid)),
-                      generator_mode=scope, framework="dr")
-    return gens, initial_grid_surface(prior, gens, grid)
+        return gens, initial_exact_surface(grid.points, np.zeros(len(grid)),
+                                           gens, scope)
+    return gens, initial_grid_surface(np.zeros(len(grid)), gens, grid, scope)
 
 
 _SCOPED_CALLS = {
@@ -179,15 +177,12 @@ def test_up_and_dr_trees_coincide_without_information():
                     Generator(transition=np.eye(2),
                               emission=np.full((2, 2), 0.5))),
         prior_penalty=np.array([0.0, 0.3]))
-    prior = ExactPrior(beliefs=np.array([[0.2, 0.8], [0.5, 0.5]]),
-                       values=np.array([0.1, 0.0]))
+    prior = initial_exact_surface(np.array([[0.2, 0.8], [0.5, 0.5]]),
+                                  np.array([0.1, 0.0]), gens, "dynamic")
     trees = {}
     for framework in ("up", "dr"):
-        setup = TreeSetup(gens=gens, framework=framework,
-                          horizon=2,
-                          initial_surface=initial_exact_surface(prior, gens,
-                                                                "dynamic"),
-                          params=P1)
+        setup = TreeSetup(gens=gens, framework=framework, horizon=2,
+                          initial_surface=prior, params=P1)
         trees[framework] = backward_expectation(
             StateFunctional(values=np.array([1.0, 0.0])), setup)
     for a, b in zip(trees["up"].nodes, trees["dr"].nodes):
@@ -212,13 +207,11 @@ def test_one_step_monotone_in_payoff():
 
 def _exact_setup(horizon=2, framework="dr", gens=None):
     gens = gens or ex1_grid_of(2)
-    prior = ExactPrior(beliefs=np.array([[0.2, 0.8], [0.5, 0.5], [0.8, 0.2]]),
-                       values=np.array([0.1, 0.0, 0.25]))
-    return TreeSetup(gens=gens, framework=framework,
-                     horizon=horizon,
-                     initial_surface=initial_exact_surface(prior, gens,
-                                                           "dynamic"),
-                     params=P1)
+    prior = initial_exact_surface(
+        np.array([[0.2, 0.8], [0.5, 0.5], [0.8, 0.2]]),
+        np.array([0.1, 0.0, 0.25]), gens, "dynamic")
+    return TreeSetup(gens=gens, framework=framework, horizon=horizon,
+                     initial_surface=prior, params=P1)
 
 
 def test_backward_constant_payoff_propagates():
@@ -246,8 +239,7 @@ def test_backward_matches_direct_recursion_from_enumeration():
     phi = np.array([1.0, 0.0])
     setup = TreeSetup(gens=gens, framework="dr", horizon=2,
                       initial_surface=initial_exact_surface(
-                          ExactPrior(beliefs=beliefs, values=vals), gens,
-                          "dynamic"),
+                          beliefs, vals, gens, "dynamic"),
                       params=P1)
     tree = backward_expectation(StateFunctional(values=phi), setup)
 
@@ -315,10 +307,10 @@ def test_same_surface_nodes_share_values():
                               emission=np.full((2, 2), 0.5))),
         prior_penalty=np.array([0.0, 0.3]))
     grid = SimplexGrid.build(2, 8)
-    prior = PriorSpec(initial_penalty=np.abs(grid.points[:, 0] - 0.5),
-                      generator_mode="dynamic", framework="dr")
     setup = TreeSetup(gens=gens, framework="dr", horizon=2,
-                      initial_surface=initial_grid_surface(prior, gens, grid),
+                      initial_surface=initial_grid_surface(
+                          np.abs(grid.points[:, 0] - 0.5), gens, grid,
+                          "dynamic"),
                       params=P1)
     tree = backward_expectation(StateFunctional(values=np.array([1.0, 0.0])),
                                 setup)
@@ -417,11 +409,10 @@ def test_reconstruction_identity_two_ways():
 
 def _grid_setup(gens, horizon=4, framework="dr"):
     grid = SimplexGrid.build(2, 24)
-    prior = PriorSpec(initial_penalty=np.linspace(0.0, 1.5, len(grid)),
-                      generator_mode="dynamic", framework=framework)
-    return TreeSetup(gens=gens, framework=framework,
-                     horizon=horizon,
-                     initial_surface=initial_grid_surface(prior, gens, grid),
+    return TreeSetup(gens=gens, framework=framework, horizon=horizon,
+                     initial_surface=initial_grid_surface(
+                         np.linspace(0.0, 1.5, len(grid)), gens, grid,
+                         "dynamic"),
                      params=P1)
 
 

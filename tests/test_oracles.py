@@ -248,11 +248,9 @@ def test_gridded_walk_rounds_by_level(scope, framework, monkeypatch):
 # metamorphic properties of the oracles
 
 def _shipped(oracle_cfg):
-    prior = build_exact_prior(oracle_cfg.prior_cfg,
-                              SimplexGrid.build(oracle_cfg.n_states,
-                                                oracle_cfg.grid_resolution))
-    return prior.beliefs, prior.values, oracle_cfg.gens, \
-        list(oracle_cfg.observations)
+    beliefs, values = build_exact_prior(oracle_cfg.prior_values,
+                                        oracle_cfg.grid)
+    return beliefs, values, oracle_cfg.gens, list(oracle_cfg.observations)
 
 
 def _phi_stack(n_states, rows=50, seed=7):
@@ -349,7 +347,6 @@ def test_oracle_check_walks_once_per_prefix_plus_once(oracle_cfg, label,
                                                       monkeypatch):
     walks = _count_calls(monkeypatch, "_walk_models")
     obs = list(oracle_cfg.observations)
-    grid = SimplexGrid.build(oracle_cfg.n_states, oracle_cfg.grid_resolution)
-    reports = _check_one_framework((label, oracle_cfg, grid, obs))
+    reports = _check_one_framework((label, oracle_cfg, obs))
     assert len(walks) == len(obs) + 2
     assert max(r.abs_diff for r in reports) <= 1e-9

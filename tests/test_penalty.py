@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from robusthmm import penalty
-from robusthmm import (CapExceeded, ExactPrior, Generator, GeneratorGrid,
-                       InfeasibleSurface, PriorSpec, SimplexGrid, evolve,
-                       evolve_exact_tree, exact_step, forward_image_step,
-                       initial_exact_surface, project, render_surface_csv)
+from robusthmm import (CapExceeded, Generator, GeneratorGrid,
+                       InfeasibleSurface, SimplexGrid, TreeSetup,
+                       UncertaintyParams, build_observation_tree, evolve,
+                       exact_step, forward_image_step, gamma_at,
+                       initial_exact_surface, initial_grid_surface, project,
+                       render_surface_csv)
 from robusthmm.oracles import oracle_penalty
 from conftest import example1_generator
 
@@ -69,9 +71,7 @@ def test_project_point_mass():
 
 def test_uninformative_step_is_identity_with_zero_normalizer():
     grid = SimplexGrid.build(2, 8)
-    prior = PriorSpec(initial_penalty=np.abs(grid.points[:, 0] - 0.5),
-                      generator_mode="dynamic", framework="up")
-    src = project(prior.initial_penalty, grid)
+    src = project(np.abs(grid.points[:, 0] - 0.5), grid)
     out, report = forward_image_step(src, uninformative_gens(),
                                      np.zeros(1), 0, "up")
     assert np.array_equal(out.values, src.values)
@@ -95,8 +95,7 @@ def test_example1_static_step_is_log_odds_shift():
                          prior_penalty=np.array([0.0]))
     beliefs = np.array([[q, 1 - q] for q in (0.2, 0.35, 0.5, 0.65, 0.8)])
     ells = np.log(beliefs[:, 0] / beliefs[:, 1])
-    prior = ExactPrior(beliefs=beliefs, values=np.abs(ells))
-    src = initial_exact_surface(prior, gens, "static")
+    src = initial_exact_surface(beliefs, np.abs(ells), gens, "static")
     out, _ = exact_step(src, gens, None, 0, "up")
     new_ells = np.log(out.beliefs[:, 0] / out.beliefs[:, 1])
     expected = np.abs(new_ells - np.log(3))
@@ -108,9 +107,10 @@ def test_example1_static_step_is_log_odds_shift():
 
 def test_evolve_empty_observations_returns_projected_prior():
     grid = SimplexGrid.build(2, 5)
-    prior = PriorSpec(initial_penalty=np.zeros(len(grid)),
-                      generator_mode="dynamic", framework="dr")
-    surfaces, reports = evolve(prior, mixed_gens(), [], grid)
+    gens = mixed_gens()
+    surfaces, reports = evolve(
+        initial_grid_surface(np.zeros(len(grid)), gens, grid, "dynamic"),
+        gens, [], "dr")
     assert len(surfaces) == 1 and reports == []
     assert np.array_equal(surfaces[0].values, np.zeros(len(grid)))
 
@@ -121,10 +121,10 @@ def test_static_single_generator_equals_dynamic_with_zero_gamma():
                          prior_penalty=np.array([0.0]))
     table = np.abs(grid.points[:, 0] - 0.4)
     obs = [0, 1, 0]
-    stat, _ = evolve(PriorSpec(initial_penalty=table, generator_mode="static",
-                               framework="dr"), gens, obs, grid)
-    dyn, _ = evolve(PriorSpec(initial_penalty=table, generator_mode="dynamic",
-                              framework="dr"), gens, obs, grid)
+    stat, _ = evolve(initial_grid_surface(table, gens, grid, "static"), gens,
+                     obs, "dr")
+    dyn, _ = evolve(initial_grid_surface(table, gens, grid, "dynamic"), gens,
+                    obs, "dr")
     for s, d in zip(stat, dyn):
         assert np.array_equal(s.values.min(axis=1), d.values)
 
@@ -140,11 +140,10 @@ def test_grid_evolution_matches_rounded_path_enumeration(scope, framework, m,
     gens = mixed_gens(n_gens)
     obs = [0, 1, 0]
     table = np.linspace(0.0, 1.5, len(grid))
-    prior = PriorSpec(initial_penalty=table, generator_mode=scope,
-                      framework=framework)
-    surfaces, _ = evolve(prior, gens, obs, grid)
-    oracle = oracle_penalty(grid.points, prior.initial_penalty, gens, obs,
-                            framework, scope, grid=grid)
+    surfaces, _ = evolve(initial_grid_surface(table, gens, grid, scope), gens,
+                         obs, framework)
+    oracle = oracle_penalty(grid.points, table, gens, obs, framework, scope,
+                            grid=grid)
     final = surfaces[-1]
     if scope == "dynamic":
         engine = {i: v for i, v in enumerate(final.values) if np.isfinite(v)}
@@ -159,9 +158,10 @@ def test_grid_evolution_matches_rounded_path_enumeration(scope, framework, m,
 
 def test_surfaces_stay_normalized_along_evolution():
     grid = SimplexGrid.build(2, 10)
-    prior = PriorSpec(initial_penalty=np.linspace(0, 2, len(grid)),
-                      generator_mode="dynamic", framework="dr")
-    surfaces, _ = evolve(prior, mixed_gens(), [0, 0, 1, 1, 0], grid)
+    gens = mixed_gens()
+    surfaces, _ = evolve(
+        initial_grid_surface(np.linspace(0, 2, len(grid)), gens, grid,
+                             "dynamic"), gens, [0, 0, 1, 1, 0], "dr")
     for s in surfaces:
         finite = s.values[np.isfinite(s.values)]
         assert finite.min() == 0.0
@@ -174,8 +174,8 @@ def test_normalizers_reconstruct_raw_floor():
     beliefs = np.array([[0.2, 0.8], [0.5, 0.5], [0.8, 0.2]])
     vals = np.array([0.3, 0.0, 0.6])
     obs = [0, 1, 0]
-    _, reports = evolve_exact_tree(ExactPrior(beliefs=beliefs, values=vals),
-                                   gens, obs, "dr", "dynamic")
+    _, reports = evolve(initial_exact_surface(beliefs, vals, gens, "dynamic"),
+                        gens, obs, "dr")
     raw_floor = np.inf
     import itertools
     from robusthmm import filter_step
@@ -249,9 +249,7 @@ def test_table_step_is_bit_identical_to_pointwise_step(scope, framework, seed,
     initial = rng.exponential(size=len(grid))
     initial[rng.random(len(grid)) < 0.2] = np.inf
     initial[0] = 0.0
-    prior = PriorSpec(initial_penalty=initial, generator_mode=scope,
-                      framework=framework)
-    surface = penalty.initial_grid_surface(prior, gens, grid)
+    surface = initial_grid_surface(initial, gens, grid, scope)
     for t, y in enumerate([0, 1, 0, 0, 1], start=1):
         gammas = None
         if scope == "dynamic":
@@ -286,9 +284,9 @@ def test_evolve_builds_each_image_once(monkeypatch, scope):
     rounds = _count_calls(monkeypatch, SimplexGrid, "round_to_index")
     grid = SimplexGrid.build(2, 40)
     gens = mixed_gens()
-    prior = PriorSpec(initial_penalty=np.zeros(len(grid)),
-                      generator_mode=scope, framework="dr")
-    surfaces, _ = evolve(prior, gens, [0, 1, 1, 0, 0, 1, 0, 1], grid)
+    surfaces, _ = evolve(
+        initial_grid_surface(np.zeros(len(grid)), gens, grid, scope), gens,
+        [0, 1, 1, 0, 0, 1, 0, 1], "dr")
     assert len(surfaces) == 9
     assert len(images) == len(gens) * gens.n_symbols
     assert rounds == []
@@ -297,9 +295,8 @@ def test_evolve_builds_each_image_once(monkeypatch, scope):
 def test_image_table_lives_with_its_generator_grid():
     grid = SimplexGrid.build(2, 10)
     gens = mixed_gens()
-    prior = PriorSpec(initial_penalty=np.zeros(len(grid)),
-                      generator_mode="dynamic", framework="dr")
-    evolve(prior, gens, [0, 1], grid)
+    evolve(initial_grid_surface(np.zeros(len(grid)), gens, grid, "dynamic"),
+           gens, [0, 1], "dr")
     # an equal grid built elsewhere finds the same table
     assert set(gens.image_tables) == {(SimplexGrid.build(2, 10), 0),
                                       (grid, 1)}
@@ -316,11 +313,14 @@ def test_infinite_gamma_candidate_changes_no_dynamic_surface():
         candidates=base.candidates + (example1_generator(),),
         prior_penalty=np.append(base.prior_penalty, np.inf))
     obs = [0, 1, 1, 0, 1]
+    initial = np.linspace(0, 2, len(grid))
     for framework in ("up", "dr"):
-        prior = PriorSpec(initial_penalty=np.linspace(0, 2, len(grid)),
-                          generator_mode="dynamic", framework=framework)
-        want, want_reports = evolve(prior, base, obs, grid)
-        got, got_reports = evolve(prior, extra, obs, grid)
+        want, want_reports = evolve(
+            initial_grid_surface(initial, base, grid, "dynamic"), base, obs,
+            framework)
+        got, got_reports = evolve(
+            initial_grid_surface(initial, extra, grid, "dynamic"), extra, obs,
+            framework)
         for a, b in zip(want, got):
             assert a.values.tobytes() == b.values.tobytes()
         for a, b in zip(want_reports, got_reports):
@@ -336,20 +336,22 @@ def test_infinite_gamma_candidate_changes_no_dynamic_surface():
 def test_identity_dynamics_keep_initial_support():
     gens = uninformative_gens()
     beliefs = np.array([[0.25, 0.75], [0.5, 0.5]])
-    prior = ExactPrior(beliefs=beliefs, values=np.array([0.0, 0.1]))
-    surfaces, _ = evolve_exact_tree(prior, gens, [0, 1, 0, 1], "up",
-                                    "dynamic")
+    values = np.array([0.0, 0.1])
+    surfaces, _ = evolve(initial_exact_surface(beliefs, values, gens,
+                                               "dynamic"),
+                         gens, [0, 1, 0, 1], "up")
     for s in surfaces:
-        assert np.array_equal(s.beliefs, prior.beliefs)
-        assert np.allclose(s.values, prior.values, atol=1e-15)
+        assert np.array_equal(s.beliefs, beliefs)
+        assert np.allclose(s.values, values, atol=1e-15)
 
 
 def test_example1_reachable_beliefs_sit_on_log_odds_lattice():
     gens = GeneratorGrid(candidates=(example1_generator(),),
                          prior_penalty=np.array([0.0]))
-    prior = ExactPrior(beliefs=np.array([[0.5, 0.5]]), values=np.zeros(1))
+    prior = initial_exact_surface(np.array([[0.5, 0.5]]), np.zeros(1), gens,
+                                  "dynamic")
     for obs in ([0], [0, 1, 0], [1, 1, 0, 0, 1]):
-        surfaces, _ = evolve_exact_tree(prior, gens, obs, "up", "dynamic")
+        surfaces, _ = evolve(prior, gens, obs, "up")
         n0 = sum(1 for y in obs if y == 0)
         ell = np.log(surfaces[-1].beliefs[0, 0] / surfaces[-1].beliefs[0, 1])
         assert abs(ell - (2 * n0 - len(obs)) * np.log(3)) < 1e-12
@@ -357,16 +359,18 @@ def test_example1_reachable_beliefs_sit_on_log_odds_lattice():
 
 def test_two_generators_two_steps_track_at_most_four_beliefs():
     gens = mixed_gens(2)
-    prior = ExactPrior(beliefs=np.array([[0.5, 0.5]]), values=np.zeros(1))
-    surfaces, _ = evolve_exact_tree(prior, gens, [0, 1], "dr", "dynamic")
+    prior = initial_exact_surface(np.array([[0.5, 0.5]]), np.zeros(1), gens,
+                                  "dynamic")
+    surfaces, _ = evolve(prior, gens, [0, 1], "dr")
     assert len(surfaces[-1]) <= 4
 
 
 def test_exact_cap_enforced():
     gens = mixed_gens(3)
-    prior = ExactPrior(beliefs=np.array([[0.5, 0.5]]), values=np.zeros(1))
+    prior = initial_exact_surface(np.array([[0.5, 0.5]]), np.zeros(1), gens,
+                                  "dynamic")
     with pytest.raises(CapExceeded):
-        evolve_exact_tree(prior, gens, [0] * 5, "dr", "dynamic", cap=20)
+        evolve(prior, gens, [0] * 5, "dr", cap=20)
 
 
 def test_impossible_observation_flags_infeasible():
@@ -375,21 +379,71 @@ def test_impossible_observation_flags_infeasible():
                               emission=np.array([[1.0, 0.0], [1.0, 0.0]])),),
         prior_penalty=np.array([0.0]))
     grid = SimplexGrid.build(2, 4)
-    prior = PriorSpec(initial_penalty=np.zeros(len(grid)),
-                      generator_mode="dynamic", framework="up")
+    prior = initial_grid_surface(np.zeros(len(grid)), gens, grid, "dynamic")
     with pytest.raises(InfeasibleSurface):
-        evolve(prior, gens, [1], grid)
+        evolve(prior, gens, [1], "up")
 
 
 def test_zero_prior_dichotomy_small():
     gens = GeneratorGrid(candidates=(example1_generator(),),
                          prior_penalty=np.array([0.0]))
     beliefs = np.array([[0.3, 0.7], [0.5, 0.5], [0.7, 0.3]])
-    prior = ExactPrior(beliefs=beliefs, values=np.zeros(3))
-    up, _ = evolve_exact_tree(prior, gens, [0, 1, 0], "up", "static")
+    prior = initial_exact_surface(beliefs, np.zeros(3), gens, "static")
+    up, _ = evolve(prior, gens, [0, 1, 0], "up")
     assert all(np.max(s.values) == 0.0 for s in up)
-    dr, _ = evolve_exact_tree(prior, gens, [0, 1, 0], "dr", "static")
+    dr, _ = evolve(prior, gens, [0, 1, 0], "dr")
     assert all(np.max(s.values) > 0 for s in dr[1:])
+
+
+def _both_kinds(scope="dynamic"):
+    """A grid surface and an exact surface on the same beliefs, each with
+    its step."""
+    grid = SimplexGrid.build(2, 5)
+    gens = mixed_gens()
+    zeros = np.zeros(len(grid))
+    return gens, {
+        "forward_image_step": (initial_grid_surface(zeros, gens, grid, scope),
+                               forward_image_step),
+        "exact_step": (initial_exact_surface(grid.points, zeros, gens, scope),
+                       exact_step)}
+
+
+@pytest.mark.parametrize("kind", ["forward_image_step", "exact_step"])
+def test_steps_reject_an_unknown_framework(kind):
+    gens, kinds = _both_kinds()
+    surface, step = kinds[kind]
+    with pytest.raises(ValueError, match="bad framework 'bogus'"):
+        step(surface, gens, gamma_at(gens), 0, "bogus")
+    with pytest.raises(ValueError, match="bad framework 'bogus'"):
+        evolve(surface, gens, [0], "bogus")
+    setup = TreeSetup(gens=gens, framework="bogus", horizon=1,
+                      initial_surface=surface,
+                      params=UncertaintyParams(k=1.0))
+    with pytest.raises(ValueError, match="bad framework 'bogus'"):
+        build_observation_tree(setup)
+
+
+def test_initial_surfaces_reject_an_unknown_scope():
+    grid = SimplexGrid.build(2, 5)
+    zeros = np.zeros(len(grid))
+    with pytest.raises(ValueError, match="bad scope 'mixed'"):
+        initial_grid_surface(zeros, mixed_gens(), grid, "mixed")
+    with pytest.raises(ValueError, match="bad scope 'mixed'"):
+        initial_exact_surface(grid.points, zeros, mixed_gens(), "mixed")
+
+
+@pytest.mark.parametrize("scope", ["static", "dynamic"])
+def test_evolve_steps_each_surface_kind_with_its_own_step(monkeypatch, scope):
+    gens, kinds = _both_kinds(scope)
+    calls = {name: _count_calls(monkeypatch, penalty, name) for name in kinds}
+    for kind, (surface, _) in kinds.items():
+        for c in calls.values():
+            c.clear()
+        surfaces, reports = evolve(surface, gens, [0, 1, 0], "dr")
+        assert {name: len(c) for name, c in calls.items()} == {
+            name: 3 if name == kind else 0 for name in kinds}
+        assert [type(s) for s in surfaces] == [type(surface)] * 4
+        assert [r.time for r in reports] == [1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +507,11 @@ def test_renderer_is_byte_identical_to_per_kind_loops(scope, seed, n, m):
     initial[rng.random(len(grid)) < 0.2] = np.inf
     initial[0] = 0.0
     obs = [0, 1, 0]
-    prior = PriorSpec(initial_penalty=initial, generator_mode=scope,
-                      framework="dr")
-    surfaces, reports = evolve(prior, gens, obs, grid)
-    exact = ExactPrior(beliefs=grid.points, values=initial)
-    exact_surfaces, exact_reports = evolve_exact_tree(exact, gens, obs[:2],
-                                                      "dr", scope)
+    surfaces, reports = evolve(initial_grid_surface(initial, gens, grid,
+                                                    scope), gens, obs, "dr")
+    exact_surfaces, exact_reports = evolve(
+        initial_exact_surface(grid.points, initial, gens, scope), gens,
+        obs[:2], "dr")
     cases = ([(surfaces[0], None)] + list(zip(surfaces[1:], reports))
              + [(s, None) for s in surfaces[1:]] + [(exact_surfaces[0], None)]
              + list(zip(exact_surfaces[1:], exact_reports)))
@@ -484,9 +537,10 @@ def test_row_text_lives_with_its_simplex_grid():
 def test_second_render_builds_no_prefixes(monkeypatch):
     builds = _count_calls(monkeypatch, penalty, "_build_row_text")
     grid = SimplexGrid.build(2, 12)
-    prior = PriorSpec(initial_penalty=np.zeros(len(grid)),
-                      generator_mode="static", framework="dr")
-    surfaces, reports = evolve(prior, mixed_gens(), [0, 1, 1], grid)
+    gens = mixed_gens()
+    surfaces, reports = evolve(
+        initial_grid_surface(np.zeros(len(grid)), gens, grid, "static"), gens,
+        [0, 1, 1], "dr")
     first = [render_surface_csv(s, r)
              for s, r in zip(surfaces, [None] + reports)]
     assert len(builds) == 1
@@ -501,10 +555,8 @@ def test_static_and_dynamic_surfaces_keep_separate_row_text():
     # surface has a gen column
     grid = SimplexGrid.build(2, 5)
     dynamic = project(np.zeros(len(grid)), grid)
-    static = penalty.initial_grid_surface(
-        PriorSpec(initial_penalty=np.zeros(len(grid)),
-                  generator_mode="static", framework="up"),
-        uninformative_gens(), grid)
+    static = initial_grid_surface(np.zeros(len(grid)), uninformative_gens(),
+                                  grid, "static")
     texts = [render_surface_csv(s) for s in (dynamic, static, dynamic)]
     assert set(grid.row_text) == {None, 1}
     assert texts[0] == texts[2] == _reference_render_surface_csv(dynamic)
@@ -513,9 +565,9 @@ def test_static_and_dynamic_surfaces_keep_separate_row_text():
 def test_exact_surface_csv_layout():
     gens = GeneratorGrid(candidates=(example1_generator(),),
                          prior_penalty=np.array([0.0]))
-    prior = ExactPrior(beliefs=np.array([[0.4, 0.6], [0.5, 0.5]]),
-                       values=np.array([0.2, 0.0]))
-    surfaces, _ = evolve_exact_tree(prior, gens, [0], "dr", "static")
+    prior = initial_exact_surface(np.array([[0.4, 0.6], [0.5, 0.5]]),
+                                  np.array([0.2, 0.0]), gens, "static")
+    surfaces, _ = evolve(prior, gens, [0], "dr")
     text = render_surface_csv(surfaces[-1])
     lines = text.strip().split("\n")
     assert lines[0] == "p0,p1,gen,value"
