@@ -318,7 +318,7 @@ def build_grid_prior(prior_cfg: dict, grid: SimplexGrid) -> np.ndarray:
                 values[grid.exact_index(b)] = _number(v, "prior.values")
             except ValueError:
                 raise ConfigError(
-                    f"prior support belief {list(b)} is not a grid point "
+                    f"prior support belief {b.tolist()} is not a grid point "
                     f"at resolution {grid.resolution}") from None
     else:
         raise ConfigError(f"unknown prior shape {shape!r}")

@@ -41,8 +41,8 @@ def penalty_to_rho(alpha: float, params: UncertaintyParams) -> float:
     """Convert an accumulated penalty into payoff units.
 
     ``(alpha / k) ** k_exp`` with the conventions ``x ** inf = 0`` for
-    ``x in [0, 1]`` and ``+inf`` otherwise; ``alpha = +inf`` always maps to
-    ``+inf``.
+    ``x in [0, 1]`` and ``+inf`` otherwise; ``k = inf`` charges every finite
+    ``alpha`` nothing, and ``alpha = +inf`` always maps to ``+inf``.
     """
     if alpha < 0:
         raise ValueError("penalties must be nonnegative")
@@ -50,6 +50,8 @@ def penalty_to_rho(alpha: float, params: UncertaintyParams) -> float:
 
 
 def _rho(alpha: np.ndarray, params: UncertaintyParams) -> np.ndarray:
+    if params.k == inf:
+        return np.where(alpha < inf, 0.0, inf)
     if params.k_exp == inf:
         return np.where(alpha <= params.k, 0.0, np.inf)
     with np.errstate(over="ignore"):

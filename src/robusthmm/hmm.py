@@ -41,7 +41,7 @@ def as_filter_state(probs, atol: float = STOCHASTIC_ATOL) -> np.ndarray:
     if np.any(p < 0):
         raise ValueError("belief has negative entries")
     if abs(p.sum() - 1.0) > atol:
-        raise ValueError(f"belief sums to {p.sum()!r}, not 1")
+        raise ValueError(f"belief sums to {float(p.sum())!r}, not 1")
     return p
 
 

@@ -59,8 +59,9 @@ class SimplexGrid:
     ignore the derived arrays, so grids can key memo tables.
 
     ``row_text`` memoizes the text that every surface CSV on this grid
-    repeats (header and fixed leading columns, per candidate axis) for
-    :mod:`robusthmm.penalty`'s renderer; it lives and dies with this object.
+    repeats (header, fixed leading columns and whole excluded-row lines, per
+    candidate axis) for :mod:`robusthmm.penalty`'s renderer; it lives and
+    dies with this object.
     """
 
     n_states: int

@@ -35,10 +35,13 @@ on a belief with a non-finite or negative entry or a sum off 1 by more than
 
 Surface CSVs on one grid share their header and every row's leading columns
 (integer coordinates, belief coordinates and, in the static scope, the
-candidate). That text is formatted once per (grid, candidate axis) into a
-:class:`RowText` memoized in the grid's ``row_text``, which lives exactly as
-long as the :class:`~robusthmm.models.SimplexGrid` object; rendering a grid
-surface then formats only its values and argmin provenance.
+candidate), and an excluded row with no provenance reads the same on every
+surface of the grid. That text (header, leading columns, whole excluded
+lines) is formatted once per (grid, candidate axis) into a :class:`RowText`
+memoized in the grid's ``row_text``, which lives exactly as long as the
+:class:`~robusthmm.models.SimplexGrid` object; rendering a grid surface then
+copies the excluded lines and formats only its live rows, those with a value
+other than ``inf`` or with argmin provenance.
 """
 
 from __future__ import annotations
@@ -475,10 +478,12 @@ def _rows(surface):
 class RowText:
     """The text of a grid surface's CSV that depends only on the grid and
     the candidate axis: the header line and, for each row of :func:`_rows`,
-    its columns before ``value``, each with its trailing separator."""
+    its columns before ``value``, each with its trailing separator, and its
+    whole line as an excluded row with no provenance."""
 
     header: str
     prefixes: tuple[str, ...]
+    excluded: tuple[str, ...]
 
 
 def _row_text(surface) -> RowText:
@@ -508,7 +513,8 @@ def _build_row_text(grid: SimplexGrid, n_gens: int | None) -> RowText:
         names.append("gen")
         cells = [f"{cell}{g}," for cell in cells for g in range(n_gens)]
     header = ",".join(names + ["value", "src_point", "src_gen"]) + "\n"
-    return RowText(header=header, prefixes=tuple(cells))
+    return RowText(header=header, prefixes=tuple(cells),
+                   excluded=tuple(f"{cell}inf,-1,-1\n" for cell in cells))
 
 
 def render_surface_csv(surface, report: StepReport | None = None) -> str:
@@ -518,8 +524,9 @@ def render_surface_csv(surface, report: StepReport | None = None) -> str:
     candidate (surfaces other than :class:`PenaltySurface`; -1 on an exact
     dynamic one), the penalty value (``inf`` for excluded cells), and argmin
     provenance (grid surfaces; -1 without a report). On a grid surface only
-    the values and the provenance are formatted; the rest of each line comes
-    from the grid's :class:`RowText`.
+    the live rows (a value other than ``inf``, or provenance other than -1)
+    format their value and provenance; the rest of each line, and every
+    other row whole, comes from the grid's :class:`RowText`.
     """
     if isinstance(surface, ExactSurface):
         beliefs, values, gen_ids = _rows(surface)
@@ -532,13 +539,19 @@ def render_surface_csv(surface, report: StepReport | None = None) -> str:
                      for row in zip(*(col.tolist() for col in cols)))
         return "\n".join(lines) + "\n"
     text = _row_text(surface)
-    values = surface.values.ravel().tolist()
+    values = surface.values.ravel()
+    live = values != np.inf
+    if report is not None:
+        src, gen = report.argmin_src.ravel(), report.argmin_gen.ravel()
+        live |= (src != -1) | (gen != -1)
+    live = np.flatnonzero(live)
+    rows = list(text.excluded)
+    prefixes = text.prefixes
     if report is None:
-        rows = [f"{prefix}{v!r},-1,-1\n"
-                for prefix, v in zip(text.prefixes, values)]
+        for i, v in zip(live.tolist(), values[live].tolist()):
+            rows[i] = f"{prefixes[i]}{v!r},-1,-1\n"
     else:
-        rows = [f"{prefix}{v!r},{src},{gen}\n"
-                for prefix, v, src, gen in zip(
-                    text.prefixes, values, report.argmin_src.ravel().tolist(),
-                    report.argmin_gen.ravel().tolist())]
+        for i, v, s, g in zip(live.tolist(), values[live].tolist(),
+                              src[live].tolist(), gen[live].tolist()):
+            rows[i] = f"{prefixes[i]}{v!r},{s},{g}\n"
     return text.header + "".join(rows)

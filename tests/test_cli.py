@@ -285,6 +285,40 @@ def test_invalid_probabilities_exit_2(tmp_path, capsys, name, edit, command):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("name,edit,command,extra,message", [
+    ("example1.json",
+     lambda cfg: cfg["simulation"].update(p0=[0.6, 0.6]), "simulate", (),
+     "simulation: belief sums to 1.2, not 1"),
+    ("oracle_t3.json", _set_point_mass([0.6, 0.6]), "penalty-evolve", (),
+     "prior.belief: belief sums to 1.2, not 1"),
+    ("oracle_t3.json", lambda cfg: None, "penalty-evolve",
+     ("--grid-resolution", "7"),
+     "prior support belief [0.2, 0.8] is not a grid point at resolution 7"),
+], ids=["p0-sum", "point-mass-sum", "support-off-grid"])
+def test_config_errors_print_plain_floats(tmp_path, capsys, name, edit,
+                                          command, extra, message):
+    path = _edited_config(tmp_path, name, edit)
+    assert run_cli(command, path, tmp_path / "run", extra=extra) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("k_exp", [1.0, "inf"])
+def test_infinite_k_admits_every_model_and_no_excluded_belief(
+        tmp_path, k_exp):
+    # k = inf charges every finite penalty nothing, as a huge k does under
+    # the hard threshold; excluded beliefs (inf) stay excluded
+    def root_value(uncertainty, label):
+        path = _edited_config(tmp_path, "oracle_t3.json",
+                              _set(None, "uncertainty", uncertainty))
+        out = tmp_path / label
+        assert run_cli("expect", path, out) == 0
+        return read_manifest(out)["root_value"]
+
+    assert (root_value({"k": "inf", "k_exp": k_exp}, "inf")
+            == root_value({"k": 1e6, "k_exp": "inf"}, "huge"))
+
+
 def test_point_mass_prior_pins_one_cell(tmp_path):
     path = _edited_config(tmp_path, "oracle_t3.json",
                           _set_point_mass([0.3, 0.7]))

@@ -47,6 +47,13 @@ def test_rho_hard_threshold_conventions():
         penalty_to_rho(-0.1, P1)
 
 
+@pytest.mark.parametrize("k_exp", [1.0, inf])
+def test_rho_with_infinite_k_keeps_excluded_penalties_infinite(k_exp):
+    params = UncertaintyParams(k=inf, k_exp=k_exp)
+    assert penalty_to_rho(inf, params) == inf
+    assert penalty_to_rho(0.0, params) == penalty_to_rho(7.5, params) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # current-state expectation
 

@@ -3,6 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robusthmm import penalty
 from robusthmm import (CapExceeded, Generator, GeneratorGrid,
@@ -520,6 +522,53 @@ def test_renderer_is_byte_identical_to_per_kind_loops(scope, seed, n, m):
     # unreached cells carry -1 provenance; the one-cell dynamic grid has none
     assert any((r.argmin_src == -1).any() for r in reports) == (
         scope == "static" or n > 1)
+    for surface, report in cases:
+        assert (render_surface_csv(surface, report)
+                == _reference_render_surface_csv(surface, report))
+
+
+@st.composite
+def _render_cases(draw):
+    """A grid surface of either scope whose values hold a random share of
+    ``inf`` and possibly a NaN and a -0.0, rendered without a report, with a
+    hand-built report of arbitrary provenance (an ``inf`` cell may carry
+    some, a finite cell may carry -1), and stepped once with the engine's
+    report."""
+    n = draw(st.integers(1, 4))
+    grid = SimplexGrid.build(n, draw(st.integers(1, (8, 6, 4, 3)[n - 1])))
+    rng = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**32))))
+    gens = _random_gens(rng, n, 2)
+    static = draw(st.booleans())
+    shape = (len(grid), len(gens)) if static else (len(grid),)
+    values = rng.exponential(size=shape)
+    values[rng.random(shape) < draw(st.floats(0.0, 1.0))] = np.inf
+    flat = values.reshape(-1)
+    if draw(st.booleans()):
+        flat[draw(st.integers(0, flat.size - 1))] = np.nan
+    finite = np.isfinite(flat)
+    if finite.any():
+        flat[finite] -= flat[finite].min()
+    if draw(st.booleans()):
+        flat[draw(st.integers(0, flat.size - 1))] = -0.0
+    surface = (penalty.ExtendedPenaltySurface(grid, gens, values, 0) if static
+               else penalty.PenaltySurface(grid, values, 0))
+    hand = penalty.StepReport(time=0, m_t=0.0, infeasible_cells=0,
+                              argmin_src=rng.integers(-1, 3, shape),
+                              argmin_gen=rng.integers(-1, 3, shape))
+    cases = [(surface, None), (surface, hand)]
+    try:
+        stepped, report = forward_image_step(
+            surface, gens, None if static else gamma_at(gens),
+            draw(st.integers(0, 1)), draw(st.sampled_from(["up", "dr"])))
+        cases.append((stepped, report))
+    except InfeasibleSurface:
+        pass
+    return cases
+
+
+@given(_render_cases())
+@settings(max_examples=300, deadline=None)
+def test_renderer_matches_reference_on_arbitrary_surfaces(cases):
     for surface, report in cases:
         assert (render_surface_csv(surface, report)
                 == _reference_render_surface_csv(surface, report))
