@@ -9,8 +9,9 @@ try:
 except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from robusthmm import SimplexGrid, evolve, initial_exact_surface
-from robusthmm.cli import _convergence_error, build_exact_prior, load_config
+from robusthmm import SimplexGrid
+from robusthmm.cli import (_convergence_error, _exact_run, build_exact_prior,
+                           load_config)
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "oracle_t3.json"
 
@@ -18,15 +19,15 @@ CONFIG = Path(__file__).resolve().parent.parent / "configs" / "oracle_t3.json"
 def main() -> None:
     cfg = load_config(str(CONFIG))
     obs = list(cfg.observations)
+    runs: dict = {}  # exact runs shared by every resolution's prior
     beliefs, values = build_exact_prior(cfg.prior_values, cfg.grid)
-    exact, _ = evolve(initial_exact_surface(beliefs, values, cfg.gens,
-                                            "dynamic"), cfg.gens, obs, "dr")
+    exact = _exact_run(runs, beliefs, values, cfg.gens, obs, "dr", "dynamic")
     print(f"observations {obs}; "
           f"{len(exact[-1])} exactly reachable beliefs at t={len(obs)}")
     print(f"{'m':>5} {'cells':>6} {'sup error':>12}")
     for m in (10, 20, 40, 80):
         cells = len(SimplexGrid.build(cfg.n_states, m))
-        worst = _convergence_error((m, cfg, obs))
+        worst = _convergence_error((m, cfg, obs, runs))
         print(f"{m:>5} {cells:>6} {worst:>12.6f}")
 
 

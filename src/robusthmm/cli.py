@@ -35,8 +35,9 @@ from .expectation import (StateFunctional, TreeSetup, UncertaintyParams,
 from .hmm import Generator, as_filter_state, filter_step, simulate_path
 from .models import (DR, DYNAMIC, GeneratorGrid, SimplexGrid,
                      normalize_penalties, parse_framework)
-from .oracles import (OracleReport, oracle_dr_direct, oracle_penalty,
-                      render_report_csv)
+from . import oracles
+from .oracles import (ORACLE_CAP_DEFAULT, OracleReport, payoff_values,
+                      penalty_table, render_report_csv)
 from .penalty import (evolve, initial_exact_surface, initial_grid_surface,
                       render_surface_csv)
 
@@ -149,7 +150,8 @@ def _matrix(raw, shape, where) -> np.ndarray:
 
 def load_config(path: str) -> RunConfig:
     try:
-        raw_bytes = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            raw_bytes = fh.read()
         cfg = json.loads(raw_bytes)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
@@ -527,20 +529,33 @@ def _cmd_control(run: Run) -> int:
 _FRAMEWORK_LABELS = ("static-up", "dynamic-up", "static-dr", "dynamic-dr")
 
 
+def _exact_run(runs: dict, beliefs, values, gens: GeneratorGrid, obs,
+               framework: str, scope: str) -> list:
+    """The exact surfaces of one prior through ``obs``, evolved once per
+    oracle-check: ``runs`` maps (scope, framework, belief bytes, value
+    bytes) of the exact prior to the surfaces already evolved from it."""
+    key = (scope, framework, beliefs.tobytes(), values.tobytes())
+    if key not in runs:
+        runs[key] = evolve(initial_exact_surface(beliefs, values, gens, scope),
+                           gens, obs, framework)[0]
+    return runs[key]
+
+
 def _check_one_framework(args):
     """Exact-tree evolution versus enumeration, plus worst-case expectations
-    against enumerated models, for one framework label."""
-    label, cfg, obs = args
+    against enumerated models, for one framework label. One walk of the
+    model set scores every observation prefix and every payoff."""
+    label, cfg, obs, runs = args
     scope, framework = parse_framework(label)
     beliefs, values = build_exact_prior(cfg.prior_values, cfg.grid)
-    surfaces, _ = evolve(initial_exact_surface(beliefs, values, cfg.gens,
-                                               scope),
-                         cfg.gens, obs, framework)
+    surfaces = _exact_run(runs, beliefs, values, cfg.gens, obs, framework,
+                          scope)
+    levels = oracles._walk_models(beliefs, values, cfg.gens, obs, framework,
+                                  scope, None, ORACLE_CAP_DEFAULT)
     reports = []
-    for t in range(len(surfaces)):
-        oracle = oracle_penalty(beliefs, values, cfg.gens, obs[:t], framework,
-                                scope)
-        engine = surfaces[t].as_lookup()
+    for t, (surface, models) in enumerate(zip(surfaces, levels)):
+        oracle = penalty_table(models, scope)
+        engine = surface.as_lookup()
         if set(oracle) != set(engine):
             reports.append(OracleReport(
                 quantity=f"{label}/penalty_t{t}", oracle_value=float(len(oracle)),
@@ -555,9 +570,8 @@ def _check_one_framework(args):
             instance=f"sup-over-{len(oracle)}-rows"))
     rng = np.random.Generator(np.random.Philox(key=2026))
     phis = rng.uniform(-1.0, 1.0, size=(_PHI_DRAWS, cfg.n_states))
-    oracle_vals = oracle_dr_direct(phis, beliefs, values, cfg.gens, obs,
-                                   framework, scope, k=cfg.params.k,
-                                   k_exp=cfg.params.k_exp)
+    oracle_vals = payoff_values(levels[-1], phis, k=cfg.params.k,
+                                k_exp=cfg.params.k_exp)
     for j, (phi, oracle_val) in enumerate(zip(phis, oracle_vals)):
         engine_val, _ = dr_expectation(phi, surfaces[-1], cfg.params)
         reports.append(OracleReport(quantity=f"{label}/dr_expectation_{j}",
@@ -569,16 +583,16 @@ def _check_one_framework(args):
 
 def _convergence_error(args):
     """Sup-norm gap between a grid run and the exact run, over every step
-    and every reachable exact belief."""
-    resolution, cfg, obs = args
+    and every reachable exact belief. The exact run comes from ``runs``
+    when an earlier item of the same check evolved the same exact prior."""
+    resolution, cfg, obs, runs = args
     grid = SimplexGrid.build(cfg.n_states, resolution)
     values = build_grid_prior(cfg.prior_cfg, grid)
     grid_surfaces, _ = evolve(
         initial_grid_surface(values, cfg.gens, grid, DYNAMIC), cfg.gens, obs,
         DR)
-    exact_surfaces, _ = evolve(
-        initial_exact_surface(*build_exact_prior(values, grid), cfg.gens,
-                              DYNAMIC), cfg.gens, obs, DR)
+    exact_surfaces = _exact_run(runs, *build_exact_prior(values, grid),
+                                cfg.gens, obs, DR, DYNAMIC)
     worst = 0.0
     for g_surf, e_surf in zip(grid_surfaces, exact_surfaces):
         cells = grid.round_rows(e_surf.beliefs)
@@ -590,12 +604,13 @@ def _convergence_error(args):
 def _cmd_oracle_check(run: Run) -> int:
     cfg = run.cfg
     obs = _observations(cfg)
+    runs: dict = {}  # exact runs of this check, see _exact_run
     report_batches = run.pmap(_check_one_framework,
-                              [(label, cfg, obs)
+                              [(label, cfg, obs, runs)
                                for label in _FRAMEWORK_LABELS])
     reports = [r for batch in report_batches for r in batch]
     errors = run.pmap(_convergence_error,
-                      [(m, cfg, obs) for m in CONVERGENCE_RESOLUTIONS])
+                      [(m, cfg, obs, runs) for m in CONVERGENCE_RESOLUTIONS])
     run.add_csv("oracle_report.csv", render_report_csv(reports))
     max_diff = max(r.abs_diff for r in reports)
     run.extra["max_abs_diff"] = max_diff

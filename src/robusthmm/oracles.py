@@ -3,11 +3,14 @@
 Everything here is computed from the defining formulas by plain enumeration:
 walk every (initial belief, generator path) pair with the one-step Bayes
 filter, accumulate its penalty, and group by where it lands. The walk goes
-level by level, extending each surviving path prefix once per generator, and
-lists the models in (prior belief, lexicographic generator path) order. One
-walk scores a whole stack of payoffs. These functions deliberately do not
-import the surface-propagation or expectation engines, so the two routes to
-each quantity stay independent.
+level by level, extending each surviving path prefix once per generator,
+lists the models in (prior belief, lexicographic generator path) order, and
+keeps every level: level ``t`` holds the models of the first ``t``
+observations. One walk therefore serves every observation prefix and a whole
+stack of payoffs; :func:`penalty_table` and :func:`payoff_values` score one
+level each. These functions deliberately do not import the
+surface-propagation or expectation engines, so the two routes to each
+quantity stay independent.
 """
 
 from __future__ import annotations
@@ -52,19 +55,20 @@ def render_report_csv(reports: Sequence[OracleReport]) -> str:
 
 def _walk_models(prior_beliefs, prior_values, gens: GeneratorGrid, obs,
                  framework: str, scope: str, grid: SimplexGrid | None,
-                 cap: int):
-    """Every surviving model: (final belief, accumulated raw penalty,
-    first generator index), in (prior belief, lexicographic generator path)
-    order. Dead models (zero-probability steps or infinite penalty) are
-    skipped.
+                 cap: int) -> list[list]:
+    """The surviving models after every step: level ``t`` lists the models
+    of ``obs[:t]`` as (belief, accumulated raw penalty, first generator
+    index), in (prior belief, lexicographic generator path) order. Dead
+    models (zero-probability steps or infinite penalty) are skipped.
 
-    The walk goes level by level and holds only the current frontier: each
-    surviving prefix is extended once with each admissible generator (in the
-    static scope only its own), so a shared prefix is filtered once, not
-    once per path through it. Each step keeps one fixed float-op sequence,
-    so equal beliefs come out with equal bytes. With a ``grid``, each level
-    is re-rounded by one :meth:`~robusthmm.models.SimplexGrid.round_rows`
-    call, which rounds every row as it would round that row alone.
+    The walk goes level by level: each surviving prefix is extended once
+    with each admissible generator (in the static scope only its own), so a
+    shared prefix is filtered once, not once per path through it. Each step
+    keeps one fixed float-op sequence, so equal beliefs come out with equal
+    bytes. With a ``grid``, each level after the prior is re-rounded by one
+    :meth:`~robusthmm.models.SimplexGrid.round_rows` call, which rounds
+    every row as it would round that row alone. The cap bounds the models
+    of the last level and is checked before any filtering.
     """
     prior_beliefs = np.asarray(prior_beliefs, dtype=np.float64)
     prior_values = np.asarray(prior_values, dtype=np.float64)
@@ -84,6 +88,7 @@ def _walk_models(prior_beliefs, prior_values, gens: GeneratorGrid, obs,
             penalty = float(pen0) + float(gens.prior_penalty[g])
             if np.isfinite(penalty):
                 frontier.append((b0 + 0.0, penalty, g))
+    levels = [frontier]
     gamma = gamma_at(gens)
     for t, y in enumerate(obs, start=1):
         extended = []
@@ -108,28 +113,24 @@ def _walk_models(prior_beliefs, prior_values, gens: GeneratorGrid, obs,
                         for point, (_, step_penalty, first)
                         in zip(grid.points[cells] + 0.0, extended)]
         frontier = extended
-    return frontier
+        levels.append(frontier)
+    return levels
 
 
-def oracle_penalty(prior_beliefs, prior_values, gens: GeneratorGrid,
-                   obs: Sequence[int], framework: str, scope: str,
-                   grid: SimplexGrid | None = None,
-                   cap: int = ORACLE_CAP_DEFAULT) -> dict:
-    """Penalty per reachable terminal belief, by direct enumeration.
+def penalty_table(models: Sequence[tuple], scope: str,
+                  grid: SimplexGrid | None = None) -> dict:
+    """Penalty per reachable belief of one level of :func:`_walk_models`.
 
-    Keys are belief bytes (exact tracking) or grid cell indices (when a
-    ``grid`` makes the filter re-round after every step); in the static scope
-    the key is the (generator index, belief) pair. Values are normalized so
-    the global minimum is zero.
+    Keys are belief bytes (exact tracking) or grid cell indices (with a
+    ``grid``); in the static scope the key is the (generator index, belief)
+    pair. Values are normalized so the global minimum is zero.
     """
-    results = _walk_models(prior_beliefs, prior_values, gens, obs, framework,
-                           scope, grid, cap)
-    if grid is not None and results:
-        wheres = grid.round_rows(np.array([b for b, _, _ in results])).tolist()
+    if grid is not None and models:
+        wheres = grid.round_rows(np.array([b for b, _, _ in models])).tolist()
     else:
-        wheres = [belief.tobytes() for belief, _, _ in results]
+        wheres = [belief.tobytes() for belief, _, _ in models]
     table: dict = {}
-    for where, (_, penalty, g) in zip(wheres, results):
+    for where, (_, penalty, g) in zip(wheres, models):
         key = (g, where) if scope == STATIC else where
         if key not in table or penalty < table[key]:
             table[key] = penalty
@@ -139,35 +140,56 @@ def oracle_penalty(prior_beliefs, prior_values, gens: GeneratorGrid,
     return {k: v - floor for k, v in table.items()}
 
 
-def oracle_dr_direct(phis, prior_beliefs, prior_values, gens: GeneratorGrid,
-                     obs: Sequence[int], framework: str, scope: str, k: float,
-                     k_exp: float = 1.0, grid: SimplexGrid | None = None,
-                     cap: int = ORACLE_CAP_DEFAULT) -> np.ndarray:
-    """Worst-case expectations of terminal-state payoffs by raw enumeration.
-
-    ``phis`` stacks one payoff per row (draws x states); the result holds one
-    value per row. Every model contributes its conditional expectation of
-    the payoff minus its converted, class-normalized penalty; no surface is
-    ever built. One walk of the model set serves every row.
-    """
-    phis = np.asarray(phis, dtype=np.float64)
-    if phis.ndim != 2:
-        raise ValueError(f"phis must be a (draws x states) stack, got shape "
-                         f"{phis.shape}")
-    results = _walk_models(prior_beliefs, prior_values, gens, obs, framework,
-                           scope, grid, cap)
-    if not results:
+def payoff_values(models: Sequence[tuple], phis: np.ndarray, k: float,
+                  k_exp: float = 1.0) -> np.ndarray:
+    """Worst-case expectation of each payoff row of ``phis`` (draws x
+    states) over one level of :func:`_walk_models`: every model contributes
+    its conditional expectation of the payoff minus its converted,
+    class-normalized penalty."""
+    if not models:
         raise DegenerateObservation("every model excludes the observations")
-    floor = min(penalty for _, penalty, _ in results)
+    floor = min(penalty for _, penalty, _ in models)
     rho = []
-    for _, penalty, _ in results:
+    for _, penalty, _ in models:
         alpha = penalty - floor
         if k_exp == inf:
             rho.append(0.0 if alpha <= k else inf)
         else:
             rho.append((alpha / k) ** k_exp)
-    beliefs = np.array([belief for belief, _, _ in results])
+    beliefs = np.array([belief for belief, _, _ in models])
     return (_expectations(beliefs, phis) - np.array(rho)[:, None]).max(axis=0)
+
+
+def oracle_penalty(prior_beliefs, prior_values, gens: GeneratorGrid,
+                   obs: Sequence[int], framework: str, scope: str,
+                   grid: SimplexGrid | None = None,
+                   cap: int = ORACLE_CAP_DEFAULT) -> dict:
+    """Penalty per reachable terminal belief, by direct enumeration: the
+    :func:`penalty_table` of the last level of one walk, which re-rounds
+    to ``grid`` after every step when one is given."""
+    levels = _walk_models(prior_beliefs, prior_values, gens, obs, framework,
+                          scope, grid, cap)
+    return penalty_table(levels[-1], scope, grid)
+
+
+def oracle_dr_direct(phis, prior_beliefs, prior_values, gens: GeneratorGrid,
+                     obs: Sequence[int], framework: str, scope: str, k: float,
+                     k_exp: float = 1.0, grid: SimplexGrid | None = None,
+                     cap: int = ORACLE_CAP_DEFAULT) -> np.ndarray:
+    """Worst-case expectations of terminal-state payoffs by raw enumeration:
+    the :func:`payoff_values` of the last level of one walk.
+
+    ``phis`` stacks one payoff per row (draws x states); the result holds one
+    value per row. No surface is ever built, and one walk of the model set
+    serves every row.
+    """
+    phis = np.asarray(phis, dtype=np.float64)
+    if phis.ndim != 2:
+        raise ValueError(f"phis must be a (draws x states) stack, got shape "
+                         f"{phis.shape}")
+    levels = _walk_models(prior_beliefs, prior_values, gens, obs, framework,
+                          scope, grid, cap)
+    return payoff_values(levels[-1], phis, k, k_exp)
 
 
 def _expectations(beliefs: np.ndarray, phis: np.ndarray) -> np.ndarray:

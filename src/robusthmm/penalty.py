@@ -148,10 +148,12 @@ class StepReport:
 
 
 def _check_normalized(values: np.ndarray, atol: float = 1e-12) -> None:
+    """Every entry is >= 0 or ``+inf`` (no NaN, no negative value), and the
+    least finite entry, if any, is within ``atol`` of zero."""
+    if not (values >= 0).all():
+        raise ValueError("surface values must be >= 0 or +inf")
     finite = values[np.isfinite(values)]
-    if finite.size == 0:
-        return
-    if abs(finite.min()) > atol or np.any(finite < 0):
+    if finite.size and finite.min() > atol:
         raise ValueError("surface is not normalized to minimum zero")
 
 
@@ -240,9 +242,10 @@ def _candidate_penalties(surface, gens: GeneratorGrid,
     Returns the surface's beliefs and a (candidates x beliefs) matrix of
     continuation penalties. In the dynamic scope every candidate may follow
     every belief, at the belief's penalty plus the candidate's per-step
-    ``gammas``. In the static scope a row continues under its own candidate
-    only, at its own penalty, and is ``inf`` under every other; ``gammas``
-    must then be None.
+    ``gammas``; a sum beyond the float64 range is ``inf``, so that
+    continuation is excluded as under an ``inf`` gamma. In the static scope
+    a row continues under its own candidate only, at its own penalty, and
+    is ``inf`` under every other; ``gammas`` must then be None.
     """
     static = _static(surface)
     if static and gammas is not None:
@@ -253,7 +256,8 @@ def _candidate_penalties(surface, gens: GeneratorGrid,
         return surface.grid.points, surface.values.T
     beliefs, values, gen_ids = _rows(surface)
     if not static:
-        return beliefs, values[None, :] + np.asarray(gammas, float)[:, None]
+        with np.errstate(over="ignore"):
+            return beliefs, values[None, :] + np.asarray(gammas, float)[:, None]
     before = np.full((len(gens), len(values)), np.inf)
     before[gen_ids, np.arange(len(values))] = values
     return beliefs, before

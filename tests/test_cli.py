@@ -1,13 +1,16 @@
 import json
 import os
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from robusthmm import cli
+from robusthmm import cli, penalty
 from robusthmm.cli import load_config, main
 from robusthmm.errors import ConfigError
 from robusthmm.models import SimplexGrid
+from robusthmm.penalty import evolve, initial_exact_surface, initial_grid_surface
 from conftest import CONFIGS
 
 
@@ -197,6 +200,103 @@ def test_oracle_check_passes_on_shipped_instance(tmp_path):
     header = lines[0].split(",")
     col = header.index("abs_diff")
     assert max(float(line.split(",")[col]) for line in lines[1:]) <= 1e-9
+
+
+def _count_exact_steps(monkeypatch):
+    steps = []
+    original = penalty.exact_step
+
+    def counted(*args, **kwargs):
+        steps.append(args[0].time)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(penalty, "exact_step", counted)
+    return steps
+
+
+def test_oracle_check_evolves_each_exact_prior_once(tmp_path, monkeypatch):
+    # the shipped support prior is the same exact prior at the configured
+    # resolution and at 10, 20 and 40: four frameworks of three steps each,
+    # and the convergence sweep reuses the dynamic-dr run
+    steps = _count_exact_steps(monkeypatch)
+    assert run_cli("oracle-check", CONFIGS / "oracle_t3.json",
+                   tmp_path / "run") == 0
+    assert len(steps) == 4 * 3
+
+
+def test_convergence_errors_of_priors_that_differ_by_resolution(tmp_path,
+                                                                monkeypatch):
+    # a zero prior's exact prior is every grid point, so each resolution
+    # evolves its own exact run; only resolution 10 shares the dynamic-dr one
+    path = _edited_config(tmp_path, "oracle_t3.json",
+                          _set(None, "prior", {"shape": "zero"}))
+    steps = _count_exact_steps(monkeypatch)
+    out = tmp_path / "run"
+    assert run_cli("oracle-check", path, out) == 0
+    assert len(steps) == 4 * 3 + 2 * 3
+    cfg = load_config(str(path))
+    obs = list(cfg.observations)
+    expected = []
+    for m in cli.CONVERGENCE_RESOLUTIONS:
+        grid = SimplexGrid.build(cfg.n_states, m)
+        values = cli.build_grid_prior(cfg.prior_cfg, grid)
+        gridded, _ = evolve(initial_grid_surface(values, cfg.gens, grid,
+                                                 "dynamic"), cfg.gens, obs,
+                            "dr")
+        exact, _ = evolve(initial_exact_surface(
+            *cli.build_exact_prior(values, grid), cfg.gens, "dynamic"),
+            cfg.gens, obs, "dr")
+        expected.append(max(
+            float(np.max(np.abs(g.values[grid.round_rows(e.beliefs)]
+                                - e.values)))
+            for g, e in zip(gridded, exact)))
+    assert len(set(expected)) == 3
+    assert read_manifest(out)["grid_convergence"]["sup_errors"] == expected
+
+
+def test_exact_runs_are_keyed_by_the_whole_exact_prior(oracle_cfg):
+    beliefs, values = cli.build_exact_prior(oracle_cfg.prior_values,
+                                            oracle_cfg.grid)
+    obs = list(oracle_cfg.observations)
+    runs = {}
+
+    def run(b, v, framework="dr", scope="dynamic"):
+        return cli._exact_run(runs, b, v, oracle_cfg.gens, obs, framework,
+                              scope)
+
+    first = run(beliefs, values)
+    assert run(beliefs.copy(), values.copy()) is first
+    others = [run(beliefs, values[::-1].copy()), run(beliefs[::-1].copy(),
+                                                     values),
+              run(beliefs, values, framework="up"),
+              run(beliefs, values, scope="static")]
+    assert len(runs) == 5 and all(o is not first for o in others)
+
+
+def test_load_config_closes_the_config_file(monkeypatch):
+    opened = []
+
+    def tracked(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(cli, "open", tracked, raising=False)
+    load_config(str(CONFIGS / "oracle_t3.json"))
+    assert len(opened) == 1 and opened[0].closed
+
+
+@pytest.mark.parametrize("command", ["penalty-evolve", "expect",
+                                     "oracle-check"])
+def test_overflowing_gamma_excludes_its_continuations_quietly(tmp_path, capsys,
+                                                              command):
+    # 1e308 per step leaves float64 range after two steps; that continuation
+    # is excluded like an inf gamma, with no overflow warning
+    path = _edited_config(tmp_path, "oracle_t3.json",
+                          lambda cfg: cfg["generators"][1].update(gamma=1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(command, path, tmp_path / "run") == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_static_framework_pipelines(tmp_path):

@@ -158,7 +158,7 @@ def _uniform_gens(n=2, d=2):
 
 def _log_likelihood(belief, obs, gens):
     (_, penalty, _), = _walk_models([belief], [0.0], gens, obs, "dr",
-                                    "static", None, ORACLE_CAP_DEFAULT)
+                                    "static", None, ORACLE_CAP_DEFAULT)[-1]
     return -penalty
 
 
@@ -256,7 +256,7 @@ def test_dynamic_model_points_and_degenerate_propagation():
                          prior_penalty=np.array([0.0, 0.0]))
     p0 = np.array([[1.0, 0.0]])
     survivors = _walk_models(p0, [0.0], gens, [0, 1], "dr", "dynamic", None,
-                             ORACLE_CAP_DEFAULT)
+                             ORACLE_CAP_DEFAULT)[-1]
     assert len(survivors) == 2  # paths (0, 0) and (1, 0) of the four
     only_noiseless = GeneratorGrid(candidates=(noiseless,),
                                    prior_penalty=np.array([0.0]))

@@ -200,11 +200,14 @@ def test_walk_matches_path_by_path_reference(seed, scope, framework):
     for horizon in range(4):
         obs = [int(y) for y in rng.integers(0, d, size=horizon)]
         for grid in (None, SimplexGrid.build(n, 7)):
-            walked = _walk_models(beliefs, values, gens, obs, framework,
+            levels = _walk_models(beliefs, values, gens, obs, framework,
                                   scope, grid, ORACLE_CAP_DEFAULT)
-            reference = _reference_walk(beliefs, values, gens, obs,
-                                        framework, scope, grid)
-            assert _as_bits(walked) == _as_bits(reference)
+            # level t holds the models of the prefix obs[:t]
+            assert len(levels) == horizon + 1
+            for t, level in enumerate(levels):
+                reference = _reference_walk(beliefs, values, gens, obs[:t],
+                                            framework, scope, grid)
+                assert _as_bits(level) == _as_bits(reference)
             if not reference:
                 continue
             phis = rng.uniform(-1.0, 1.0, size=(5, n))
@@ -343,10 +346,11 @@ def test_cap_is_checked_before_walking(monkeypatch):
 
 @pytest.mark.parametrize("label", ["static-up", "dynamic-up", "static-dr",
                                    "dynamic-dr"])
-def test_oracle_check_walks_once_per_prefix_plus_once(oracle_cfg, label,
-                                                      monkeypatch):
+def test_oracle_check_walks_once(oracle_cfg, label, monkeypatch):
+    # one walk scores every prefix's penalties and all 50 payoffs
     walks = _count_calls(monkeypatch, "_walk_models")
     obs = list(oracle_cfg.observations)
-    reports = _check_one_framework((label, oracle_cfg, obs))
-    assert len(walks) == len(obs) + 2
+    reports = _check_one_framework((label, oracle_cfg, obs, {}))
+    assert len(walks) == 1
+    assert len(reports) == len(obs) + 1 + 50
     assert max(r.abs_diff for r in reports) <= 1e-9

@@ -170,6 +170,28 @@ def test_surfaces_stay_normalized_along_evolution():
         assert np.all(finite >= 0)
 
 
+def _surface_of(kind, values):
+    """A surface of ``kind`` holding ``values`` (four entries) as given."""
+    values = np.asarray(values, dtype=np.float64)
+    if kind == "grid":
+        return penalty.PenaltySurface(SimplexGrid.build(2, 3), values, 0)
+    if kind == "extended":
+        return penalty.ExtendedPenaltySurface(
+            SimplexGrid.build(2, 1), mixed_gens(2), values.reshape(2, 2), 0)
+    beliefs = SimplexGrid.build(2, 3).points
+    return penalty.ExactSurface(beliefs, values, None, 0)
+
+
+@pytest.mark.parametrize("kind", ["grid", "extended", "exact"])
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, -1e-300])
+def test_surfaces_reject_values_below_zero_or_nan(kind, bad):
+    assert _surface_of(kind, [0.0, np.inf, 1.0, -0.0]).values.ravel()[1] == np.inf
+    with pytest.raises(ValueError, match=">= 0 or \\+inf"):
+        _surface_of(kind, [0.0, bad, 1.0, 2.0])
+    with pytest.raises(ValueError, match="minimum zero"):
+        _surface_of(kind, [0.5, np.inf, 1.0, 2.0])
+
+
 def test_normalizers_reconstruct_raw_floor():
     # the per-step normalizers sum to the smallest raw accumulated penalty
     gens = mixed_gens()
@@ -530,7 +552,7 @@ def test_renderer_is_byte_identical_to_per_kind_loops(scope, seed, n, m):
 @st.composite
 def _render_cases(draw):
     """A grid surface of either scope whose values hold a random share of
-    ``inf`` and possibly a NaN and a -0.0, rendered without a report, with a
+    ``inf`` and possibly a -0.0, rendered without a report, with a
     hand-built report of arbitrary provenance (an ``inf`` cell may carry
     some, a finite cell may carry -1), and stepped once with the engine's
     report."""
@@ -543,8 +565,6 @@ def _render_cases(draw):
     values = rng.exponential(size=shape)
     values[rng.random(shape) < draw(st.floats(0.0, 1.0))] = np.inf
     flat = values.reshape(-1)
-    if draw(st.booleans()):
-        flat[draw(st.integers(0, flat.size - 1))] = np.nan
     finite = np.isfinite(flat)
     if finite.any():
         flat[finite] -= flat[finite].min()
