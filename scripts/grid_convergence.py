@@ -11,7 +11,7 @@ except ImportError:
 
 from robusthmm import SimplexGrid
 from robusthmm.cli import (_convergence_error, _exact_run, build_exact_prior,
-                           load_config)
+                           build_grid_prior, load_config)
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "oracle_t3.json"
 
@@ -26,9 +26,10 @@ def main() -> None:
           f"{len(exact[-1])} exactly reachable beliefs at t={len(obs)}")
     print(f"{'m':>5} {'cells':>6} {'sup error':>12}")
     for m in (10, 20, 40, 80):
-        cells = len(SimplexGrid.build(cfg.n_states, m))
-        worst = _convergence_error((m, cfg, obs, runs))
-        print(f"{m:>5} {cells:>6} {worst:>12.6f}")
+        grid = SimplexGrid.build(cfg.n_states, m)
+        prior = (grid, build_grid_prior(cfg.prior_cfg, grid))
+        worst = _convergence_error((prior, cfg, obs, runs))
+        print(f"{m:>5} {len(grid):>6} {worst:>12.6f}")
 
 
 if __name__ == "__main__":

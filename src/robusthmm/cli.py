@@ -306,7 +306,9 @@ def build_grid_prior(prior_cfg: dict, grid: SimplexGrid) -> np.ndarray:
         raw_vals = _require(prior_cfg, "values", "prior")
         if not isinstance(raw_vals, list) or len(raw_vals) != len(grid):
             raise ConfigError(
-                f"prior.values must list one value per grid point ({len(grid)})")
+                f"prior.values must list one value per grid point "
+                f"({len(grid)} at resolution {grid.resolution}); a table "
+                f"prior exists at one resolution only")
         values = np.array([_number(v, "prior.values") for v in raw_vals])
     elif shape == "support":
         beliefs = _require(prior_cfg, "beliefs", "prior")
@@ -582,12 +584,11 @@ def _check_one_framework(args):
 
 
 def _convergence_error(args):
-    """Sup-norm gap between a grid run and the exact run, over every step
-    and every reachable exact belief. The exact run comes from ``runs``
-    when an earlier item of the same check evolved the same exact prior."""
-    resolution, cfg, obs, runs = args
-    grid = SimplexGrid.build(cfg.n_states, resolution)
-    values = build_grid_prior(cfg.prior_cfg, grid)
+    """Sup-norm gap between a grid run from a (grid, prior values) pair and
+    the exact run, over every step and every reachable exact belief. The
+    exact run comes from ``runs`` when an earlier item of the same check
+    evolved the same exact prior."""
+    (grid, values), cfg, obs, runs = args
     grid_surfaces, _ = evolve(
         initial_grid_surface(values, cfg.gens, grid, DYNAMIC), cfg.gens, obs,
         DR)
@@ -604,13 +605,17 @@ def _convergence_error(args):
 def _cmd_oracle_check(run: Run) -> int:
     cfg = run.cfg
     obs = _observations(cfg)
+    # every sweep prior is built before any check runs, so a bad one fails fast
+    grids = [SimplexGrid.build(cfg.n_states, m)
+             for m in CONVERGENCE_RESOLUTIONS]
+    sweep = [(grid, build_grid_prior(cfg.prior_cfg, grid)) for grid in grids]
     runs: dict = {}  # exact runs of this check, see _exact_run
     report_batches = run.pmap(_check_one_framework,
                               [(label, cfg, obs, runs)
                                for label in _FRAMEWORK_LABELS])
     reports = [r for batch in report_batches for r in batch]
     errors = run.pmap(_convergence_error,
-                      [(m, cfg, obs, runs) for m in CONVERGENCE_RESOLUTIONS])
+                      [(prior, cfg, obs, runs) for prior in sweep])
     run.add_csv("oracle_report.csv", render_report_csv(reports))
     max_diff = max(r.abs_diff for r in reports)
     run.extra["max_abs_diff"] = max_diff

@@ -8,8 +8,12 @@ under the control's penalty row, so it depends on the (state, control, symbol)
 triple alone and each triple is stepped once. One enumerator lists the
 reachable surfaces per history node (deduplicated by value hash, bounded by
 the state cap), expanding the controls ``controls(history)`` names: all of
-them for the solver, the policy's choice for the evaluator. Values are then
-filled bottom up, and a policy is a plain ``{history: control}`` map.
+them for the solver, the policy's choice for the evaluator. A level's new
+triples go through the level kernel together, one call per (control,
+symbol), and are then interned in (history, state, control, symbol) order,
+so state ids do not depend on the batching. Values are then filled bottom
+up, one batched leaf scan and one batched q-value scan per level, and a
+policy is a plain ``{history: control}`` map.
 
 Costs: choosing control ``u`` at a node of depth ``t`` pays the running cost
 indexed ``t`` immediately; the terminal cost is charged against the leaf
@@ -25,10 +29,9 @@ from math import inf
 import numpy as np
 
 from .errors import CapExceeded, InfeasibleSurface
-from .expectation import (StateFunctional, UncertaintyParams, _rho,
-                          one_step_expectation)
+from .expectation import StateFunctional, UncertaintyParams, _rho, _sup_rows
 from .models import GeneratorGrid, gamma_at
-from .penalty import PenaltySurface, forward_image_step
+from .penalty import PenaltySurface, _blocks, step_level
 
 STATE_CAP_DEFAULT = 20000
 POLICY_CAP_DEFAULT = 10 ** 7
@@ -135,15 +138,32 @@ class ControlSolution:
 def terminal_value(cost: np.ndarray, surface: PenaltySurface,
                    params: UncertaintyParams):
     """Leaf value: infimum over beliefs of expected cost minus converted
-    penalty, scanning only beliefs the surface does not exclude."""
-    rho = _rho(surface.values, params)
-    usable = np.isfinite(rho)
-    if not usable.any():
-        raise InfeasibleSurface("terminal surface excludes every belief")
-    scores = surface.grid.points[usable] @ np.asarray(cost, float) - rho[usable]
-    pos = int(np.argmin(scores))
-    idx = np.nonzero(usable)[0][pos]
-    return float(scores[pos]), surface.grid.points[idx].copy()
+    penalty, scanning only beliefs the surface does not exclude. The
+    one-surface case of :func:`_terminal_rows`."""
+    (value,), (cell,) = _terminal_rows(cost, [surface], params)
+    return value, surface.grid.points[cell].copy()
+
+
+def _terminal_rows(cost, surfaces: list, params: UncertaintyParams):
+    """:func:`terminal_value` of a level's surfaces: lists of the values and
+    argmin cells. The cells' cost is computed once; a surface with one
+    usable cell costs it alone, as that one-row product rounds apart from
+    the full one."""
+    cost = np.asarray(cost, float)
+    points = surfaces[0].grid.points
+    linear, values, cells = points @ cost, [], []
+    for block in _blocks(surfaces, len(points)):
+        rho = _rho(np.array([s.values for s in surfaces[block]]), params)
+        usable = np.isfinite(rho)
+        if not usable.any(axis=1).all():
+            raise InfeasibleSurface("terminal surface excludes every belief")
+        scores = np.where(usable, linear - rho, inf)
+        for r in np.flatnonzero(usable.sum(axis=1) == 1):
+            scores[r, usable[r]] = points[usable[r]] @ cost - rho[r, usable[r]]
+        pick = scores.argmin(axis=1)
+        cells.extend(pick.tolist())
+        values.extend(scores[np.arange(len(scores)), pick].tolist())
+    return values, cells
 
 
 def _enumerate_states(problem: ControlProblem, root_history: tuple,
@@ -164,17 +184,28 @@ def _enumerate_states(problem: ControlProblem, root_history: tuple,
     total = 1
     for _ in range(problem.horizon - len(root_history)):
         level, new_level = levels[-1], {}
+        expand = {history: controls(history) for history in level}
+        # (state, control) -> children per symbol; a pair's triples are
+        # stepped together, so symbol 0 stands for all of them
+        stepped = {}
+        for u in range(problem.n_controls):
+            ids = list(dict.fromkeys(
+                s for history, state_ids in level.items()
+                if u in expand[history] for s in state_ids
+                if (s, u, 0) not in successors))
+            if ids:
+                stepped.update(zip(((s, u) for s in ids), step_level(
+                    [registry.surfaces[s] for s in ids], problem.gens,
+                    gammas[u], problem.framework)))
         for history, state_ids in level.items():
             child_lists = {history + (y,): [] for y in range(d)}
             for state_id in state_ids:
-                for u in controls(history):
+                for u in expand[history]:
                     for y in range(d):
                         child_id = successors.get((state_id, u, y))
                         if child_id is None:
-                            child, _ = forward_image_step(
-                                registry.surfaces[state_id], problem.gens,
-                                gammas[u], y, problem.framework)
-                            child_id = registry.intern(child)
+                            child_id = registry.intern(
+                                stepped[(state_id, u)][y])
                             successors[(state_id, u, y)] = child_id
                         bucket = child_lists[history + (y,)]
                         if child_id not in bucket:
@@ -198,29 +229,28 @@ def _fill_values(problem: ControlProblem, registry, levels, successors,
     going to the control listed first.
     """
     d = problem.gens.n_symbols
-    values: dict = {}
-    for history, state_ids in levels[-1].items():
-        for state_id in state_ids:
-            val, _ = terminal_value(problem.terminal_cost.values,
-                                    registry.surfaces[state_id],
-                                    problem.params)
-            values[(history, state_id)] = ControlValue(val, None, None)
+    leaves = [(h, s) for h, state_ids in levels[-1].items() for s in state_ids]
+    leaf_values, _ = _terminal_rows(
+        problem.terminal_cost.values,
+        [registry.surfaces[s] for _, s in leaves], problem.params)
+    values = {key: ControlValue(value, None, None)
+              for key, value in zip(leaves, leaf_values)}
     for level in reversed(levels[:-1]):
+        expand = {history: controls(history) for history in level}
+        scans = [(history, s, u) for history, state_ids in level.items()
+                 for s in state_ids for u in expand[history]]
+        payoffs = [[values[(h + (y,), successors[(s, u, y)])].value
+                    for y in range(d)] for h, s, u in scans]
+        sups = dict(zip(scans, _sup_rows(
+            [registry.surfaces[s] for _, s, _ in scans], payoffs,
+            problem.gens, np.zeros(len(problem.gens)), problem.params)))
         for history, state_ids in level.items():
-            t = len(history)
-            us = controls(history)
+            t, us = len(history), expand[history]
             for state_id in state_ids:
                 q_values = [inf] * problem.n_controls
                 for u in us:
-                    xi = np.array([
-                        values[(history + (y,),
-                                successors[(state_id, u, y)])].value
-                        for y in range(d)])
-                    sup = one_step_expectation(xi, registry.surfaces[state_id],
-                                               problem.gens,
-                                               np.zeros(len(problem.gens)),
-                                               problem.params)
-                    q_values[u] = float(problem.running_cost[t, u]) + sup
+                    q_values[u] = (float(problem.running_cost[t, u])
+                                   + sups[(history, state_id, u)])
                 pick = us[int(np.argmin([q_values[u] for u in us]))]
                 values[(history, state_id)] = ControlValue(
                     float(q_values[pick]), pick, tuple(q_values))

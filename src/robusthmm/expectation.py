@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import CapExceeded, InfeasibleSurface
 from .models import GeneratorGrid
-from .penalty import _candidate_penalties, _default_gammas, _rows, _step_for
+from .penalty import (ExactSurface, _blocks, _candidate_penalties,
+                      _default_gammas, _rows, step_level)
 
 TREE_CAP_DEFAULT = 4096
 
@@ -77,33 +78,65 @@ def dr_expectation(phi, surface, params: UncertaintyParams):
 
     Scans every tracked belief (and candidate, where the surface carries
     them) exactly; returns the value and the first argmax belief in
-    canonical order.
+    canonical order. The one-surface case of :func:`_dr_scores`.
     """
-    phi = np.asarray(phi, dtype=np.float64)
-    beliefs, penalties, _ = _rows(surface)
-    scores = beliefs @ phi - _rho(penalties, params)
-    best = int(np.argmax(scores))
-    if scores[best] == -inf:
+    beliefs = _rows(surface)[0]
+    (value,), (best,) = _dr_scores(beliefs @ np.asarray(phi, float),
+                                   surface.values.ravel()[None], params)
+    return value, beliefs[best].copy()
+
+
+def _dr_scores(linear, penalties, params: UncertaintyParams):
+    """Per row of a (surfaces x rows) penalty block on one set of beliefs
+    whose payoff is ``linear``: the sup of payoff minus rho and its first
+    argmax row, as lists."""
+    scores = linear - _rho(penalties, params)
+    best = scores.argmax(axis=1)
+    values = scores[np.arange(len(scores)), best].tolist()
+    if -inf in values:
         raise InfeasibleSurface("surface excludes every belief")
-    return float(scores[best]), beliefs[best].copy()
+    return values, best.tolist()
 
 
-def _predictive_rows(beliefs: np.ndarray, gen) -> np.ndarray:
-    return (beliefs @ gen.transition.T) @ gen.emission
+def _dr_rows(surfaces, phi, params: UncertaintyParams) -> list:
+    """:func:`dr_expectation` values of a level's surfaces. A grid's beliefs
+    are scored once, against each block of penalties."""
+    phi = np.asarray(phi, dtype=np.float64)
+    values, linear = [], None
+    for block in _blocks(surfaces, surfaces[0].values.size):
+        chunk = surfaces[block]
+        if linear is None or isinstance(chunk[0], ExactSurface):
+            linear = _rows(chunk[0])[0] @ phi
+        values += _dr_scores(linear, np.array([s.values.ravel()
+                                               for s in chunk]), params)[0]
+    return values
 
 
-def _sup_over_models(linear_fn, surface, gens: GeneratorGrid,
-                     gammas: np.ndarray | None, params: UncertaintyParams,
-                     ) -> float:
-    """Maximize ``linear_fn(predictive row) - rho(penalty)`` over every
-    (candidate, belief) pair, at the continuation penalties of
-    :func:`~robusthmm.penalty._candidate_penalties`."""
-    beliefs, before = _candidate_penalties(surface, gens, gammas)
-    scores = np.array([linear_fn(_predictive_rows(beliefs, gen))
-                       - _rho(before[g], params)
-                       for g, gen in enumerate(gens.candidates)])
-    best = float(scores.max()) if scores.size else -inf
-    if best == -inf:
+def _sup_rows(surfaces, payoffs, gens: GeneratorGrid,
+              gammas: np.ndarray | None, params: UncertaintyParams,
+              centered: bool = False) -> list:
+    """The batched sup scan: per surface ``r``, the max over (candidate,
+    belief) of the predictive symbol row (less ``1 / d`` when ``centered``,
+    the BSDE pairing) dotted with ``payoffs[r]``, minus rho of the
+    continuation penalty. A grid's rows are memoized in ``gens.predictive``
+    and paired with each payoff by its own matrix-vector product."""
+    payoffs = np.asarray(payoffs, dtype=np.float64)
+    best = []
+    for block in _blocks(surfaces, len(gens) * surfaces[0].values.shape[0]):
+        beliefs, before = _candidate_penalties(surfaces[block], gens, gammas)
+        key = getattr(surfaces[block.start], "grid", None)
+        preds = gens.predictive.get(key)
+        if preds is None:
+            preds = np.stack([(beliefs @ gen.transition.T) @ gen.emission
+                              for gen in gens.candidates])
+            if key is not None:
+                gens.predictive[key] = preds
+        if centered:
+            preds = preds - 1.0 / gens.n_symbols
+        linear = (preds[None] @ payoffs[block, None, :, None])[..., 0]
+        scores = (linear - _rho(before, params)).reshape(len(linear), -1)
+        best.extend(scores.max(axis=1).tolist() if scores.size else [-inf])
+    if -inf in best:
         raise InfeasibleSurface("every model is excluded in the one-step scan")
     return best
 
@@ -114,11 +147,10 @@ def one_step_expectation(xi_next, surface, gens: GeneratorGrid,
     """Worst-case expectation of a next-symbol payoff vector.
 
     ``xi_next[y]`` is the value attained if symbol ``y`` is observed next;
-    the scan weighs it by each model's predictive symbol distribution.
+    the scan weighs it by each model's predictive symbol distribution; the
+    one-surface case of :func:`_sup_rows`.
     """
-    xi = np.asarray(xi_next, dtype=np.float64)
-    return _sup_over_models(lambda pred: pred @ xi, surface, gens, gammas,
-                            params)
+    return _sup_rows([surface], [xi_next], gens, gammas, params)[0]
 
 
 def bsde_driver(z, surface, gens: GeneratorGrid,
@@ -126,10 +158,7 @@ def bsde_driver(z, surface, gens: GeneratorGrid,
                 params: UncertaintyParams) -> float:
     """One-step nonlinearity of the backward equation: the worst-case value
     of ``z`` paired against centered symbol indicators."""
-    z = np.asarray(z, dtype=np.float64)
-    d = gens.n_symbols
-    return _sup_over_models(lambda pred: (pred - 1.0 / d) @ z, surface, gens,
-                            gammas, params)
+    return _sup_rows([surface], [z], gens, gammas, params, centered=True)[0]
 
 
 @dataclass
@@ -189,7 +218,8 @@ class TreeSetup:
 
 
 def build_observation_tree(setup: TreeSetup) -> ObservationTree:
-    """Grow the full tree of histories, evolving a surface along each edge."""
+    """Grow the full tree of histories, evolving a surface along each edge;
+    a level is stepped at once by :func:`~robusthmm.penalty.step_level`."""
     d = setup.gens.n_symbols
     if d ** setup.horizon > setup.cap:
         raise CapExceeded(
@@ -197,16 +227,16 @@ def build_observation_tree(setup: TreeSetup) -> ObservationTree:
     tree = ObservationTree(n_symbols=d, horizon=setup.horizon)
     tree.nodes.append(TreeNode(index=0, history=(),
                                surface=setup.initial_surface))
-    step = _step_for(setup.initial_surface)
     for depth in range(setup.horizon):
-        for parent in tree.nodes_at_depth(depth):
+        parents = tree.nodes_at_depth(depth)
+        children = step_level([p.surface for p in parents], setup.gens,
+                              setup.gammas, setup.framework)
+        for parent, surfaces in zip(parents, children):
             first = len(tree.nodes)
-            for y in range(d):
-                surface = step(parent.surface, setup.gens, setup.gammas, y,
-                               setup.framework)[0]
-                tree.nodes.append(TreeNode(index=len(tree.nodes),
-                                           history=parent.history + (y,),
-                                           surface=surface))
+            tree.nodes.extend(
+                TreeNode(index=first + y, history=parent.history + (y,),
+                         surface=surface)
+                for y, surface in enumerate(surfaces))
             parent.children = tuple(range(first, len(tree.nodes)))
     return tree
 
@@ -214,17 +244,19 @@ def build_observation_tree(setup: TreeSetup) -> ObservationTree:
 def fill_backward(tree: ObservationTree, setup: TreeSetup,
                   terminal_depth: int) -> None:
     """Propagate node values from ``terminal_depth`` back to the root by the
-    one-step worst-case expectation. Values at ``terminal_depth`` must
-    already be set."""
+    one-step worst-case expectation, one batched scan per level. Values at
+    ``terminal_depth`` must already be set."""
     for node in tree.nodes_at_depth(terminal_depth):
         if node.value is None:
             raise ValueError("terminal values must be filled first")
     for t in range(terminal_depth - 1, -1, -1):
-        for node in tree.nodes_at_depth(t):
-            child_vals = np.array([tree.nodes[c].value for c in node.children])
-            node.value = one_step_expectation(child_vals, node.surface,
-                                              setup.gens, setup.gammas,
-                                              setup.params)
+        nodes = tree.nodes_at_depth(t)
+        payoffs = [[tree.nodes[c].value for c in node.children]
+                   for node in nodes]
+        values = _sup_rows([node.surface for node in nodes], payoffs,
+                           setup.gens, setup.gammas, setup.params)
+        for node, value in zip(nodes, values):
+            node.value = value
 
 
 def backward_expectation(phi: StateFunctional,
@@ -236,9 +268,11 @@ def backward_expectation(phi: StateFunctional,
     children. The root value is the time-zero expectation.
     """
     tree = build_observation_tree(setup)
-    for node in tree.nodes_at_depth(setup.horizon):
-        node.value, _ = dr_expectation(phi.values, node.surface,
-                                       setup.params)
+    leaves = tree.nodes_at_depth(setup.horizon)
+    values = _dr_rows([leaf.surface for leaf in leaves], phi.values,
+                      setup.params)
+    for node, value in zip(leaves, values):
+        node.value = value
     fill_backward(tree, setup, setup.horizon)
     return tree
 
@@ -253,14 +287,17 @@ def bsde_decompose(tree: ObservationTree, setup: TreeSetup) -> ObservationTree:
     value then reconstructs as ``mean(children) + driver``.
     """
     for t in range(tree.horizon):
-        for node in tree.nodes_at_depth(t):
+        nodes = tree.nodes_at_depth(t)
+        for node in nodes:
             child_vals = np.array([tree.nodes[c].value for c in node.children])
             if any(v is None for v in child_vals):
                 raise ValueError("tree values must be filled first")
-            z = child_vals - child_vals.mean()
-            node.z = z
-            node.driver = bsde_driver(z, node.surface, setup.gens,
-                                      setup.gammas, setup.params)
+            node.z = child_vals - child_vals.mean()
+        drivers = _sup_rows([node.surface for node in nodes],
+                            [node.z for node in nodes], setup.gens,
+                            setup.gammas, setup.params, centered=True)
+        for node, driver in zip(nodes, drivers):
+            node.driver = driver
     return tree
 
 

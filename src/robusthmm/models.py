@@ -172,8 +172,10 @@ class GeneratorGrid:
     row per control; :func:`gamma_at` picks the one that applies.
 
     ``image_tables`` memoizes the candidates' rounded Bayes images per
-    (grid, symbol) for :mod:`robusthmm.penalty`'s grid steps; it lives and
-    dies with this object.
+    (grid, symbol) for :mod:`robusthmm.penalty`'s grid steps, and
+    ``predictive`` their predictive symbol rows per grid for
+    :mod:`robusthmm.expectation`'s scans; both live and die with this
+    object.
     """
 
     candidates: tuple[Generator, ...]
@@ -181,6 +183,8 @@ class GeneratorGrid:
     control_penalty: np.ndarray | None = None
     image_tables: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
+    predictive: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def __post_init__(self):
         cands = tuple(self.candidates)

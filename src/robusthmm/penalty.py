@@ -27,8 +27,11 @@ of the observed symbol depend only on (grid, candidate, symbol), never on the
 surface. They are computed once per (grid, symbol), the first time a step
 needs that symbol, into an :class:`ImageTable` memoized in the
 :class:`~robusthmm.models.GeneratorGrid`'s ``image_tables``; the table lives
-exactly as long as that object, and every step is a gather from it plus one
-scatter-min. Rounding goes through
+exactly as long as that object. One level kernel, :func:`_grid_level`, steps
+a stack of surfaces on one grid by a gather from the table and one
+scatter-min, at most ``_CELL_BUDGET`` cells a call; :func:`step_level` runs
+a tree level or control's new triples through it, and
+:func:`forward_image_step` is its one-row case. Rounding goes through
 :meth:`~robusthmm.models.SimplexGrid.round_rows`, which raises ``ValueError``
 on a belief with a non-finite or negative entry or a sum off 1 by more than
 1e-9.
@@ -58,6 +61,7 @@ from .models import (DR, DYNAMIC, STATIC, UP, GeneratorGrid, SimplexGrid,
                      gamma_at, normalize_penalties)
 
 EXACT_CAP_DEFAULT = 10 ** 6
+_CELL_BUDGET = 8192  # (surface, candidate, cell) triples per kernel call
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,12 +238,12 @@ def _static(surface) -> bool:
                 and surface.gen_ids is not None))
 
 
-def _candidate_penalties(surface, gens: GeneratorGrid,
+def _candidate_penalties(surfaces, gens: GeneratorGrid,
                          gammas: np.ndarray | None):
-    """The scope rule: which candidates may follow each belief of a surface,
-    and at what penalty.
+    """The scope rule: which candidates may follow each belief of a stack of
+    grid surfaces on one grid, or of one exact surface, and at what penalty.
 
-    Returns the surface's beliefs and a (candidates x beliefs) matrix of
+    Returns the beliefs and a (surfaces x candidates x beliefs) array of
     continuation penalties. In the dynamic scope every candidate may follow
     every belief, at the belief's penalty plus the candidate's per-step
     ``gammas``; a sum beyond the float64 range is ``inf``, so that
@@ -247,20 +251,34 @@ def _candidate_penalties(surface, gens: GeneratorGrid,
     a row continues under its own candidate only, at its own penalty, and
     is ``inf`` under every other; ``gammas`` must then be None.
     """
-    static = _static(surface)
+    static = _static(surfaces[0])
     if static and gammas is not None:
         raise ValueError("static scope takes no per-step penalties")
     if not static and gammas is None:
         raise ValueError("dynamic scope needs per-candidate penalties")
-    if isinstance(surface, ExtendedPenaltySurface):
-        return surface.grid.points, surface.values.T
-    beliefs, values, gen_ids = _rows(surface)
-    if not static:
-        with np.errstate(over="ignore"):
-            return beliefs, values[None, :] + np.asarray(gammas, float)[:, None]
-    before = np.full((len(gens), len(values)), np.inf)
-    before[gen_ids, np.arange(len(values))] = values
-    return beliefs, before
+    if not isinstance(surfaces[0], ExactSurface):
+        values = np.array([s.values for s in surfaces])
+        if static:
+            return surfaces[0].grid.points, values.transpose(0, 2, 1)
+        beliefs = surfaces[0].grid.points
+    else:
+        (surface,) = surfaces
+        beliefs, values, gen_ids = _rows(surface)
+        if static:
+            before = np.full((1, len(gens), len(values)), np.inf)
+            before[0, gen_ids, np.arange(len(values))] = values
+            return beliefs, before
+        values = values[None]
+    with np.errstate(over="ignore"):
+        return beliefs, values[:, None, :] + np.asarray(gammas, float)[:, None]
+
+
+def _blocks(surfaces, width: int):
+    """Slices of one level's surfaces per kernel call: an exact surface
+    alone, grid surfaces ``width`` cells each within ``_CELL_BUDGET``."""
+    step = (1 if isinstance(surfaces[0], ExactSurface)
+            else max(1, _CELL_BUDGET // width))
+    return [slice(i, i + step) for i in range(0, len(surfaces), step)]
 
 
 def _default_gammas(surface, gens: GeneratorGrid) -> np.ndarray | None:
@@ -335,50 +353,92 @@ def _reduce_candidates(dest, vals, srcs, gids, n_keys):
     return out, out_src, out_gen
 
 
+def _grid_level(surfaces, gens: GeneratorGrid, gammas: np.ndarray | None,
+                y: int, framework: str):
+    """The level kernel: grid surfaces on one grid stepped on symbol ``y``,
+    stacked at most ``_CELL_BUDGET`` (surface, candidate, cell) triples a
+    call. A call is one gather from the image table, one
+    :func:`_reduce_candidates` keyed on ``row * size + dest`` and a per-row
+    normalization; it yields the surfaces and their (rows x size) values,
+    ``m_t`` and argmin provenance."""
+    if framework not in (UP, DR):
+        raise ValueError(f"bad framework {framework!r}")
+    src = surfaces[0]
+    if not isinstance(src, (PenaltySurface, ExtendedPenaltySurface)):
+        raise TypeError(f"unsupported surface type {type(src).__name__}")
+    grid, n_gens, size = src.grid, len(gens), src.values.size
+    table = _image_table(gens, grid, y)
+    for block in _blocks(surfaces, n_gens * len(grid)):
+        chunk = surfaces[block]
+        before = _candidate_penalties(chunk, gens, gammas)[1]
+        rows, gids, srcs = np.nonzero(table.alive & np.isfinite(before))
+        vals = before[rows, gids, srcs]
+        if framework == DR:
+            vals = vals - table.logmass[gids, srcs]
+        dest = table.dest[gids, srcs]
+        if _static(chunk[0]):
+            dest = dest * n_gens + gids
+        out, out_src, out_gen = (a.reshape(len(chunk), size) for a in
+                                 _reduce_candidates(rows * size + dest, vals,
+                                                    srcs, gids,
+                                                    len(chunk) * size))
+        yield (chunk, *_normalize_rows(out, chunk[0].time + 1), out_src,
+               out_gen)
+
+
 def forward_image_step(src, gens: GeneratorGrid,
                        gammas: np.ndarray | None, y: int, framework: str):
-    """Push a grid surface one step forward after observing symbol ``y``.
+    """Push a grid surface one step forward after observing symbol ``y``:
+    the one-row case of the level kernel :func:`_grid_level`.
 
     Returns the updated surface of the same kind and a :class:`StepReport`.
     Every live (candidate, cell) pair that :func:`_candidate_penalties`
-    admits is pushed to the cell nearest its Bayes image: a gather from the
-    image table plus :func:`_reduce_candidates`. Generator scope is carried
-    by the surface type: a plain :class:`PenaltySurface` (``gammas``
+    admits is pushed to the cell nearest its Bayes image. Generator scope is
+    carried by the surface type: a plain :class:`PenaltySurface` (``gammas``
     required) reduces each destination cell across candidates, an
     :class:`ExtendedPenaltySurface` (``gammas`` omitted) keeps the candidate
     axis and reduces per (destination cell, candidate) key.
     """
-    if framework not in (UP, DR):
-        raise ValueError(f"bad framework {framework!r}")
-    if not isinstance(src, (PenaltySurface, ExtendedPenaltySurface)):
-        raise TypeError(f"unsupported surface type {type(src).__name__}")
-    table = _image_table(gens, src.grid, y)
-    before = _candidate_penalties(src, gens, gammas)[1]
-    gids, srcs = np.nonzero(table.alive & np.isfinite(before))
-    vals = before[gids, srcs]
-    if framework == DR:
-        vals = vals - table.logmass[gids, srcs]
-    dest = table.dest[gids, srcs]
-    if _static(src):
-        dest = dest * len(gens) + gids
-    out, out_src, out_gen = (a.reshape(src.values.shape) for a in
-                             _reduce_candidates(dest, vals, srcs, gids,
-                                                src.values.size))
-    values, m_t = _normalize_step(out, src.time + 1)
-    surface = replace(src, values=values, time=src.time + 1)
-    report = StepReport(time=src.time + 1, m_t=m_t,
+    ((_, values, m_t, out_src, out_gen),) = _grid_level(
+        [src], gens, gammas, y, framework)
+    shape, time = src.values.shape, src.time + 1
+    values = values[0].reshape(shape)
+    report = StepReport(time=time, m_t=float(m_t[0]),
                         infeasible_cells=int(np.isinf(values).sum()),
-                        argmin_src=out_src, argmin_gen=out_gen)
-    return surface, report
+                        argmin_src=out_src[0].reshape(shape),
+                        argmin_gen=out_gen[0].reshape(shape))
+    return replace(src, values=values, time=time), report
 
 
-def _normalize_step(values: np.ndarray, time: int):
-    finite = values[np.isfinite(values)]
-    if finite.size == 0:
+def step_level(surfaces, gens: GeneratorGrid, gammas: np.ndarray | None,
+               framework: str) -> list:
+    """Each surface's children, one per symbol: grid surfaces go through
+    :func:`_grid_level` together, symbol by symbol; exact ones through
+    :func:`exact_step`, surface by surface."""
+    symbols = range(gens.n_symbols)
+    if isinstance(surfaces[0], ExactSurface):
+        return [[exact_step(s, gens, gammas, y, framework)[0]
+                 for y in symbols] for s in surfaces]
+    by_symbol = [[replace(s, values=row.reshape(s.values.shape),
+                          time=s.time + 1)
+                  for chunk, values, *_ in _grid_level(surfaces, gens, gammas,
+                                                       y, framework)
+                  for s, row in zip(chunk, values)] for y in symbols]
+    return [list(row) for row in zip(*by_symbol)]
+
+
+def _normalize_rows(values: np.ndarray, time: int):
+    """Each row less its least entry, and those minima; every entry is
+    finite or ``+inf``, and an all-``inf`` row is infeasible. A zero
+    minimum is read off the row's compacted finite entries, whose order
+    picks its sign when the row holds both ``0.0`` and ``-0.0``."""
+    m_t = values.min(axis=1)
+    if m_t.max() == np.inf:
         raise InfeasibleSurface(
             f"observation at step {time} impossible under every model")
-    m_t = float(finite.min())
-    return values - m_t, m_t
+    for r in np.flatnonzero(m_t == 0):
+        m_t[r] = values[r][np.isfinite(values[r])].min()
+    return values - m_t[:, None], m_t
 
 
 def exact_step(src: ExactSurface, gens: GeneratorGrid,
@@ -391,7 +451,8 @@ def exact_step(src: ExactSurface, gens: GeneratorGrid,
     """
     if framework not in (UP, DR):
         raise ValueError(f"bad framework {framework!r}")
-    beliefs, before = _candidate_penalties(src, gens, gammas)
+    beliefs, before = _candidate_penalties([src], gens, gammas)
+    before = before[0]
     n_new = int(np.isfinite(before).sum())
     if n_new > cap:
         raise CapExceeded(f"{n_new} tracked beliefs would exceed the cap of {cap}")
@@ -424,23 +485,13 @@ def exact_step(src: ExactSurface, gens: GeneratorGrid,
     order = _belief_order(beliefs, gen_ids if static else None)
     beliefs, values = beliefs[order], values[order]
     parents, gen_ids = parents[order], gen_ids[order]
-    values, m_t = _normalize_step(values, src.time + 1)
+    (values,), (m_t,) = _normalize_rows(values[None], src.time + 1)
     surface = ExactSurface(beliefs=beliefs, values=values,
                            gen_ids=gen_ids if static else None,
                            time=src.time + 1)
-    report = StepReport(time=src.time + 1, m_t=m_t, infeasible_cells=0,
+    report = StepReport(time=src.time + 1, m_t=float(m_t), infeasible_cells=0,
                         argmin_src=parents, argmin_gen=gen_ids)
     return surface, report
-
-
-def _step_for(surface, cap: int = EXACT_CAP_DEFAULT):
-    """The one-step propagator of a surface's representation, called as
-    ``step(surface, gens, gammas, y, framework)``: :func:`exact_step`,
-    bounded by ``cap``, on an :class:`ExactSurface`, and
-    :func:`forward_image_step` on a grid surface."""
-    if isinstance(surface, ExactSurface):
-        return partial(exact_step, cap=cap)
-    return forward_image_step
 
 
 def evolve(surface, gens: GeneratorGrid, obs: Sequence[int], framework: str,
@@ -452,7 +503,8 @@ def evolve(surface, gens: GeneratorGrid, obs: Sequence[int], framework: str,
     reports. Grid surfaces are stepped on their grid, exact ones on exactly
     tracked beliefs with at most ``cap`` candidate rows a step.
     """
-    step = _step_for(surface, cap)
+    step = (partial(exact_step, cap=cap) if isinstance(surface, ExactSurface)
+            else forward_image_step)
     gammas = _default_gammas(surface, gens)
     surfaces, reports = [surface], []
     for y in obs:

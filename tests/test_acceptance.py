@@ -3,7 +3,11 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from math import inf
 
@@ -18,7 +22,7 @@ from robusthmm import (ControlProblem, Generator, GeneratorGrid, SimplexGrid,
 from robusthmm.cli import build_exact_prior, main
 from robusthmm.oracles import (bernoulli_closed_forms, oracle_dr_direct,
                                oracle_penalty)
-from conftest import CONFIGS, example1_generator
+from conftest import CONFIGS, REPO, example1_generator
 
 FRAMEWORK_LABELS = ("static-up", "dynamic-up", "static-dr", "dynamic-dr")
 
@@ -365,3 +369,36 @@ def test_criterion_11_thread_count_determinism(tmp_path):
     _report("criterion 11: artifacts byte-identical across thread counts",
             identical, "all six subcommands" if identical
             else "mismatch: " + ", ".join(detail))
+
+
+def _artifact_digest(out) -> str:
+    """sha256 over every artifact, the manifest without ``wall_time_s``."""
+    h = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            manifest = json.loads(data)
+            manifest.pop("wall_time_s")
+            data = json.dumps(manifest, sort_keys=True).encode()
+        h.update(path.name.encode() + b"\0" + data)
+    return h.hexdigest()
+
+
+def test_artifacts_identical_across_blas_thread_counts(tmp_path):
+    # the level kernel pairs stacked blocks with BLAS products; their bits
+    # must not depend on how many threads the BLAS library runs
+    for command, config in (("expect", "oracle_t3.json"),
+                            ("control", "control_t3.json")):
+        digests = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{command}-{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads,
+                       PYTHONPATH=str(REPO / "src"),
+                       PYTHONDONTWRITEBYTECODE="1")
+            subprocess.run([sys.executable, "-m", "robusthmm", command,
+                            "--config", str(CONFIGS / config),
+                            "--out", str(out)], env=env, check=True,
+                           capture_output=True)
+            digests.append(_artifact_digest(out))
+        assert digests[0] == digests[1], command

@@ -254,6 +254,22 @@ def test_convergence_errors_of_priors_that_differ_by_resolution(tmp_path,
     assert read_manifest(out)["grid_convergence"]["sup_errors"] == expected
 
 
+def test_table_prior_fails_the_sweep_before_any_check(tmp_path, monkeypatch,
+                                                      capsys):
+    # a table lists one value per point of the configured grid (11 at
+    # resolution 10), so the sweep's resolution 20 cannot be built; that
+    # fails before any framework check steps an exact surface
+    path = _edited_config(tmp_path, "oracle_t3.json",
+                          _set(None, "prior",
+                               {"shape": "table", "values": [0.0] * 11}))
+    steps = _count_exact_steps(monkeypatch)
+    assert run_cli("oracle-check", path, tmp_path / "run") == 2
+    assert steps == []
+    assert capsys.readouterr().err == (
+        "config error: prior.values must list one value per grid point (21 "
+        "at resolution 20); a table prior exists at one resolution only\n")
+
+
 def test_exact_runs_are_keyed_by_the_whole_exact_prior(oracle_cfg):
     beliefs, values = cli.build_exact_prior(oracle_cfg.prior_values,
                                             oracle_cfg.grid)

@@ -1,14 +1,20 @@
 import itertools
+from math import inf
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robusthmm import (CapExceeded, ControlProblem, Generator, GeneratorGrid,
                        SimplexGrid, StateFunctional, UncertaintyParams,
-                       brute_force, evaluate_policy, forward_image_step,
+                       brute_force, evaluate_policy,
                        initial_exact_surface, initial_grid_surface,
                        one_step_expectation, solve)
-from robusthmm.control import StateRegistry, decision_nodes
+from robusthmm import InfeasibleSurface, control, expectation, penalty
+from robusthmm.control import StateRegistry, decision_nodes, terminal_value
+from conftest import LEVEL_SHAPES, level_case
 
 P1 = UncertaintyParams(k=1.0, k_exp=1.0)
 
@@ -140,15 +146,19 @@ def test_nodes_sharing_surface_share_value():
 
 
 def test_each_state_control_symbol_triple_is_stepped_once(monkeypatch):
-    steps = []
+    # control steps through the level kernel; every row it is handed is one
+    # (state, control, symbol) triple, so a triple stepped twice shows here
+    rows = []
+    level_kernel = penalty._grid_level
 
-    def counting_step(*args):
-        steps.append(args)
-        return forward_image_step(*args)
+    def counting_kernel(surfaces, *args):
+        rows.append(len(surfaces))
+        return level_kernel(surfaces, *args)
 
-    monkeypatch.setattr("robusthmm.control.forward_image_step", counting_step)
+    monkeypatch.setattr(penalty, "_grid_level", counting_kernel)
     solution = solve(_sensing_problem(horizon=4))
-    assert len(steps) == len(solution.successors) == 316
+    assert sum(rows) == len(solution.successors) == 316
+    assert len(rows) < len(solution.successors)
 
 
 def test_policy_charges_its_own_control_where_histories_share_a_state():
@@ -266,3 +276,43 @@ def test_static_scope_rejected():
                            horizon=1, params=P1,
                            running_cost=np.zeros((1, 2)),
                            terminal_cost=StateFunctional(values=np.zeros(2)))
+
+
+def _reference_terminal(cost, surface, params):
+    # one surface: the usable cells compacted, then one product
+    rho = expectation._rho(surface.values, params)
+    usable = np.isfinite(rho)
+    if not usable.any():
+        raise InfeasibleSurface("terminal surface excludes every belief")
+    scores = surface.grid.points[usable] @ cost - rho[usable]
+    pos = int(np.argmin(scores))
+    return float(scores[pos]), surface.grid.points[np.nonzero(usable)[0][pos]]
+
+
+@given(LEVEL_SHAPES.map(lambda shape: shape[:-1] + ("dynamic",)),
+       st.sampled_from([P1, UncertaintyParams(k=0.7, k_exp=2.0),
+                        UncertaintyParams(k=0.6, k_exp=inf)]),
+       st.sampled_from([1, 7, penalty._CELL_BUDGET]), st.integers(0, 99))
+@settings(max_examples=200, deadline=None)
+def test_batched_leaves_match_terminal_value(shape, params, budget, seed):
+    # surfaces with a single usable cell included: that one-row product
+    # rounds apart from the full product's row, and must still match
+    _, surfaces, _ = level_case(*shape)
+    rng = np.random.Generator(np.random.Philox(seed))
+    cost = np.where(rng.random(shape[1]) < 0.2, -0.0,
+                    rng.normal(size=shape[1]))
+    try:
+        expected = [_reference_terminal(cost, s, params) for s in surfaces]
+    except InfeasibleSurface:
+        with pytest.raises(InfeasibleSurface):
+            control._terminal_rows(cost, surfaces, params)
+        return
+    with mock.patch.object(penalty, "_CELL_BUDGET", budget):
+        values, cells = control._terminal_rows(cost, surfaces, params)
+    for surface, value, cell, (ref_value, ref_belief) in zip(
+            surfaces, values, cells, expected):
+        one_value, one_belief = terminal_value(cost, surface, params)
+        assert (np.float64(value).tobytes() == np.float64(one_value).tobytes()
+                == np.float64(ref_value).tobytes())
+        assert (surface.grid.points[cell].tobytes() == one_belief.tobytes()
+                == ref_belief.tobytes())

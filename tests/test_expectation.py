@@ -1,17 +1,21 @@
 from math import inf
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from robusthmm import penalty
-from robusthmm import (Generator, GeneratorGrid, InfeasibleSurface,
-                       SimplexGrid, StateFunctional, TreeSetup,
+from robusthmm import expectation, penalty
+from robusthmm import (ExtendedPenaltySurface, Generator, GeneratorGrid,
+                       InfeasibleSurface, SimplexGrid, StateFunctional,
+                       TreeSetup,
                        UncertaintyParams, backward_expectation, bsde_decompose,
                        bsde_driver, dr_expectation, fill_backward, gamma_at,
                        initial_exact_surface, initial_grid_surface,
                        one_step_expectation, penalty_to_rho, project)
 from robusthmm.oracles import oracle_penalty
-from conftest import example1_generator
+from conftest import LEVEL_SHAPES, example1_generator, level_case
 
 P1 = UncertaintyParams(k=1.0, k_exp=1.0)
 
@@ -457,3 +461,119 @@ def test_grid_tree_is_translation_equivariant_in_phi():
     for c in (-3.0, 0.25, 7.5):
         shifted = backward_expectation(StateFunctional(values=phi + c), setup)
         assert abs(shifted.nodes[0].value - (root.value + c)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# batched scans: a level's scans in one call are the one-surface scans
+
+PARAMS = [P1, UncertaintyParams(k=0.7, k_exp=2.0),
+          UncertaintyParams(k=1.5, k_exp=inf), UncertaintyParams(k=inf)]
+
+
+def _reference_continuation(surface, gens, gammas):
+    # the scope rule on one surface, as a (candidates x beliefs) matrix
+    beliefs, values, gen_ids = penalty._rows(surface)
+    if isinstance(surface, ExtendedPenaltySurface):
+        return surface.grid.points, surface.values.T
+    if gammas is None:
+        before = np.full((len(gens), len(values)), np.inf)
+        before[gen_ids, np.arange(len(values))] = values
+        return beliefs, before
+    with np.errstate(over="ignore"):
+        return beliefs, values[None, :] + np.asarray(gammas, float)[:, None]
+
+
+def _reference_scan(payoff, surface, gens, gammas, params, centered=False):
+    # one surface, one candidate at a time: a matrix-vector product per
+    # candidate, then the max over the (candidates x beliefs) scores
+    beliefs, before = _reference_continuation(surface, gens, gammas)
+    rows = []
+    for g, gen in enumerate(gens.candidates):
+        pred = (beliefs @ gen.transition.T) @ gen.emission
+        if centered:
+            pred = pred - 1.0 / gens.n_symbols
+        rows.append(pred @ np.asarray(payoff, float)
+                    - expectation._rho(before[g], params))
+    scores = np.array(rows)
+    best = float(scores.max()) if scores.size else -inf
+    if best == -inf:
+        raise InfeasibleSurface("every model is excluded")
+    return best
+
+
+def _reference_dr(phi, surface, params):
+    beliefs, penalties, _ = penalty._rows(surface)
+    scores = beliefs @ phi - expectation._rho(penalties, params)
+    best = int(np.argmax(scores))
+    if scores[best] == -inf:
+        raise InfeasibleSurface("surface excludes every belief")
+    return float(scores[best]), beliefs[best]
+
+
+def _as_exact(surface, gens, scope):
+    values = surface.values if scope == "dynamic" else surface.values.min(1)
+    keep = np.isfinite(values)
+    return initial_exact_surface(surface.grid.points[keep], values[keep],
+                                 gens, scope)
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _same_or_infeasible(batched, one_row):
+    """``batched()`` returns one float per row, ``one_row`` lists per-row
+    callables; either every value agrees bit for bit or both raise."""
+    try:
+        expected = [f() for f in one_row]
+    except InfeasibleSurface:
+        with pytest.raises(InfeasibleSurface):
+            batched()
+        return
+    assert [_bits(v) for v in batched()] == [_bits(v) for v in expected]
+
+
+@given(LEVEL_SHAPES, st.sampled_from(PARAMS), st.booleans(),
+       st.sampled_from([1, 7, 64, penalty._CELL_BUDGET]), st.integers(0, 99))
+@settings(max_examples=300, deadline=None)
+def test_batched_scans_match_one_surface_scans(shape, params, exact, budget,
+                                               seed):
+    gens, surfaces, gammas = level_case(*shape)
+    if exact:
+        surfaces = [_as_exact(s, gens, shape[-1]) for s in surfaces]
+    rng = np.random.Generator(np.random.Philox(seed))
+    # a small set plants ties and signed zeros, normal draws round
+    payoffs = np.where(rng.random((len(surfaces), gens.n_symbols)) < 0.5,
+                       rng.choice([0.0, -0.0, 1.0, -1.5], size=(
+                           len(surfaces), gens.n_symbols)),
+                       rng.normal(size=(len(surfaces), gens.n_symbols)))
+    phi = np.where(rng.random(gens.n_states) < 0.3, -0.0,
+                   rng.normal(size=gens.n_states))
+    with mock.patch.object(penalty, "_CELL_BUDGET", budget):
+        for centered, one in ((False, one_step_expectation),
+                              (True, bsde_driver)):
+            _same_or_infeasible(
+                lambda: expectation._sup_rows(surfaces, payoffs, gens, gammas,
+                                              params, centered=centered),
+                [lambda s=s, x=x: _reference_scan(x, s, gens, gammas, params,
+                                                  centered)
+                 for s, x in zip(surfaces, payoffs)])
+            _same_or_infeasible(
+                lambda: expectation._sup_rows(surfaces, payoffs, gens, gammas,
+                                              params, centered=centered),
+                [lambda s=s, x=x: one(x, s, gens, gammas, params)
+                 for s, x in zip(surfaces, payoffs)])
+        _same_or_infeasible(
+            lambda: expectation._dr_rows(surfaces, phi, params),
+            [lambda s=s: _reference_dr(phi, s, params)[0] for s in surfaces])
+        _same_or_infeasible(
+            lambda: expectation._dr_rows(surfaces, phi, params),
+            [lambda s=s: dr_expectation(phi, s, params)[0] for s in surfaces])
+    for surface in surfaces:
+        try:
+            ref_value, ref_belief = _reference_dr(phi, surface, params)
+        except InfeasibleSurface:
+            continue
+        value, belief = dr_expectation(phi, surface, params)
+        assert _bits(value) == _bits(ref_value)
+        assert belief.tobytes() == ref_belief.tobytes()

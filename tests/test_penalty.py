@@ -1,5 +1,6 @@
 import gc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from robusthmm import (CapExceeded, Generator, GeneratorGrid,
                        initial_exact_surface, initial_grid_surface, project,
                        render_surface_csv)
 from robusthmm.oracles import oracle_penalty
-from conftest import example1_generator
+from conftest import LEVEL_SHAPES, example1_generator, level_case
 
 FRAMEWORK_LABELS = [("static", "up"), ("dynamic", "up"),
                     ("static", "dr"), ("dynamic", "dr")]
@@ -220,19 +221,49 @@ def test_normalizers_reconstruct_raw_floor():
 # image tables: each grid step gathers from a table built once per
 # (grid, symbol) and kept on the GeneratorGrid
 
+def _lexsort_reduce(dest, vals, srcs, gids, n_keys):
+    # the reference min-reduction per key: order by (key, value, source,
+    # candidate) and keep each key's first entry
+    out = np.full(n_keys, np.inf)
+    out_src = np.full(n_keys, -1, dtype=np.int64)
+    out_gen = np.full(n_keys, -1, dtype=np.int64)
+    if len(dest):
+        order = np.lexsort((gids, srcs, vals, dest))
+        dest, vals = dest[order], vals[order]
+        srcs, gids = srcs[order], gids[order]
+        first = np.ones(len(dest), dtype=bool)
+        first[1:] = dest[1:] != dest[:-1]
+        out[dest[first]] = vals[first]
+        out_src[dest[first]] = srcs[first]
+        out_gen[dest[first]] = gids[first]
+    return out, out_src, out_gen
+
+
+def _reference_normalize(values):
+    # one surface: less the least of its compacted finite entries
+    finite = values[np.isfinite(values)]
+    if finite.size == 0:
+        raise InfeasibleSurface("observation impossible under every model")
+    m_t = float(finite.min())
+    return values - m_t, m_t
+
+
 def _reference_grid_step(src, gens, gammas, y, framework):
     # the step body without a table: images recomputed and rounded one point
-    # at a time on every call
+    # at a time on every call, reduced by the lexsort reference
     grid = src.grid
     static = gammas is None
     dest_l, val_l, src_l, gid_l = [], [], [], []
     for g, gen in enumerate(gens.candidates):
-        if not static and not np.isfinite(gammas[g]):
-            continue
         before = src.values[:, g] if static else src.values
         posts, mass, alive = penalty._gen_images(grid, gen, y)
-        idx = np.nonzero(alive & np.isfinite(before))[0]
-        cand = before[idx] if static else before[idx] + gammas[g]
+        if static:
+            cand = before
+        else:
+            with np.errstate(over="ignore"):
+                cand = before + gammas[g]
+        idx = np.nonzero(alive & np.isfinite(cand))[0]
+        cand = cand[idx]
         if framework == "dr":
             cand = cand - np.log(mass[idx])
         dest = np.array([grid.round_to_index(posts[i]) for i in idx],
@@ -242,10 +273,10 @@ def _reference_grid_step(src, gens, gammas, y, framework):
         src_l.append(idx)
         gid_l.append(np.full(idx.size, g, dtype=np.int64))
     out, out_src, out_gen = (
-        a.reshape(src.values.shape) for a in penalty._reduce_candidates(
+        a.reshape(src.values.shape) for a in _lexsort_reduce(
             np.concatenate(dest_l), np.concatenate(val_l),
             np.concatenate(src_l), np.concatenate(gid_l), src.values.size))
-    values, m_t = penalty._normalize_step(out, src.time + 1)
+    values, m_t = _reference_normalize(out)
     return values, m_t, out_src, out_gen
 
 
@@ -288,6 +319,65 @@ def test_table_step_is_bit_identical_to_pointwise_step(scope, framework, seed,
         assert np.array_equal(report.argmin_src, out_src)
         assert np.array_equal(report.argmin_gen, out_gen)
         assert report.infeasible_cells == int(np.isinf(values).sum())
+
+
+@given(LEVEL_SHAPES, st.sampled_from(["up", "dr"]),
+       st.sampled_from([1, 5, 40, penalty._CELL_BUDGET]))
+@settings(max_examples=300, deadline=None)
+def test_level_kernel_matches_one_surface_steps(shape, framework, budget):
+    # every row of a level, stepped together in calls of at most ``budget``
+    # cells, is bit for bit the one-surface step and the lexsort reference:
+    # values (signed zeros included), m_t, provenance and the error
+    gens, surfaces, gammas = level_case(*shape)
+    children, feasible = [], True
+    for y in range(gens.n_symbols):
+        try:
+            expected = [_reference_grid_step(s, gens, gammas, y, framework)
+                        for s in surfaces]
+        except InfeasibleSurface:
+            with mock.patch.object(penalty, "_CELL_BUDGET", budget), \
+                    pytest.raises(InfeasibleSurface,
+                                  match="observation at step 1 impossible"):
+                list(penalty._grid_level(surfaces, gens, gammas, y,
+                                         framework))
+            feasible = False
+            continue
+        with mock.patch.object(penalty, "_CELL_BUDGET", budget):
+            blocks = list(penalty._grid_level(surfaces, gens, gammas, y,
+                                              framework))
+        cells = len(gens) * len(surfaces[0].grid)
+        assert all(len(chunk) == 1 or len(chunk) * cells <= budget
+                   for chunk, *_ in blocks)
+        rows = [(row, m_t[i], src[i], gen[i])
+                for chunk, values, m_t, src, gen in blocks
+                for i, row in enumerate(values)]
+        assert len(rows) == len(surfaces)
+        ones = []
+        for surface, (row, m_t, src, gen), ref in zip(surfaces, rows,
+                                                      expected):
+            one, report = forward_image_step(surface, gens, gammas, y,
+                                             framework)
+            ref_values, ref_m, ref_src, ref_gen = ref
+            assert (row.tobytes() == one.values.tobytes()
+                    == ref_values.tobytes())
+            assert (m_t.tobytes() == np.float64(report.m_t).tobytes()
+                    == np.float64(ref_m).tobytes())
+            for got in (src.reshape(ref_src.shape), report.argmin_src):
+                assert np.array_equal(got, ref_src)
+            for got in (gen.reshape(ref_gen.shape), report.argmin_gen):
+                assert np.array_equal(got, ref_gen)
+            assert report.infeasible_cells == int(np.isinf(ref_values).sum())
+            ones.append(one)
+        children.append(ones)
+    with mock.patch.object(penalty, "_CELL_BUDGET", budget):
+        if not feasible:
+            with pytest.raises(InfeasibleSurface):
+                penalty.step_level(surfaces, gens, gammas, framework)
+            return
+        stepped = penalty.step_level(surfaces, gens, gammas, framework)
+    assert [[child.values.tobytes() for child in kids] for kids in stepped] \
+        == [[one.values.tobytes() for one in ones] for ones in zip(*children)]
+    assert all(child.time == 1 for kids in stepped for child in kids)
 
 
 def _count_calls(monkeypatch, owner, name):
