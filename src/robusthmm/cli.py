@@ -483,13 +483,11 @@ def _cmd_expect(run: Run) -> int:
                       params=cfg.params)
     tree = backward_expectation(StateFunctional(values=cfg.phi), setup)
     bsde_decompose(tree, setup)
-    surface_files = {}
-    for node in tree.nodes:
-        name = f"surface_{history_label(node.history)}.csv"
-        run.add_csv(name, render_surface_csv(node.surface))
-        surface_files[node.index] = name
-    run.add_json("tree.json", tree_document(tree, surface_files))
-    run.extra["root_value"] = tree.nodes[0].value
+    names = [f"surface_{history_label(h)}.csv" for h in tree.histories()]
+    for name, surface in zip(names, tree.nodes):
+        run.add_csv(name, render_surface_csv(surface))
+    run.add_json("tree.json", tree_document(tree, dict(enumerate(names))))
+    run.extra["root_value"] = float(tree.values[0][0])
     return 0
 
 

@@ -185,14 +185,11 @@ def _enumerate_states(problem: ControlProblem, root_history: tuple,
     for _ in range(problem.horizon - len(root_history)):
         level, new_level = levels[-1], {}
         expand = {history: controls(history) for history in level}
-        # (state, control) -> children per symbol; a pair's triples are
-        # stepped together, so symbol 0 stands for all of them
-        stepped = {}
+        stepped = {}  # (state, control) -> children per symbol
         for u in range(problem.n_controls):
             ids = list(dict.fromkeys(
                 s for history, state_ids in level.items()
-                if u in expand[history] for s in state_ids
-                if (s, u, 0) not in successors))
+                if u in expand[history] for s in state_ids))
             if ids:
                 stepped.update(zip(((s, u) for s in ids), step_level(
                     [registry.surfaces[s] for s in ids], problem.gens,
@@ -215,7 +212,9 @@ def _enumerate_states(problem: ControlProblem, root_history: tuple,
                 total += len(ids)
                 if total > problem.state_cap:
                     raise CapExceeded(
-                        f"reachable surface states exceed {problem.state_cap}")
+                        f"{total} reachable (history, state) pairs by depth "
+                        f"{len(child_history)} exceed the cap of "
+                        f"{problem.state_cap}")
         levels.append(new_level)
     return registry, levels, successors
 

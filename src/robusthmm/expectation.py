@@ -11,6 +11,7 @@ enter unpenalized).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from math import inf
 
@@ -162,37 +163,35 @@ def bsde_driver(z, surface, gens: GeneratorGrid,
 
 
 @dataclass
-class TreeNode:
-    """One observation history with its penalty surface and value slots."""
-
-    index: int
-    history: tuple[int, ...]
-    children: tuple[int, ...] = ()
-    surface: object = None
-    value: float | None = None
-    z: np.ndarray | None = None
-    driver: float | None = None
-
-    @property
-    def depth(self) -> int:
-        return len(self.history)
-
-
-@dataclass
 class ObservationTree:
-    """All observation histories up to the horizon, level by level, each
-    carrying the penalty surface conditioned on that history."""
+    """All observation histories up to the horizon, stored by depth.
+
+    ``levels[t]`` lists the ``d ** t`` penalty surfaces of depth ``t`` in
+    lexicographic history order, so entry ``i``'s children are entries
+    ``i * d`` to ``i * d + d - 1`` of ``levels[t + 1]``. ``values[t]``
+    (shape ``(d ** t,)``) holds the values of depth ``t``, and ``z[t]``
+    (``(d ** t, d)``) and ``drivers[t]`` (``(d ** t,)``) its martingale
+    decomposition. An entry is None until its pass fills it; the leaves'
+    ``z`` and driver stay None.
+    """
 
     n_symbols: int
     horizon: int
-    nodes: list[TreeNode] = field(default_factory=list)
+    levels: list
+    values: list
+    z: list
+    drivers: list
 
-    def nodes_at_depth(self, depth: int) -> list[TreeNode]:
-        """One level of the tree: levels are stored one after another, so
-        depth ``t`` is the ``n_symbols ** t`` nodes after the shallower
-        ones."""
-        start = sum(self.n_symbols ** t for t in range(depth))
-        return self.nodes[start:start + self.n_symbols ** depth]
+    @property
+    def nodes(self) -> list:
+        """Every surface, level after level."""
+        return list(itertools.chain.from_iterable(self.levels))
+
+    def histories(self) -> list[tuple]:
+        """The observation history of each entry of :attr:`nodes`."""
+        return [history for t in range(self.horizon + 1)
+                for history in itertools.product(range(self.n_symbols),
+                                                 repeat=t)]
 
 
 @dataclass(frozen=True)
@@ -224,39 +223,27 @@ def build_observation_tree(setup: TreeSetup) -> ObservationTree:
     if d ** setup.horizon > setup.cap:
         raise CapExceeded(
             f"{d ** setup.horizon} leaves would exceed the cap of {setup.cap}")
-    tree = ObservationTree(n_symbols=d, horizon=setup.horizon)
-    tree.nodes.append(TreeNode(index=0, history=(),
-                               surface=setup.initial_surface))
-    for depth in range(setup.horizon):
-        parents = tree.nodes_at_depth(depth)
-        children = step_level([p.surface for p in parents], setup.gens,
-                              setup.gammas, setup.framework)
-        for parent, surfaces in zip(parents, children):
-            first = len(tree.nodes)
-            tree.nodes.extend(
-                TreeNode(index=first + y, history=parent.history + (y,),
-                         surface=surface)
-                for y, surface in enumerate(surfaces))
-            parent.children = tuple(range(first, len(tree.nodes)))
-    return tree
+    levels = [[setup.initial_surface]]
+    for _ in range(setup.horizon):
+        levels.append(list(itertools.chain.from_iterable(step_level(
+            levels[-1], setup.gens, setup.gammas, setup.framework))))
+    return ObservationTree(n_symbols=d, horizon=setup.horizon, levels=levels,
+                           values=[None] * len(levels),
+                           z=[None] * len(levels),
+                           drivers=[None] * len(levels))
 
 
 def fill_backward(tree: ObservationTree, setup: TreeSetup,
                   terminal_depth: int) -> None:
-    """Propagate node values from ``terminal_depth`` back to the root by the
+    """Propagate values from ``terminal_depth`` back to the root by the
     one-step worst-case expectation, one batched scan per level. Values at
     ``terminal_depth`` must already be set."""
-    for node in tree.nodes_at_depth(terminal_depth):
-        if node.value is None:
-            raise ValueError("terminal values must be filled first")
+    if tree.values[terminal_depth] is None:
+        raise ValueError("terminal values must be filled first")
     for t in range(terminal_depth - 1, -1, -1):
-        nodes = tree.nodes_at_depth(t)
-        payoffs = [[tree.nodes[c].value for c in node.children]
-                   for node in nodes]
-        values = _sup_rows([node.surface for node in nodes], payoffs,
-                           setup.gens, setup.gammas, setup.params)
-        for node, value in zip(nodes, values):
-            node.value = value
+        tree.values[t] = np.array(_sup_rows(
+            tree.levels[t], tree.values[t + 1].reshape(-1, tree.n_symbols),
+            setup.gens, setup.gammas, setup.params))
 
 
 def backward_expectation(phi: StateFunctional,
@@ -268,11 +255,8 @@ def backward_expectation(phi: StateFunctional,
     children. The root value is the time-zero expectation.
     """
     tree = build_observation_tree(setup)
-    leaves = tree.nodes_at_depth(setup.horizon)
-    values = _dr_rows([leaf.surface for leaf in leaves], phi.values,
-                      setup.params)
-    for node, value in zip(leaves, values):
-        node.value = value
+    tree.values[-1] = np.array(_dr_rows(tree.levels[-1], phi.values,
+                                        setup.params))
     fill_backward(tree, setup, setup.horizon)
     return tree
 
@@ -286,18 +270,14 @@ def bsde_decompose(tree: ObservationTree, setup: TreeSetup) -> ObservationTree:
     worst-case pairing of ``z`` with centered symbol indicators. The node
     value then reconstructs as ``mean(children) + driver``.
     """
+    if any(values is None for values in tree.values):
+        raise ValueError("tree values must be filled first")
     for t in range(tree.horizon):
-        nodes = tree.nodes_at_depth(t)
-        for node in nodes:
-            child_vals = np.array([tree.nodes[c].value for c in node.children])
-            if any(v is None for v in child_vals):
-                raise ValueError("tree values must be filled first")
-            node.z = child_vals - child_vals.mean()
-        drivers = _sup_rows([node.surface for node in nodes],
-                            [node.z for node in nodes], setup.gens,
-                            setup.gammas, setup.params, centered=True)
-        for node, driver in zip(nodes, drivers):
-            node.driver = driver
+        kids = tree.values[t + 1].reshape(-1, tree.n_symbols)
+        tree.z[t] = kids - kids.mean(axis=1, keepdims=True)
+        tree.drivers[t] = np.array(_sup_rows(
+            tree.levels[t], tree.z[t], setup.gens, setup.gammas,
+            setup.params, centered=True))
     return tree
 
 
@@ -308,16 +288,17 @@ def history_label(history: tuple) -> str:
 def tree_document(tree: ObservationTree,
                   surface_files: dict | None = None) -> dict:
     """JSON-ready dump of the tree: per node the history, value, martingale
-    part, driver, and the surface file it references."""
-    nodes = []
-    for node in tree.nodes:
-        entry = {
-            "history": history_label(node.history),
-            "value": node.value,
-            "z": None if node.z is None else [float(v) for v in node.z],
-            "driver": node.driver,
-            "surface_file": (surface_files or {}).get(node.index),
-        }
-        nodes.append(entry)
+    part, driver, and the surface file it references (``surface_files``
+    maps a node's position in ``tree.nodes`` to its file)."""
+    def per_node(arrays):
+        return [entry for t, array in enumerate(arrays) for entry in (
+            [None] * tree.n_symbols ** t if array is None else array.tolist())]
+
+    columns = zip(tree.histories(), per_node(tree.values), per_node(tree.z),
+                  per_node(tree.drivers))
+    nodes = [{"history": history_label(history), "value": value, "z": z,
+              "driver": driver,
+              "surface_file": (surface_files or {}).get(index)}
+             for index, (history, value, z, driver) in enumerate(columns)]
     return {"n_symbols": tree.n_symbols, "horizon": tree.horizon,
             "nodes": nodes}

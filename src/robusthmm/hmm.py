@@ -31,7 +31,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def as_filter_state(probs, atol: float = STOCHASTIC_ATOL) -> np.ndarray:
+def as_filter_state(probs) -> np.ndarray:
     """Validate and return a belief vector (finite, nonnegative, sums to 1)."""
     p = np.ascontiguousarray(np.asarray(probs, dtype=np.float64))
     if p.ndim != 1:
@@ -40,7 +40,7 @@ def as_filter_state(probs, atol: float = STOCHASTIC_ATOL) -> np.ndarray:
         raise ValueError("belief has non-finite entries")
     if np.any(p < 0):
         raise ValueError("belief has negative entries")
-    if abs(p.sum() - 1.0) > atol:
+    if abs(p.sum() - 1.0) > STOCHASTIC_ATOL:
         raise ValueError(f"belief sums to {float(p.sum())!r}, not 1")
     return p
 

@@ -104,12 +104,12 @@ class SimplexGrid:
         k = np.arange(self.n_states - 1, -1, -1)
         return (self._binom[rem, k] - self._binom[rem - coords, k]).sum(axis=1)
 
-    def exact_index(self, belief: np.ndarray, atol: float = 1e-9) -> int:
-        """Index of a belief that must lie exactly on the grid."""
+    def exact_index(self, belief: np.ndarray) -> int:
+        """Index of a grid point, given to within 1e-9 grid steps."""
         scaled = np.asarray(belief, dtype=np.float64) * self.resolution
         coords = np.rint(scaled).astype(np.int64)
         if (scaled.shape != (self.n_states,) or np.min(coords) < 0
-                or np.max(np.abs(scaled - coords)) > atol
+                or np.max(np.abs(scaled - coords)) > 1e-9
                 or coords.sum() != self.resolution):
             raise ValueError(f"belief {belief} is not a grid point")
         return int(self.rank(coords[None, :])[0])

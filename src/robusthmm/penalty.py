@@ -151,13 +151,13 @@ class StepReport:
     argmin_gen: np.ndarray
 
 
-def _check_normalized(values: np.ndarray, atol: float = 1e-12) -> None:
+def _check_normalized(values: np.ndarray) -> None:
     """Every entry is >= 0 or ``+inf`` (no NaN, no negative value), and the
-    least finite entry, if any, is within ``atol`` of zero."""
+    least finite entry, if any, is within 1e-12 of zero."""
     if not (values >= 0).all():
         raise ValueError("surface values must be >= 0 or +inf")
     finite = values[np.isfinite(values)]
-    if finite.size and finite.min() > atol:
+    if finite.size and finite.min() > 1e-12:
         raise ValueError("surface is not normalized to minimum zero")
 
 
@@ -168,14 +168,14 @@ def _belief_order(beliefs: np.ndarray, gen_ids: np.ndarray | None = None):
     return np.lexsort(tuple(keys))
 
 
-def project(initial, grid: SimplexGrid, time: int = 0) -> PenaltySurface:
-    """Normalize initial penalty values, one per grid point, to minimum
-    zero."""
+def project(initial, grid: SimplexGrid) -> PenaltySurface:
+    """The time-zero surface of initial penalty values, one per grid point,
+    normalized to minimum zero."""
     values = np.asarray(initial, dtype=np.float64)
     if values.shape != (len(grid),):
         raise ValueError("one initial value per grid point required")
     return PenaltySurface(grid=grid, values=normalize_penalties(values),
-                          time=time)
+                          time=0)
 
 
 def initial_grid_surface(values, gens: GeneratorGrid, grid: SimplexGrid,
@@ -455,7 +455,8 @@ def exact_step(src: ExactSurface, gens: GeneratorGrid,
     before = before[0]
     n_new = int(np.isfinite(before).sum())
     if n_new > cap:
-        raise CapExceeded(f"{n_new} tracked beliefs would exceed the cap of {cap}")
+        raise CapExceeded(f"{n_new} tracked beliefs at step {src.time + 1} "
+                          f"would exceed the cap of {cap}")
     static = _static(src)
     merged: dict = {}
     # rows outer, candidates inner: ties keep the lowest (row, candidate)

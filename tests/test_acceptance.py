@@ -163,24 +163,22 @@ def test_criterion_5_dynamic_consistency(oracle_cfg):
     phi = StateFunctional(values=np.array([1.0, 0.0]))
     tree = backward_expectation(phi, setup)
     worst = 0.0
-    for node in tree.nodes:
-        if node.depth == setup.horizon:
-            continue
-        child_vals = np.array([tree.nodes[c].value for c in node.children])
-        redo = one_step_expectation(
-            child_vals, node.surface, setup.gens,
-            gamma_at(setup.gens), setup.params)
-        worst = max(worst, abs(redo - node.value))
+    for t in range(setup.horizon):
+        kids = tree.values[t + 1].reshape(-1, setup.gens.n_symbols)
+        for surface, child_vals, value in zip(tree.levels[t], kids,
+                                              tree.values[t], strict=True):
+            redo = one_step_expectation(
+                child_vals, surface, setup.gens,
+                gamma_at(setup.gens), setup.params)
+            worst = max(worst, abs(redo - value))
     import copy
     for cut in (1, 2):
         clone = copy.deepcopy(tree)
-        for node in clone.nodes:
-            if node.depth > cut:
-                node.value = None
+        clone.values[cut + 1:] = [None] * (len(clone.values) - cut - 1)
         fill_backward(clone, setup, terminal_depth=cut)
-        for a, b in zip(tree.nodes, clone.nodes):
-            if a.depth <= cut:
-                worst = max(worst, abs(a.value - b.value))
+        for a, b in zip(tree.values[:cut + 1], clone.values[:cut + 1],
+                        strict=True):
+            worst = max(worst, float(np.abs(a - b).max()))
     _report("criterion 5: stepwise composition equals backward recursion",
             worst <= 1e-12, f"max|diff|={worst:.2e}")
 
@@ -192,23 +190,23 @@ def test_criterion_6_bsde_reconstruction(oracle_cfg):
     bsde_decompose(tree, setup)
     worst = 0.0
     zero_exact = True
-    for node in tree.nodes:
-        if node.depth == setup.horizon:
-            continue
-        child_vals = np.array([tree.nodes[c].value for c in node.children])
-        worst = max(worst,
-                    abs(node.value - (child_vals.mean() + node.driver)))
-        gammas = gamma_at(setup.gens)
-        zero_exact &= bsde_driver(np.zeros(2), node.surface, setup.gens,
-                                  gammas, setup.params) == 0.0
+    for t in range(setup.horizon):
+        kids = tree.values[t + 1].reshape(-1, setup.gens.n_symbols)
+        for surface, child_vals, value, driver in zip(
+                tree.levels[t], kids, tree.values[t], tree.drivers[t],
+                strict=True):
+            worst = max(worst, abs(value - (child_vals.mean() + driver)))
+            gammas = gamma_at(setup.gens)
+            zero_exact &= bsde_driver(np.zeros(2), surface, setup.gens,
+                                      gammas, setup.params) == 0.0
     rng = np.random.Generator(np.random.Philox(key=99))
-    root = tree.nodes[0]
+    root_z, root_surface = tree.z[0][0], tree.levels[0][0]
     gammas = gamma_at(setup.gens)
-    base = bsde_driver(root.z, root.surface, setup.gens, gammas, setup.params)
+    base = bsde_driver(root_z, root_surface, setup.gens, gammas, setup.params)
     shift_worst = 0.0
     for _ in range(20):
         c = float(rng.uniform(-5, 5))
-        shifted = bsde_driver(root.z + c, root.surface, setup.gens, gammas,
+        shifted = bsde_driver(root_z + c, root_surface, setup.gens, gammas,
                               setup.params)
         shift_worst = max(shift_worst, abs(shifted - base))
     _report("criterion 6: martingale reconstruction and driver invariances",

@@ -69,6 +69,18 @@ def test_tree_cap_exits_4(tmp_path):
     assert run_cli("expect", big, tmp_path / "run") == 4
 
 
+def test_control_cap_names_the_depth_and_the_count(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "control_t3.json").read_text())
+    cfg["horizon"] = 7
+    cfg["control"]["running_cost"] = [[0.3, 0.0]] * 7
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(cfg))
+    assert run_cli("control", big, tmp_path / "run") == 4
+    assert capsys.readouterr().err == (
+        "cap exceeded: 20021 reachable (history, state) pairs by depth 7 "
+        "exceed the cap of 20000\n")
+
+
 def test_penalty_evolve_artifacts(tmp_path):
     out = tmp_path / "run"
     assert run_cli("penalty-evolve", CONFIGS / "oracle_t3.json", out) == 0

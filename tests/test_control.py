@@ -217,7 +217,8 @@ def test_resolving_subtree_reproduces_policy():
 def test_caps_raise():
     problem = _sensing_problem(horizon=3)
     object.__setattr__(problem, "state_cap", 5)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match=r"^9 reachable \(history, state\) "
+                       r"pairs by depth 2 exceed the cap of 5$"):
         solve(problem)
     problem2 = _sensing_problem(horizon=3)
     object.__setattr__(problem2, "policy_cap", 10)

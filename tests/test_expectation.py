@@ -196,8 +196,8 @@ def test_up_and_dr_trees_coincide_without_information():
                           initial_surface=prior, params=P1)
         trees[framework] = backward_expectation(
             StateFunctional(values=np.array([1.0, 0.0])), setup)
-    for a, b in zip(trees["up"].nodes, trees["dr"].nodes):
-        assert abs(a.value - b.value) < 1e-12
+    for a, b in zip(trees["up"].values, trees["dr"].values, strict=True):
+        assert (np.abs(a - b) < 1e-12).all()
 
 
 def test_one_step_monotone_in_payoff():
@@ -229,8 +229,8 @@ def test_backward_constant_payoff_propagates():
     setup = _exact_setup(horizon=3)
     tree = backward_expectation(StateFunctional(values=np.array([2.5, 2.5])),
                                 setup)
-    for node in tree.nodes:
-        assert abs(node.value - 2.5) < 1e-9
+    for values in tree.values:
+        assert (np.abs(values - 2.5) < 1e-9).all()
 
 
 def test_backward_horizon_zero_is_current_state_expectation():
@@ -238,7 +238,7 @@ def test_backward_horizon_zero_is_current_state_expectation():
     tree = backward_expectation(StateFunctional(values=np.array([1.0, 0.0])),
                                 setup)
     direct, _ = dr_expectation(np.array([1.0, 0.0]), setup.initial_surface, P1)
-    assert tree.nodes[0].value == direct
+    assert tree.values[0][0] == direct
 
 
 def test_backward_matches_direct_recursion_from_enumeration():
@@ -275,21 +275,22 @@ def test_backward_matches_direct_recursion_from_enumeration():
                 best = max(best, float(score))
         return best
 
-    for node in tree.nodes:
-        assert abs(node.value - value_at(node.history)) < 1e-9
+    values = np.concatenate(tree.values)
+    for history, value in zip(tree.histories(), values, strict=True):
+        assert abs(value - value_at(history)) < 1e-9
 
 
 def test_backward_equals_manual_stepwise_composition():
     setup = _exact_setup(horizon=3)
     tree = backward_expectation(StateFunctional(values=np.array([1.0, -0.5])),
                                 setup)
-    for node in tree.nodes:
-        if node.depth == setup.horizon:
-            continue
-        child_vals = np.array([tree.nodes[c].value for c in node.children])
-        redo = one_step_expectation(child_vals, node.surface, setup.gens,
-                                    gamma_at(setup.gens), P1)
-        assert redo == node.value
+    for t in range(setup.horizon):
+        kids = tree.values[t + 1].reshape(-1, 2)
+        for surface, child_vals, value in zip(tree.levels[t], kids,
+                                              tree.values[t], strict=True):
+            redo = one_step_expectation(child_vals, surface, setup.gens,
+                                        gamma_at(setup.gens), P1)
+            assert redo == value
 
 
 def test_backward_tower_property():
@@ -299,13 +300,10 @@ def test_backward_tower_property():
     # feed the depth-2 values back as terminal data and re-run the recursion
     import copy
     clone = copy.deepcopy(tree)
-    for node in clone.nodes:
-        if node.depth > 2:
-            node.value = None
+    clone.values[3:] = [None] * (len(clone.values) - 3)
     fill_backward(clone, setup, terminal_depth=2)
-    for a, b in zip(tree.nodes, clone.nodes):
-        if a.depth <= 2:
-            assert a.value == b.value
+    for a, b in zip(tree.values[:3], clone.values[:3], strict=True):
+        assert (a == b).all()
 
 
 def test_same_surface_nodes_share_values():
@@ -327,9 +325,10 @@ def test_same_surface_nodes_share_values():
                                 setup)
     for depth in range(3):
         groups = {}
-        for node in tree.nodes_at_depth(depth):
-            key = np.round(node.surface.values, 12).tobytes()
-            groups.setdefault(key, set()).add(node.value)
+        for surface, value in zip(tree.levels[depth], tree.values[depth],
+                                  strict=True):
+            key = np.round(surface.values, 12).tobytes()
+            groups.setdefault(key, set()).add(value)
         for values in groups.values():
             assert len(values) == 1
 
@@ -380,9 +379,8 @@ def test_driver_zero_at_zero_and_constant_children():
     tree = backward_expectation(StateFunctional(values=np.array([3.0, 3.0])),
                                 setup)
     bsde_decompose(tree, setup)
-    root = tree.nodes[0]
-    assert np.allclose(root.z, 0.0, atol=1e-12)
-    assert bsde_driver(np.zeros(2), root.surface, setup.gens,
+    assert np.allclose(tree.z[0][0], 0.0, atol=1e-12)
+    assert bsde_driver(np.zeros(2), tree.levels[0][0], setup.gens,
                        gamma_at(setup.gens), P1) == 0.0
 
 
@@ -405,14 +403,14 @@ def test_reconstruction_identity_two_ways():
     tree = backward_expectation(StateFunctional(values=np.array([1.0, 0.0])),
                                 setup)
     bsde_decompose(tree, setup)
-    for node in tree.nodes:
-        if node.depth == setup.horizon:
-            continue
-        child_vals = np.array([tree.nodes[c].value for c in node.children])
-        assert abs(node.value - (child_vals.mean() + node.driver)) < 1e-9
-        # z is the canonical mean-zero representative
-        assert abs(node.z.sum()) < 1e-12
-        assert np.allclose(node.z, child_vals - child_vals.mean())
+    for t in range(setup.horizon):
+        kids = tree.values[t + 1].reshape(-1, 2)
+        for child_vals, value, z, driver in zip(
+                kids, tree.values[t], tree.z[t], tree.drivers[t], strict=True):
+            assert abs(value - (child_vals.mean() + driver)) < 1e-9
+            # z is the canonical mean-zero representative
+            assert abs(z.sum()) < 1e-12
+            assert np.allclose(z, child_vals - child_vals.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -451,16 +449,17 @@ def test_grid_tree_ignores_an_infinite_gamma_candidate(framework):
     phi = StateFunctional(values=np.array([1.0, -0.5]))
     want = backward_expectation(phi, _grid_setup(base, framework=framework))
     got = backward_expectation(phi, _grid_setup(extra, framework=framework))
-    assert [n.value for n in got.nodes] == [n.value for n in want.nodes]
+    assert (np.concatenate(got.values).tolist()
+            == np.concatenate(want.values).tolist())
 
 
 def test_grid_tree_is_translation_equivariant_in_phi():
     setup = _grid_setup(ex1_grid_of(2))
     phi = np.array([1.0, -0.5])
-    root = backward_expectation(StateFunctional(values=phi), setup).nodes[0]
+    root = backward_expectation(StateFunctional(values=phi), setup).values[0][0]
     for c in (-3.0, 0.25, 7.5):
         shifted = backward_expectation(StateFunctional(values=phi + c), setup)
-        assert abs(shifted.nodes[0].value - (root.value + c)) < 1e-12
+        assert abs(shifted.values[0][0] - (root + c)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

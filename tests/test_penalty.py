@@ -483,7 +483,8 @@ def test_exact_cap_enforced():
     gens = mixed_gens(3)
     prior = initial_exact_surface(np.array([[0.5, 0.5]]), np.zeros(1), gens,
                                   "dynamic")
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match=r"^21 tracked beliefs at step 3 "
+                       r"would exceed the cap of 20$"):
         evolve(prior, gens, [0] * 5, "dr", cap=20)
 
 

@@ -1,8 +1,9 @@
 """The benchmark's layer tracer, ``bench/spans.py``, wraps package
 functions and class attributes by name. A rename or merge in the package
 that leaves one of those names behind, that makes a static-scope step
-count no cells, or that renders a surface file past the traced renderer,
-fails here instead of only under ``bench/run.py --trace 1``.
+count no cells, that renders a surface file past the traced renderer, or
+that miscounts the tree's nodes, fails here instead of only under
+``bench/run.py --trace 1``.
 """
 
 import importlib.util
@@ -57,6 +58,8 @@ def test_bench_tracer_wraps_every_layer(tmp_path):
         tracer.remove()
     metrics = tracer.layer_metrics()
     assert wanted <= set(metrics)
+    # the one traced tree, oracle_t3.json's H=3 over 2 symbols
+    assert metrics["expectation.tree_nodes"] == 1 + 2 + 4 + 8
     # every surface file is rendered under the traced name, once
     surface_files = list(tmp_path.rglob("surface_*.csv"))
     assert len(surface_files) > len(runs)
