@@ -30,8 +30,8 @@ from .control import ControlProblem, solve
 from .errors import (CapExceeded, ConfigError, DegenerateObservation,
                      InfeasibleSurface)
 from .expectation import (StateFunctional, TreeSetup, UncertaintyParams,
-                          backward_expectation, bsde_decompose,
-                          dr_expectation, history_label, tree_document)
+                          _dr_scores, backward_expectation, bsde_decompose,
+                          history_label, tree_document)
 from .hmm import Generator, as_filter_state, filter_step, simulate_path
 from .models import (DR, DYNAMIC, GeneratorGrid, SimplexGrid,
                      normalize_penalties, parse_framework)
@@ -572,8 +572,10 @@ def _check_one_framework(args):
     phis = rng.uniform(-1.0, 1.0, size=(_PHI_DRAWS, cfg.n_states))
     oracle_vals = payoff_values(levels[-1], phis, k=cfg.params.k,
                                 k_exp=cfg.params.k_exp)
-    for j, (phi, oracle_val) in enumerate(zip(phis, oracle_vals)):
-        engine_val, _ = dr_expectation(phi, surfaces[-1], cfg.params)
+    final = surfaces[-1]  # every payoff's dr_expectation, one gemv each
+    dr_vals = _dr_scores((final.beliefs[None] @ phis[:, :, None])[..., 0],
+                         final.values[None], cfg.params)[0]
+    for j, (oracle_val, engine_val) in enumerate(zip(oracle_vals, dr_vals)):
         reports.append(OracleReport(quantity=f"{label}/dr_expectation_{j}",
                                     oracle_value=float(oracle_val),
                                     engine_value=engine_val,

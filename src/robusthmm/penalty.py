@@ -34,7 +34,11 @@ a tree level or control's new triples through it, and
 :func:`forward_image_step` is its one-row case. Rounding goes through
 :meth:`~robusthmm.models.SimplexGrid.round_rows`, which raises ``ValueError``
 on a belief with a non-finite or negative entry or a sum off 1 by more than
-1e-9.
+1e-9. Exact mode has its own level kernel, :func:`_exact_level`: one stacked
+Bayes update per candidate, with the bytes of
+:func:`~robusthmm.hmm.filter_step`, and one sort-merge; :func:`exact_step`
+is its one-surface case. That sort-merge, :func:`_merge_rows`, is the one
+merge rule: it also merges an exact prior and reduces each grid step.
 
 Surface CSVs on one grid share their header and every row's leading columns
 (integer coordinates, belief coordinates and, in the static scope, the
@@ -161,11 +165,17 @@ def _check_normalized(values: np.ndarray) -> None:
         raise ValueError("surface is not normalized to minimum zero")
 
 
-def _belief_order(beliefs: np.ndarray, gen_ids: np.ndarray | None = None):
-    keys = [beliefs[:, i] for i in range(beliefs.shape[1] - 1, -1, -1)]
-    if gen_ids is not None:
-        keys.append(gen_ids)
-    return np.lexsort(tuple(keys))
+def _merge_rows(ident: np.ndarray, values: np.ndarray, *ties: np.ndarray):
+    """The merge rule: rows that agree in every key of the (keys x rows)
+    array ``ident`` are one, at their least ``values`` entry; equal values
+    go to the row lowest in ``ties``. Returns the kept rows' indices sorted
+    by the keys; in ``ident`` and ``ties`` alike the last key is the most
+    significant, as in the one ``np.lexsort``."""
+    order = np.lexsort((*ties, values, *ident))
+    ident = ident[:, order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ident[:, 1:] != ident[:, :-1]).any(axis=0)
+    return order[first]
 
 
 def project(initial, grid: SimplexGrid) -> PenaltySurface:
@@ -201,10 +211,11 @@ def initial_exact_surface(beliefs, values, gens: GeneratorGrid,
     """Time-zero surface on a finite set of exact beliefs (no grid), one
     initial penalty per row.
 
-    The values are normalized to minimum zero, rows whose beliefs coincide
-    bit-for-bit are merged at their least penalty, and the rows are put in
-    canonical belief order. The static scope then tracks one row per
-    (belief, candidate) at ``gens.prior_penalty`` and normalizes again.
+    The values are normalized to minimum zero, and rows whose beliefs
+    coincide bit-for-bit are merged at their least penalty, in canonical
+    belief order, by the exact step's rule, :func:`_merge_rows`. The static
+    scope then tracks one row per (belief, candidate) at
+    ``gens.prior_penalty`` and normalizes again.
     """
     if scope not in (STATIC, DYNAMIC):
         raise ValueError(f"bad scope {scope!r}")
@@ -212,15 +223,8 @@ def initial_exact_surface(beliefs, values, gens: GeneratorGrid,
     v = normalize_penalties(np.asarray(values, dtype=np.float64))
     if b.ndim != 2 or v.shape != (b.shape[0],):
         raise ValueError("beliefs must be (n, N) with one value per row")
-    merged: dict[bytes, tuple] = {}
-    for row, val in zip(b, v.tolist()):
-        hit = merged.get(row.tobytes())
-        if hit is None or val < hit[1]:
-            merged[row.tobytes()] = (row, val)
-    b = np.array([row for row, _ in merged.values()])
-    v = np.array([val for _, val in merged.values()])
-    order = _belief_order(b)
-    b, v = b[order], v[order]
+    keep = _merge_rows(b.T[::-1], v, np.arange(len(v)))
+    b, v = b[keep], v[keep]
     if scope == DYNAMIC:
         return ExactSurface(beliefs=b, values=v, gen_ids=None, time=0)
     n, g = len(v), len(gens)
@@ -241,12 +245,13 @@ def _static(surface) -> bool:
 def _candidate_penalties(surfaces, gens: GeneratorGrid,
                          gammas: np.ndarray | None):
     """The scope rule: which candidates may follow each belief of a stack of
-    grid surfaces on one grid, or of one exact surface, and at what penalty.
+    grid surfaces on one grid, or of exact surfaces, and at what penalty.
 
     Returns the beliefs and a (surfaces x candidates x beliefs) array of
-    continuation penalties. In the dynamic scope every candidate may follow
-    every belief, at the belief's penalty plus the candidate's per-step
-    ``gammas``; a sum beyond the float64 range is ``inf``, so that
+    continuation penalties; a stack of exact surfaces is one surface of
+    their rows, one after the other. In the dynamic scope every candidate
+    may follow every belief, at the belief's penalty plus the candidate's
+    per-step ``gammas``; a sum beyond the float64 range is ``inf``, so that
     continuation is excluded as under an ``inf`` gamma. In the static scope
     a row continues under its own candidate only, at its own penalty, and
     is ``inf`` under every other; ``gammas`` must then be None.
@@ -262,9 +267,10 @@ def _candidate_penalties(surfaces, gens: GeneratorGrid,
             return surfaces[0].grid.points, values.transpose(0, 2, 1)
         beliefs = surfaces[0].grid.points
     else:
-        (surface,) = surfaces
-        beliefs, values, gen_ids = _rows(surface)
+        beliefs = np.concatenate([s.beliefs for s in surfaces])
+        values = np.concatenate([s.values for s in surfaces])
         if static:
+            gen_ids = np.concatenate([s.gen_ids for s in surfaces])
             before = np.full((1, len(gens), len(values)), np.inf)
             before[0, gen_ids, np.arange(len(values))] = values
             return beliefs, before
@@ -333,23 +339,15 @@ def _image_table(gens: GeneratorGrid, grid: SimplexGrid, y: int) -> ImageTable:
 
 
 def _reduce_candidates(dest, vals, srcs, gids, n_keys):
-    """Deterministic min-reduction per destination key.
-
-    Candidates are ordered by (destination, value, source, candidate) so the
-    winner on ties is always the lowest (source, candidate) pair.
-    """
+    """Deterministic min-reduction per destination key by
+    :func:`_merge_rows`: the winner on ties is always the lowest (source,
+    candidate) pair."""
     out = np.full(n_keys, np.inf)
     out_src = np.full(n_keys, -1, dtype=np.int64)
     out_gen = np.full(n_keys, -1, dtype=np.int64)
-    if len(dest):
-        order = np.lexsort((gids, srcs, vals, dest))
-        dest, vals = dest[order], vals[order]
-        srcs, gids = srcs[order], gids[order]
-        first = np.ones(len(dest), dtype=bool)
-        first[1:] = dest[1:] != dest[:-1]
-        out[dest[first]] = vals[first]
-        out_src[dest[first]] = srcs[first]
-        out_gen[dest[first]] = gids[first]
+    keep = _merge_rows(dest[None], vals, gids, srcs)
+    at = dest[keep]
+    out[at], out_src[at], out_gen[at] = vals[keep], srcs[keep], gids[keep]
     return out, out_src, out_gen
 
 
@@ -412,13 +410,13 @@ def forward_image_step(src, gens: GeneratorGrid,
 
 def step_level(surfaces, gens: GeneratorGrid, gammas: np.ndarray | None,
                framework: str) -> list:
-    """Each surface's children, one per symbol: grid surfaces go through
-    :func:`_grid_level` together, symbol by symbol; exact ones through
-    :func:`exact_step`, surface by surface."""
+    """Each surface's children, one per symbol: the level goes through its
+    kernel, :func:`_exact_level` or :func:`_grid_level`, once per symbol."""
     symbols = range(gens.n_symbols)
     if isinstance(surfaces[0], ExactSurface):
-        return [[exact_step(s, gens, gammas, y, framework)[0]
-                 for y in symbols] for s in surfaces]
+        levels = [_exact_level(surfaces, gens, gammas, y, framework)
+                  for y in symbols]
+        return [[child for child, _ in kids] for kids in zip(*levels)]
     by_symbol = [[replace(s, values=row.reshape(s.values.shape),
                           time=s.time + 1)
                   for chunk, values, *_ in _grid_level(surfaces, gens, gammas,
@@ -441,58 +439,71 @@ def _normalize_rows(values: np.ndarray, time: int):
     return values - m_t[:, None], m_t
 
 
-def exact_step(src: ExactSurface, gens: GeneratorGrid,
-               gammas: np.ndarray | None, y: int, framework: str,
-               cap: int = EXACT_CAP_DEFAULT):
-    """One forward step on exactly tracked beliefs (no rounding).
+def _exact_level(surfaces, gens: GeneratorGrid, gammas: np.ndarray | None,
+                 y: int, framework: str, cap: int = EXACT_CAP_DEFAULT) -> list:
+    """The exact level kernel: exact surfaces of one scope stepped on symbol
+    ``y`` with no rounding, at most ``cap`` admitted (row, candidate) pairs
+    a surface, into one (surface, :class:`StepReport`) pair each.
 
-    Beliefs that coincide bit-for-bit are merged by taking the minimal
-    penalty; merging early is exact because equal beliefs evolve identically.
+    Per candidate, one stacked product ``T[None] @ B[:, :, None]`` updates
+    every admitted row bit for bit as the per-row ``T @ b`` of
+    :func:`~robusthmm.hmm.filter_step`; log masses are ``math.log``'s. One
+    :func:`_merge_rows` keyed on (surface, candidate in the static scope,
+    belief) then merges coincident beliefs, ties going to the lowest (row,
+    candidate) pair, and orders each surface's rows. Merging early is exact
+    because equal beliefs evolve identically.
     """
     if framework not in (UP, DR):
         raise ValueError(f"bad framework {framework!r}")
-    beliefs, before = _candidate_penalties([src], gens, gammas)
-    before = before[0]
-    n_new = int(np.isfinite(before).sum())
-    if n_new > cap:
-        raise CapExceeded(f"{n_new} tracked beliefs at step {src.time + 1} "
-                          f"would exceed the cap of {cap}")
-    static = _static(src)
-    merged: dict = {}
-    # rows outer, candidates inner: ties keep the lowest (row, candidate)
-    rows, cands = np.nonzero(np.isfinite(before.T))
-    for r, g in zip(rows.tolist(), cands.tolist()):
-        gen = gens.candidates[g]
-        pred = gen.transition @ beliefs[r]
-        weighted = gen.emission[:, y] * pred
-        mass = weighted.sum()
-        if mass <= 0.0:
-            continue
-        post = weighted / mass + 0.0
-        cand = before[g, r]
-        if framework == DR:
-            cand = cand - log(mass)
-        key = (g, post.tobytes()) if static else post.tobytes()
-        hit = merged.get(key)
-        if hit is None or cand < hit[1]:
-            merged[key] = (post, cand, r, g)
-    if not merged:
-        raise InfeasibleSurface(
-            f"observation at step {src.time + 1} impossible under every model")
-    beliefs = np.array([e[0] for e in merged.values()])
-    values = np.array([e[1] for e in merged.values()])
-    parents = np.array([e[2] for e in merged.values()], dtype=np.int64)
-    gen_ids = np.array([e[3] for e in merged.values()], dtype=np.int64)
-    order = _belief_order(beliefs, gen_ids if static else None)
-    beliefs, values = beliefs[order], values[order]
-    parents, gen_ids = parents[order], gen_ids[order]
-    (values,), (m_t,) = _normalize_rows(values[None], src.time + 1)
-    surface = ExactSurface(beliefs=beliefs, values=values,
-                           gen_ids=gen_ids if static else None,
-                           time=src.time + 1)
-    report = StepReport(time=src.time + 1, m_t=float(m_t), infeasible_cells=0,
-                        argmin_src=parents, argmin_gen=gen_ids)
-    return surface, report
+    beliefs, (before,) = _candidate_penalties(surfaces, gens, gammas)
+    sizes = [len(s) for s in surfaces]
+    owner = np.repeat(np.arange(len(surfaces)), sizes)
+    live = np.isfinite(before)
+    gids, rows = np.nonzero(live)
+    n_new = np.bincount(owner[rows], minlength=len(surfaces)).tolist()
+    for src, n in zip(surfaces, n_new):
+        if n > cap:
+            raise CapExceeded(f"{n} tracked beliefs at step {src.time + 1} "
+                              f"would exceed the cap of {cap}")
+    weighted = np.concatenate([
+        gen.emission[:, y] * (gen.transition[None]
+                              @ beliefs[live[g]][:, :, None])[..., 0]
+        for g, gen in enumerate(gens.candidates)])
+    mass = weighted.sum(axis=1)
+    alive = mass > 0.0
+    gids, rows, mass = gids[alive], rows[alive], mass[alive]
+    posts = weighted[alive] / mass[:, None] + 0.0
+    values = before[gids, rows]
+    if framework == DR:
+        values = values - np.array([log(m) for m in mass.tolist()])
+    static = _static(surfaces[0])
+    keys = [*posts.T[::-1], *([gids] if static else []), owner[rows]]
+    keep = _merge_rows(np.array(keys), values, gids, rows)
+    parts = np.split(keep, np.searchsorted(owner[rows[keep]],
+                                           range(1, len(surfaces))))
+    out = []
+    for src, first, k in zip(surfaces, np.cumsum([0] + sizes).tolist(), parts):
+        time = src.time + 1
+        if not k.size:
+            raise InfeasibleSurface(
+                f"observation at step {time} impossible under every model")
+        (vals,), (m_t,) = _normalize_rows(values[k][None], time)
+        out.append((ExactSurface(beliefs=posts[k], values=vals,
+                                 gen_ids=gids[k] if static else None,
+                                 time=time),
+                    StepReport(time=time, m_t=float(m_t), infeasible_cells=0,
+                               argmin_src=rows[k] - first,
+                               argmin_gen=gids[k])))
+    return out
+
+
+def exact_step(src: ExactSurface, gens: GeneratorGrid,
+               gammas: np.ndarray | None, y: int, framework: str,
+               cap: int = EXACT_CAP_DEFAULT):
+    """One forward step on exactly tracked beliefs (no rounding), at most
+    ``cap`` admitted (row, candidate) pairs: the one-surface case of the
+    level kernel :func:`_exact_level`."""
+    return _exact_level([src], gens, gammas, y, framework, cap)[0]
 
 
 def evolve(surface, gens: GeneratorGrid, obs: Sequence[int], framework: str,

@@ -9,7 +9,8 @@ import pytest
 from robusthmm import cli, penalty
 from robusthmm.cli import load_config, main
 from robusthmm.errors import ConfigError
-from robusthmm.models import SimplexGrid
+from robusthmm.expectation import dr_expectation
+from robusthmm.models import SimplexGrid, parse_framework
 from robusthmm.penalty import evolve, initial_exact_surface, initial_grid_surface
 from conftest import CONFIGS
 
@@ -212,6 +213,28 @@ def test_oracle_check_passes_on_shipped_instance(tmp_path):
     header = lines[0].split(",")
     col = header.index("abs_diff")
     assert max(float(line.split(",")[col]) for line in lines[1:]) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["oracle_t3.json", "tree_d3.json"])
+def test_oracle_check_scores_payoffs_as_one_row_scans(tmp_path, name):
+    # the report's engine values of the 50 random payoffs, scored in one
+    # batched scan, are bit for bit 50 one-row dr_expectation calls against
+    # the last exact surface, under every framework label
+    out = tmp_path / "run"
+    assert run_cli("oracle-check", CONFIGS / name, out) == 0
+    lines = (out / "oracle_report.csv").read_text().splitlines()
+    engine = {row[0]: row[2] for row in (line.split(",") for line in lines)}
+    cfg = load_config(str(CONFIGS / name))
+    rng = np.random.Generator(np.random.Philox(key=2026))
+    phis = rng.uniform(-1.0, 1.0, size=(cli._PHI_DRAWS, cfg.n_states))
+    prior = cli.build_exact_prior(cfg.prior_values, cfg.grid)
+    for label in cli._FRAMEWORK_LABELS:
+        scope, framework = parse_framework(label)
+        surfaces, _ = evolve(initial_exact_surface(*prior, cfg.gens, scope),
+                             cfg.gens, cli._observations(cfg), framework)
+        for j, phi in enumerate(phis):
+            value, _ = dr_expectation(phi, surfaces[-1], cfg.params)
+            assert engine[f"{label}/dr_expectation_{j}"] == repr(value)
 
 
 def _count_exact_steps(monkeypatch):

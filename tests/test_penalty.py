@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 from unittest import mock
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robusthmm import penalty
-from robusthmm import (CapExceeded, Generator, GeneratorGrid,
+from robusthmm import (CapExceeded, ExactSurface, Generator, GeneratorGrid,
                        InfeasibleSurface, SimplexGrid, TreeSetup,
                        UncertaintyParams, build_observation_tree, evolve,
                        exact_step, forward_image_step, gamma_at,
@@ -486,6 +487,171 @@ def test_exact_cap_enforced():
     with pytest.raises(CapExceeded, match=r"^21 tracked beliefs at step 3 "
                        r"would exceed the cap of 20$"):
         evolve(prior, gens, [0] * 5, "dr", cap=20)
+
+
+def _reference_exact_step(src, gens, gammas, y, framework, cap):
+    # the per-pair exact step: one Bayes update per admitted (row,
+    # candidate) pair, rows outer and candidates inner, merged in a dict
+    # keyed on the posterior's bytes, then put in canonical order
+    static = src.gen_ids is not None
+    before = np.full((len(gens), len(src)), np.inf)
+    if static:
+        before[src.gen_ids, np.arange(len(src))] = src.values
+    else:
+        with np.errstate(over="ignore"):
+            before[:] = src.values[None, :] + np.asarray(gammas)[:, None]
+    n_new = int(np.isfinite(before).sum())
+    if n_new > cap:
+        raise CapExceeded(f"{n_new} tracked beliefs at step {src.time + 1} "
+                          f"would exceed the cap of {cap}")
+    merged = {}
+    rows, cands = np.nonzero(np.isfinite(before.T))
+    for r, g in zip(rows.tolist(), cands.tolist()):
+        gen = gens.candidates[g]
+        pred = gen.transition @ src.beliefs[r]
+        weighted = gen.emission[:, y] * pred
+        mass = weighted.sum()
+        if mass <= 0.0:
+            continue
+        post = weighted / mass + 0.0
+        cand = before[g, r]
+        if framework == "dr":
+            cand = cand - math.log(mass)
+        key = (g, post.tobytes()) if static else post.tobytes()
+        hit = merged.get(key)
+        if hit is None or cand < hit[1]:
+            merged[key] = (post, cand, r, g)
+    if not merged:
+        raise InfeasibleSurface(
+            f"observation at step {src.time + 1} impossible under every model")
+    beliefs = np.array([e[0] for e in merged.values()])
+    values = np.array([e[1] for e in merged.values()])
+    parents = np.array([e[2] for e in merged.values()], dtype=np.int64)
+    gen_ids = np.array([e[3] for e in merged.values()], dtype=np.int64)
+    keys = [beliefs[:, i] for i in range(beliefs.shape[1] - 1, -1, -1)]
+    order = np.lexsort(keys + [gen_ids] if static else keys)
+    values = values[order]
+    m_t = values.min()
+    return (beliefs[order], values - m_t, gen_ids[order] if static else None,
+            m_t, parents[order], gen_ids[order])
+
+
+@st.composite
+def _exact_levels(draw):
+    # a level of exact surfaces of one scope drawn from a small pool of
+    # beliefs (vertices included, so repeated rows and coincident images
+    # occur) with values from a small set (so ties occur); candidate 0 is
+    # the identity chain and cannot emit symbol 0 from state 0
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    n, d, n_gens = (draw(st.integers(1, 4)), draw(st.integers(2, 3)),
+                    draw(st.integers(1, 3)))
+    scope = draw(st.sampled_from(["static", "dynamic"]))
+    rng = np.random.Generator(np.random.Philox(seed))
+    cands = []
+    for g in range(n_gens):
+        emission = rng.dirichlet(np.ones(d), size=n)
+        transition = rng.dirichlet(np.ones(n), size=n).T
+        if g == 0:
+            emission[0] = np.eye(d)[d - 1]
+            transition = np.eye(n)
+        cands.append(Generator(transition=transition, emission=emission))
+    gens = GeneratorGrid(candidates=tuple(cands),
+                         prior_penalty=np.zeros(n_gens))
+    pool = np.vstack([np.eye(n), np.full((1, n), 1.0 / n),
+                      rng.dirichlet(np.ones(n), size=3)])
+    surfaces = []
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(1, 6))
+        beliefs = pool[rng.integers(len(pool), size=size)]
+        values = rng.choice([0.0, -0.0, 0.5, 1.0, np.inf], size=size)
+        values = np.where(rng.random(size) < 0.3, rng.exponential(size=size),
+                          values)
+        values[rng.integers(size)] = rng.choice([0.0, -0.0])
+        gen_ids = rng.integers(n_gens, size=size) if scope == "static" \
+            else None
+        surfaces.append(ExactSurface(beliefs=beliefs, values=values,
+                                     gen_ids=gen_ids,
+                                     time=draw(st.integers(0, 2))))
+    gammas = None
+    if scope == "dynamic":
+        gammas = rng.choice([0.0, -0.0, 0.25, np.inf], size=n_gens)
+    cap = draw(st.sampled_from([2, 8, penalty.EXACT_CAP_DEFAULT]))
+    return gens, surfaces, gammas, cap
+
+
+def _outcome(step):
+    try:
+        return step()
+    except (CapExceeded, InfeasibleSurface) as exc:
+        return type(exc), str(exc)
+
+
+@given(_exact_levels(), st.sampled_from(["up", "dr"]))
+@settings(max_examples=400, deadline=None)
+def test_exact_level_kernel_matches_per_pair_reference(case, framework):
+    # the stacked kernel is bit for bit the per-pair step on every surface
+    # (beliefs, values with their signed zeros, candidates, m_t and
+    # provenance, or the error), and a stacked level is its surfaces' calls
+    gens, surfaces, gammas, cap = case
+    for y in range(gens.n_symbols):
+        expected = [_outcome(lambda s=s: _reference_exact_step(
+            s, gens, gammas, y, framework, cap)) for s in surfaces]
+        ones = [_outcome(lambda s=s: exact_step(s, gens, gammas, y, framework,
+                                                cap=cap)) for s in surfaces]
+        level = _outcome(lambda: penalty._exact_level(surfaces, gens, gammas,
+                                                      y, framework, cap))
+        errors = [e for e in expected if isinstance(e[0], type)]
+        if errors:
+            assert [e for e in ones if isinstance(e[0], type)] == errors
+            assert level in errors
+            continue
+        assert isinstance(level, list) and len(level) == len(surfaces)
+        for ref, one, stacked in zip(expected, ones, level):
+            beliefs, values, gen_ids, m_t, src, gen = ref
+            for surface, report in (one, stacked):
+                assert surface.beliefs.tobytes() == beliefs.tobytes()
+                assert surface.values.tobytes() == values.tobytes()
+                if gen_ids is None:
+                    assert surface.gen_ids is None
+                else:
+                    assert surface.gen_ids.tobytes() == gen_ids.tobytes()
+                assert np.float64(report.m_t).tobytes() == m_t.tobytes()
+                assert report.argmin_src.tobytes() == src.tobytes()
+                assert report.argmin_gen.tobytes() == gen.tobytes()
+                assert surface.time == report.time == one[0].time
+                assert report.infeasible_cells == 0
+
+
+@given(_exact_levels(), st.sampled_from(["up", "dr"]))
+@settings(max_examples=100, deadline=None)
+def test_step_level_steps_an_exact_level_as_its_surfaces(case, framework):
+    gens, surfaces, gammas, _ = case
+    try:
+        expected = [[exact_step(s, gens, gammas, y, framework)[0]
+                     for y in range(gens.n_symbols)] for s in surfaces]
+    except InfeasibleSurface:
+        with pytest.raises(InfeasibleSurface):
+            penalty.step_level(surfaces, gens, gammas, framework)
+        return
+    stepped = penalty.step_level(surfaces, gens, gammas, framework)
+    assert [[(c.beliefs.tobytes(), c.values.tobytes(), c.time)
+             for c in kids] for kids in stepped] == \
+        [[(c.beliefs.tobytes(), c.values.tobytes(), c.time)
+          for c in kids] for kids in expected]
+
+
+def test_initial_exact_surface_merges_at_the_least_value():
+    gens = mixed_gens(2)
+    beliefs = np.array([[0.5, 0.5], [0.25, 0.75], [0.5, 0.5], [-0.0, 1.0],
+                        [0.0, 1.0], [0.25, 0.75]])
+    values = np.array([2.0, 1.0, 0.5, 3.0, 3.0, 1.0])
+    dynamic = initial_exact_surface(beliefs, values, gens, "dynamic")
+    assert dynamic.beliefs.tolist() == [[0.0, 1.0], [0.25, 0.75], [0.5, 0.5]]
+    assert dynamic.values.tolist() == [2.5, 0.5, 0.0]
+    static = initial_exact_surface(beliefs, values, gens, "static")
+    assert static.gen_ids.tolist() == [0, 1] * 3
+    assert static.values.tolist() == (
+        dynamic.values[:, None] + gens.prior_penalty).ravel().tolist()
 
 
 def test_impossible_observation_flags_infeasible():

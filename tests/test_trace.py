@@ -1,8 +1,9 @@
 """The benchmark's layer tracer, ``bench/spans.py``, wraps package
 functions and class attributes by name. A rename or merge in the package
 that leaves one of those names behind, that makes a static-scope step
-count no cells, that renders a surface file past the traced renderer, or
-that miscounts the tree's nodes, fails here instead of only under
+count no cells, that renders a surface file past the traced renderer,
+that miscounts the tree's nodes, or that steps an exact surface past the
+traced exact step, fails here instead of only under
 ``bench/run.py --trace 1``.
 """
 
@@ -64,3 +65,22 @@ def test_bench_tracer_wraps_every_layer(tmp_path):
     surface_files = list(tmp_path.rglob("surface_*.csv"))
     assert len(surface_files) > len(runs)
     assert metrics["penalty.render_calls"] == len(surface_files)
+
+
+def test_bench_tracer_counts_the_exact_steps_of_oracle_check(tmp_path):
+    # oracle_t3.json checks four frameworks of three exact steps each, all
+    # through the traced exact_step (a kernel call that bypasses that name
+    # reads fewer here); the 50 payoffs of each check are scored in one
+    # batched scan, not through the traced one-row dr_expectation
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        assert main(["oracle-check", "--config",
+                     str(CONFIGS / "oracle_t3.json"),
+                     "--out", str(tmp_path / "oracle-check")]) == 0
+    finally:
+        tracer.remove()
+    metrics = tracer.layer_metrics()
+    assert metrics["penalty.exact_step_calls"] == 4 * 3
+    assert metrics["expectation.sup_scan_calls"] == 0
