@@ -3,14 +3,13 @@
 Everything here is computed from the defining formulas by plain enumeration:
 walk every (initial belief, generator path) pair with the one-step Bayes
 filter, accumulate its penalty, and group by where it lands. The walk goes
-level by level, extending each surviving path prefix once per generator,
-lists the models in (prior belief, lexicographic generator path) order, and
-keeps every level: level ``t`` holds the models of the first ``t``
-observations. One walk therefore serves every observation prefix and a whole
-stack of payoffs; :func:`penalty_table` and :func:`payoff_values` score one
-level each. These functions deliberately do not import the
-surface-propagation or expectation engines, so the two routes to each
-quantity stay independent.
+level by level with one stacked Bayes update per generator a level, each row
+with the bits of the one-row filter: posteriors are ``filter_step``'s, masses
+the per-row ``(T @ b) @ e[:, y]``, log masses ``math.log``'s. Level ``t``
+holds the models of the first ``t`` observations as arrays, in (prior belief,
+lexicographic generator path) order, so one walk serves every prefix and a
+stack of payoffs. Nothing here imports the surface-propagation or
+expectation engines, so the two routes to each quantity stay independent.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CapExceeded, DegenerateObservation
-from .hmm import filter_step
 from .models import (DR, DYNAMIC, STATIC, GeneratorGrid, SimplexGrid,
                      gamma_at)
 
@@ -53,71 +51,88 @@ def render_report_csv(reports: Sequence[OracleReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
+@dataclass(frozen=True)
+class Level:
+    """The surviving models of one observation prefix, one row each: their
+    (models x states) beliefs, raw penalties and first generator indices."""
+
+    beliefs: np.ndarray
+    penalties: np.ndarray
+    first: np.ndarray
+
+    def __len__(self):
+        return len(self.penalties)
+
+    def __iter__(self):
+        """The models as (belief, penalty, first generator) tuples."""
+        return zip(self.beliefs, self.penalties.tolist(), self.first.tolist())
+
+
+def _bayes_rows(beliefs: np.ndarray, gen, y: int):
+    """One stacked Bayes update of a (rows x states) block: which rows give
+    ``y`` positive mass, their masses and their posteriors."""
+    emit = gen.emission[:, y]
+    pred = (gen.transition[None] @ beliefs[:, :, None])[:, :, 0]
+    mass = (pred[:, None, :] @ emit[None, :, None])[:, 0, 0]
+    live = mass > 0.0
+    weighted = emit * pred[live]
+    return live, mass[live], weighted / weighted.sum(axis=1, keepdims=True)
+
+
 def _walk_models(prior_beliefs, prior_values, gens: GeneratorGrid, obs,
                  framework: str, scope: str, grid: SimplexGrid | None,
-                 cap: int) -> list[list]:
-    """The surviving models after every step: level ``t`` lists the models
-    of ``obs[:t]`` as (belief, accumulated raw penalty, first generator
-    index), in (prior belief, lexicographic generator path) order. Dead
-    models (zero-probability steps or infinite penalty) are skipped.
+                 cap: int) -> list[Level]:
+    """The surviving models after every step: level ``t`` holds the models
+    of ``obs[:t]`` in (prior belief, lexicographic generator path) order;
+    dead models (zero-probability steps or infinite penalty) are dropped.
 
-    The walk goes level by level: each surviving prefix is extended once
-    with each admissible generator (in the static scope only its own), so a
-    shared prefix is filtered once, not once per path through it. Each step
-    keeps one fixed float-op sequence, so equal beliefs come out with equal
-    bytes. With a ``grid``, each level after the prior is re-rounded by one
-    :meth:`~robusthmm.models.SimplexGrid.round_rows` call, which rounds
-    every row as it would round that row alone. The cap bounds the models
-    of the last level and is checked before any filtering.
+    Each level extends every surviving prefix with each admissible
+    generator (in the static scope only its own) by one :func:`_bayes_rows`
+    call per generator, and one ``lexsort`` on (parent, generator) restores
+    the order. With a ``grid``, each level after the prior is re-rounded by
+    one :meth:`~robusthmm.models.SimplexGrid.round_rows` call. The cap
+    bounds the models of the last level and is checked before any filtering.
     """
-    prior_beliefs = np.asarray(prior_beliefs, dtype=np.float64)
-    prior_values = np.asarray(prior_values, dtype=np.float64)
-    n_steps = len(obs)
-    n_models = len(prior_values) * (len(gens) if scope == STATIC
-                                    else len(gens) ** n_steps)
+    beliefs = np.asarray(prior_beliefs, dtype=np.float64) + 0.0
+    penalties = np.asarray(prior_values, dtype=np.float64)
+    n_gens = len(gens)
+    n_models = len(penalties) * (n_gens if scope == STATIC
+                                 else n_gens ** len(obs))
     if n_models > cap:
         raise CapExceeded(f"{n_models} models exceed the cap of {cap}")
-    frontier = []
-    for b0, pen0 in zip(prior_beliefs, prior_values):
-        if not np.isfinite(pen0):
-            continue
-        if scope == DYNAMIC:
-            frontier.append((b0 + 0.0, float(pen0), 0))
-            continue
-        for g in range(len(gens)):
-            penalty = float(pen0) + float(gens.prior_penalty[g])
-            if np.isfinite(penalty):
-                frontier.append((b0 + 0.0, penalty, g))
-    levels = [frontier]
+    first = np.zeros(len(penalties), dtype=np.int64)
+    if scope == STATIC:
+        with np.errstate(over="ignore"):
+            penalties = (penalties[:, None] + gens.prior_penalty).ravel()
+        beliefs = np.repeat(beliefs, n_gens, axis=0)
+        first = np.tile(np.arange(n_gens), len(first))
+    live = np.isfinite(penalties)
+    levels = [Level(beliefs[live], penalties[live], first[live])]
     gamma = gamma_at(gens)
     for t, y in enumerate(obs, start=1):
-        extended = []
-        for belief, penalty, first in frontier:
-            for g in (range(len(gens)) if scope == DYNAMIC else (first,)):
-                gen = gens.candidates[g]
-                step_penalty = penalty
-                if scope == DYNAMIC:
-                    step_penalty += float(gamma[g])
-                    if not np.isfinite(step_penalty):
-                        continue
-                mass = float((gen.transition @ belief) @ gen.emission[:, y])
-                if mass <= 0.0:
-                    continue
-                if framework == DR:
-                    step_penalty -= log(mass)
-                extended.append((filter_step(belief, gen, y) + 0.0,
-                                 step_penalty, g if t == 1 else first))
-        if grid is not None and extended:
-            cells = grid.round_rows(np.array([e[0] for e in extended]))
-            extended = [(point, step_penalty, first)
-                        for point, (_, step_penalty, first)
-                        in zip(grid.points[cells] + 0.0, extended)]
-        frontier = extended
-        levels.append(frontier)
+        last, parts = levels[-1], []
+        for g, gen in enumerate(gens.candidates):
+            if scope == DYNAMIC:
+                with np.errstate(over="ignore"):
+                    step = last.penalties + gamma[g]
+                rows = np.flatnonzero(np.isfinite(step))
+            else:
+                step, rows = last.penalties, np.flatnonzero(last.first == g)
+            live, mass, post = _bayes_rows(last.beliefs[rows], gen, y)
+            rows, step = rows[live], step[rows[live]]
+            if framework == DR:
+                step = step - np.array([log(m) for m in mass.tolist()])
+            parts.append((rows, np.full(len(rows), g), post + 0.0, step))
+        parent, pick, beliefs, penalties = map(np.concatenate, zip(*parts))
+        if grid is not None and len(beliefs):
+            beliefs = grid.points[grid.round_rows(beliefs)] + 0.0
+        order = np.lexsort((pick, parent))
+        levels.append(Level(beliefs[order], penalties[order], pick[order]
+                            if t == 1 else last.first[parent[order]]))
     return levels
 
 
-def penalty_table(models: Sequence[tuple], scope: str,
+def penalty_table(models: Level, scope: str,
                   grid: SimplexGrid | None = None) -> dict:
     """Penalty per reachable belief of one level of :func:`_walk_models`.
 
@@ -125,10 +140,10 @@ def penalty_table(models: Sequence[tuple], scope: str,
     ``grid``); in the static scope the key is the (generator index, belief)
     pair. Values are normalized so the global minimum is zero.
     """
-    if grid is not None and models:
-        wheres = grid.round_rows(np.array([b for b, _, _ in models])).tolist()
+    if grid is not None and len(models):
+        wheres = grid.round_rows(models.beliefs).tolist()
     else:
-        wheres = [belief.tobytes() for belief, _, _ in models]
+        wheres = [belief.tobytes() for belief in models.beliefs]
     table: dict = {}
     for where, (_, penalty, g) in zip(wheres, models):
         key = (g, where) if scope == STATIC else where
@@ -140,24 +155,19 @@ def penalty_table(models: Sequence[tuple], scope: str,
     return {k: v - floor for k, v in table.items()}
 
 
-def payoff_values(models: Sequence[tuple], phis: np.ndarray, k: float,
+def payoff_values(models: Level, phis: np.ndarray, k: float,
                   k_exp: float = 1.0) -> np.ndarray:
     """Worst-case expectation of each payoff row of ``phis`` (draws x
     states) over one level of :func:`_walk_models`: every model contributes
     its conditional expectation of the payoff minus its converted,
     class-normalized penalty."""
-    if not models:
+    if not len(models):
         raise DegenerateObservation("every model excludes the observations")
-    floor = min(penalty for _, penalty, _ in models)
-    rho = []
-    for _, penalty, _ in models:
-        alpha = penalty - floor
-        if k_exp == inf:
-            rho.append(0.0 if alpha <= k else inf)
-        else:
-            rho.append((alpha / k) ** k_exp)
-    beliefs = np.array([belief for belief, _, _ in models])
-    return (_expectations(beliefs, phis) - np.array(rho)[:, None]).max(axis=0)
+    alpha = models.penalties - models.penalties.min()
+    with np.errstate(over="ignore"):
+        rho = (np.where(alpha <= k, 0.0, inf) if k_exp == inf
+               else (alpha / k) ** k_exp)
+    return (_expectations(models.beliefs, phis) - rho[:, None]).max(axis=0)
 
 
 def oracle_penalty(prior_beliefs, prior_values, gens: GeneratorGrid,

@@ -14,7 +14,7 @@ from robusthmm import (ExtendedPenaltySurface, Generator, GeneratorGrid,
                        bsde_driver, dr_expectation, fill_backward, gamma_at,
                        initial_exact_surface, initial_grid_surface,
                        one_step_expectation, penalty_to_rho, project)
-from robusthmm.oracles import oracle_penalty
+from robusthmm.oracles import oracle_dr_direct, oracle_penalty
 from conftest import LEVEL_SHAPES, example1_generator, level_case
 
 P1 = UncertaintyParams(k=1.0, k_exp=1.0)
@@ -216,13 +216,16 @@ def test_one_step_monotone_in_payoff():
 # ---------------------------------------------------------------------------
 # backward expectation on the tree
 
-def _exact_setup(horizon=2, framework="dr", gens=None):
+PRIOR_BELIEFS = np.array([[0.2, 0.8], [0.5, 0.5], [0.8, 0.2]])
+PRIOR_VALUES = np.array([0.1, 0.0, 0.25])
+
+
+def _exact_setup(horizon=2, framework="dr", gens=None, params=P1):
     gens = gens or ex1_grid_of(2)
-    prior = initial_exact_surface(
-        np.array([[0.2, 0.8], [0.5, 0.5], [0.8, 0.2]]),
-        np.array([0.1, 0.0, 0.25]), gens, "dynamic")
+    prior = initial_exact_surface(PRIOR_BELIEFS, PRIOR_VALUES, gens,
+                                  "dynamic")
     return TreeSetup(gens=gens, framework=framework, horizon=horizon,
-                     initial_surface=prior, params=P1)
+                     initial_surface=prior, params=params)
 
 
 def test_backward_constant_payoff_propagates():
@@ -241,29 +244,22 @@ def test_backward_horizon_zero_is_current_state_expectation():
     assert tree.values[0][0] == direct
 
 
-def test_backward_matches_direct_recursion_from_enumeration():
-    # independent route: at each node, rebuild the penalty table by
-    # enumeration and apply the defining formulas with plain loops
-    gens = ex1_grid_of(2)
-    beliefs = np.array([[0.2, 0.8], [0.5, 0.5], [0.8, 0.2]])
-    vals = np.array([0.1, 0.0, 0.25])
-    phi = np.array([1.0, 0.0])
-    setup = TreeSetup(gens=gens, framework="dr", horizon=2,
-                      initial_surface=initial_exact_surface(
-                          beliefs, vals, gens, "dynamic"),
-                      params=P1)
-    tree = backward_expectation(StateFunctional(values=phi), setup)
+def _enumeration_route(phi, setup):
+    """The backward value of a history by an independent route: at each
+    node, rebuild the penalty table by enumeration and apply the defining
+    formulas, with ``rho(x) = x / k``, in plain loops."""
+    gens, k = setup.gens, setup.params.k
 
     def table_at(history):
-        table = oracle_penalty(beliefs, vals, gens, list(history), "dr",
-                               "dynamic")
-        rows = [(np.frombuffer(k, dtype=np.float64), v)
-                for k, v in table.items()]
+        table = oracle_penalty(PRIOR_BELIEFS, PRIOR_VALUES, gens,
+                               list(history), "dr", "dynamic")
+        rows = [(np.frombuffer(key, dtype=np.float64), v)
+                for key, v in table.items()]
         return rows
 
     def value_at(history):
-        if len(history) == 2:
-            return max(float(b @ phi) - v for b, v in table_at(history))
+        if len(history) == setup.horizon:
+            return max(float(b @ phi) - v / k for b, v in table_at(history))
         rows = table_at(history)
         child = [value_at(tuple(history) + (y,)) for y in range(2)]
         best = -inf
@@ -271,13 +267,85 @@ def test_backward_matches_direct_recursion_from_enumeration():
             gam = float(gens.prior_penalty[g])
             for b, v in rows:
                 pred = (gen.transition @ b) @ gen.emission
-                score = pred @ np.array(child) - (v + gam)
+                score = pred @ np.array(child) - (v + gam) / k
                 best = max(best, float(score))
         return best
 
+    return value_at
+
+
+def test_backward_matches_direct_recursion_from_enumeration():
+    # independent route: at each node, rebuild the penalty table by
+    # enumeration and apply the defining formulas with plain loops
+    phi = np.array([1.0, 0.0])
+    setup = _exact_setup()
+    tree = backward_expectation(StateFunctional(values=phi), setup)
+    value_at = _enumeration_route(phi, setup)
     values = np.concatenate(tree.values)
     for history, value in zip(tree.histories(), values, strict=True):
         assert abs(value - value_at(history)) < 1e-9
+
+
+# at a large k the penalty weighs little, so the sup and the least-penalty
+# model part ways; the checks below tell them apart
+
+@pytest.mark.parametrize("k", [10.0, 100.0])
+def test_backward_matches_direct_recursion_at_large_k(k):
+    phi = np.array([1.0, -0.5])
+    setup = _exact_setup(params=UncertaintyParams(k=k))
+    tree = backward_expectation(StateFunctional(values=phi), setup)
+    value_at = _enumeration_route(phi, setup)
+    values = np.concatenate(tree.values)
+    for history, value in zip(tree.histories(), values, strict=True):
+        assert abs(value - value_at(history)) < 1e-9
+
+
+KS = (0.25, 1.0, 4.0, 10.0, 100.0)
+
+
+def test_root_value_is_nondecreasing_in_k():
+    # rho falls as k grows, so the root value cannot; it must rise wherever
+    # the enumeration route says it does
+    phi = np.array([1.0, -0.5])
+    engine, oracle = [], []
+    for k in KS:
+        setup = _exact_setup(params=UncertaintyParams(k=k))
+        engine.append(backward_expectation(StateFunctional(values=phi),
+                                           setup).values[0][0])
+        oracle.append(_enumeration_route(phi, setup)(()))
+    rises = [b - a > 1e-9 for a, b in zip(oracle, oracle[1:])]
+    assert any(rises)
+    for a, b, rises_here in zip(engine, engine[1:], rises):
+        assert a <= b
+        assert b > a or not rises_here
+
+
+def test_premium_is_positive_where_enumeration_says_so():
+    # V(e0) + V(-e0) >= 0, and > 0 once two admitted models disagree on e0;
+    # checked at the root against the enumeration route and at every leaf
+    # against the enumerated models
+    e0 = np.array([1.0, 0.0])
+    positive = 0
+    for k in KS:
+        setup = _exact_setup(params=UncertaintyParams(k=k))
+        up, down = (backward_expectation(StateFunctional(values=phi), setup)
+                    for phi in (e0, -e0))
+        histories = up.histories()[-len(up.values[-1]):]
+        engine = [up.values[0][0] + down.values[0][0]]
+        engine += (up.values[-1] + down.values[-1]).tolist()
+        oracle = [_enumeration_route(e0, setup)(())
+                  + _enumeration_route(-e0, setup)(())]
+        oracle += [oracle_dr_direct(np.array([e0, -e0]), PRIOR_BELIEFS,
+                                    PRIOR_VALUES, setup.gens, list(history),
+                                    "dr", "dynamic", k=k).sum()
+                   for history in histories]
+        for engine_premium, oracle_premium in zip(engine, oracle,
+                                                  strict=True):
+            assert engine_premium >= -1e-12
+            if oracle_premium > 1e-9:
+                positive += 1
+                assert engine_premium > 0.0
+    assert positive > 0
 
 
 def test_backward_equals_manual_stepwise_composition():

@@ -171,6 +171,11 @@ def _random_instance(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 4))
     d = int(rng.integers(2, 4))
+    return _instance(rng, n, d)
+
+
+def _instance(rng, n, d):
+    """:func:`_random_instance` at ``n`` states and ``d`` symbols."""
     candidates = []
     for _ in range(3):
         trans = rng.dirichlet(np.ones(n), size=n).T
@@ -215,6 +220,23 @@ def test_walk_matches_path_by_path_reference(seed, scope, framework):
                                        framework, scope, k=0.7, grid=grid)
             for phi, value in zip(phis, stacked):
                 assert value == _reference_dr_direct(phi, reference, k=0.7)
+
+
+@pytest.mark.parametrize("seed", [1, 2])  # every framework keeps models
+@pytest.mark.parametrize("scope,framework", FRAMEWORKS)
+def test_walk_matches_reference_at_four_states(seed, scope, framework):
+    # the stacked products must keep the per-row bits beyond 2 and 3 states
+    n, d, gens, beliefs, values, rng = _instance(
+        np.random.default_rng([4, seed]), 4, 3)
+    obs = [int(y) for y in rng.integers(0, d, size=4)]
+    for grid in (None, SimplexGrid.build(n, 7)):
+        levels = _walk_models(beliefs, values, gens, obs, framework, scope,
+                              grid, ORACLE_CAP_DEFAULT)
+        assert len(levels) == len(obs) + 1 and len(levels[-1]) > 0
+        for t, level in enumerate(levels):
+            reference = _reference_walk(beliefs, values, gens, obs[:t],
+                                        framework, scope, grid)
+            assert _as_bits(level) == _as_bits(reference)
 
 
 @pytest.mark.parametrize("scope,framework", FRAMEWORKS)
@@ -324,24 +346,39 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _count_rows(monkeypatch):
+    """Rows per stacked Bayes step of the walk, one entry per call."""
+    rows = []
+    original = robusthmm.oracles._bayes_rows
+
+    def counted(beliefs, *args):
+        rows.append(len(beliefs))
+        return original(beliefs, *args)
+
+    monkeypatch.setattr(robusthmm.oracles, "_bayes_rows", counted)
+    return rows
+
+
 def test_stacked_call_walks_once(oracle_cfg, monkeypatch):
     beliefs, values, gens, obs = _shipped(oracle_cfg)
     assert len(beliefs) == 5 and len(gens) == 3 and len(obs) == 3
-    steps = _count_calls(monkeypatch, "filter_step")
+    rows = _count_rows(monkeypatch)
     oracle_dr_direct(_phi_stack(oracle_cfg.n_states), beliefs, values, gens,
                      obs, "dr", "dynamic", k=1.0)
-    assert len(steps) == 5 * (3 + 9 + 27)
+    # one stacked step per generator and level, each prefix filtered once
+    assert len(rows) == 3 * 3
+    assert sum(rows) == 5 * (3 + 9 + 27)
 
 
 def test_cap_is_checked_before_walking(monkeypatch):
-    steps = _count_calls(monkeypatch, "filter_step")
+    rows = _count_rows(monkeypatch)
     gens = GeneratorGrid(candidates=(example1_generator(),
                                      example1_generator(0.7, 0.3)),
                          prior_penalty=np.zeros(2))
     with pytest.raises(CapExceeded):
         oracle_dr_direct(np.zeros((50, 2)), np.array([[0.5, 0.5]]),
                          np.zeros(1), gens, [0] * 21, "dr", "dynamic", k=1.0)
-    assert steps == []
+    assert rows == []
 
 
 @pytest.mark.parametrize("label", ["static-up", "dynamic-up", "static-dr",
