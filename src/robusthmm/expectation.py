@@ -23,6 +23,7 @@ from .penalty import (ExactSurface, _blocks, _candidate_penalties,
                       _default_gammas, _rows, step_level)
 
 TREE_CAP_DEFAULT = 4096
+_NO_BELIEF = "surface excludes every belief"
 
 
 @dataclass(frozen=True)
@@ -82,21 +83,28 @@ def dr_expectation(phi, surface, params: UncertaintyParams):
     canonical order. The one-surface case of :func:`_dr_scores`.
     """
     beliefs = _rows(surface)[0]
-    (value,), (best,) = _dr_scores(beliefs @ np.asarray(phi, float),
-                                   surface.values.ravel()[None], params)
-    return value, beliefs[best].copy()
+    values, (best,) = _dr_scores(beliefs @ np.asarray(phi, float),
+                                 surface.values.ravel()[None], params)
+    return _feasible(values, [surface], _NO_BELIEF)[0], beliefs[best].copy()
 
 
 def _dr_scores(linear, penalties, params: UncertaintyParams):
     """Per row of a (surfaces x rows) penalty block on one set of beliefs
-    whose payoff is ``linear``: the sup of payoff minus rho and its first
-    argmax row, as lists."""
+    whose payoff is ``linear``: the sup of payoff minus rho (``-inf`` where
+    the row excludes every belief) and its first argmax row, as lists."""
     scores = linear - _rho(penalties, params)
     best = scores.argmax(axis=1)
-    values = scores[np.arange(len(scores)), best].tolist()
-    if -inf in values:
-        raise InfeasibleSurface("surface excludes every belief")
-    return values, best.tolist()
+    return scores[np.arange(len(scores)), best].tolist(), best.tolist()
+
+
+def _feasible(values: list, surfaces, what: str) -> list:
+    """A level's scan values; if some are ``-inf``, the error names the step
+    and how many of the level's surfaces are infeasible."""
+    lost = values.count(-inf)
+    if lost:
+        raise InfeasibleSurface(f"{what} at step {surfaces[0].time}: {lost} "
+                                f"of {len(surfaces)} surfaces infeasible")
+    return values
 
 
 def _dr_rows(surfaces, phi, params: UncertaintyParams) -> list:
@@ -110,7 +118,7 @@ def _dr_rows(surfaces, phi, params: UncertaintyParams) -> list:
             linear = _rows(chunk[0])[0] @ phi
         values += _dr_scores(linear, np.array([s.values.ravel()
                                                for s in chunk]), params)[0]
-    return values
+    return _feasible(values, surfaces, _NO_BELIEF)
 
 
 def _sup_rows(surfaces, payoffs, gens: GeneratorGrid,
@@ -137,9 +145,8 @@ def _sup_rows(surfaces, payoffs, gens: GeneratorGrid,
         linear = (preds[None] @ payoffs[block, None, :, None])[..., 0]
         scores = (linear - _rho(before, params)).reshape(len(linear), -1)
         best.extend(scores.max(axis=1).tolist() if scores.size else [-inf])
-    if -inf in best:
-        raise InfeasibleSurface("every model is excluded in the one-step scan")
-    return best
+    return _feasible(best, surfaces,
+                     "every model is excluded in the one-step scan")
 
 
 def one_step_expectation(xi_next, surface, gens: GeneratorGrid,

@@ -17,13 +17,14 @@ from math import comb
 
 import numpy as np
 
-from .errors import InfeasibleSurface
+from .errors import CapExceeded, InfeasibleSurface
 from .hmm import Generator
 
 UP = "up"
 DR = "dr"
 STATIC = "static"
 DYNAMIC = "dynamic"
+GRID_CAP = 10 ** 6  # cells of one SimplexGrid
 
 _FRAMEWORKS = (UP, DR)
 _SCOPES = (STATIC, DYNAMIC)
@@ -56,7 +57,9 @@ class SimplexGrid:
     canonical indexing used for all deterministic tie-breaks).
 
     A grid is identified by ``(n_states, resolution)``: equality and hashing
-    ignore the derived arrays, so grids can key memo tables.
+    ignore the derived arrays, so grids can key memo tables. :meth:`build`
+    lists the cells by one ``np.repeat`` per slot, and raises
+    :class:`CapExceeded` instead for more than ``GRID_CAP`` cells.
 
     ``row_text`` memoizes the text that every surface CSV on this grid
     repeats (header, fixed leading columns and whole excluded-row lines, per
@@ -77,11 +80,23 @@ class SimplexGrid:
     def build(cls, n_states: int, resolution: int) -> "SimplexGrid":
         if n_states < 1 or resolution < 1:
             raise ValueError("need n_states >= 1 and resolution >= 1")
-        coords = np.array(
-            list(_compositions(resolution, n_states)), dtype=np.int64)
+        size = comb(resolution + n_states - 1, n_states - 1)
+        if size > GRID_CAP:
+            raise CapExceeded(
+                f"a grid of n_states {n_states} and resolution {resolution} "
+                f"has {size} cells, over the cap of {GRID_CAP}")
+        coords = np.zeros((1, 0), dtype=np.int64)
+        for _ in range(n_states - 1):  # each prefix, then its heads 0..rem
+            counts = resolution + 1 - coords.sum(axis=1)
+            starts = np.repeat(counts.cumsum() - counts, counts)
+            coords = np.column_stack([np.repeat(coords, counts, axis=0),
+                                      np.arange(len(starts)) - starts])
+        coords = np.column_stack([coords, resolution - coords.sum(axis=1)])
         points = coords.astype(np.float64) / resolution
-        binom = np.array([[comb(r + k, k) for k in range(n_states)]
-                          for r in range(resolution + 1)], dtype=np.int64)
+        # C(r + k, k) = sum over j <= r of C(j + k - 1, k - 1)
+        binom = np.ones((resolution + 1, n_states), dtype=np.int64)
+        for k in range(1, n_states):
+            binom[:, k] = binom[:, k - 1].cumsum()
         for arr in (coords, points, binom):
             arr.flags.writeable = False
         return cls(n_states=n_states, resolution=resolution,
@@ -89,9 +104,6 @@ class SimplexGrid:
 
     def __len__(self) -> int:
         return len(self.coords)
-
-    def expected_size(self) -> int:
-        return comb(self.resolution + self.n_states - 1, self.n_states - 1)
 
     def rank(self, coords: np.ndarray) -> np.ndarray:
         """Canonical index of each row of integer coordinates summing to
@@ -152,15 +164,6 @@ class SimplexGrid:
         """:meth:`round_rows` for a single belief."""
         belief = np.asarray(belief, dtype=np.float64)
         return int(self.round_rows(belief[None])[0])
-
-
-def _compositions(total: int, slots: int):
-    if slots == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, slots - 1):
-            yield (head,) + tail
 
 
 @dataclass(frozen=True, eq=False)

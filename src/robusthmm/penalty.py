@@ -44,8 +44,9 @@ Surface CSVs on one grid share their header and every row's leading columns
 (integer coordinates, belief coordinates and, in the static scope, the
 candidate), and an excluded row with no provenance reads the same on every
 surface of the grid. That text (header, leading columns, whole excluded
-lines) is formatted once per (grid, candidate axis) into a :class:`RowText`
-memoized in the grid's ``row_text``, which lives exactly as long as the
+lines) is joined once per (grid, candidate axis), from the strings of each
+coordinate value ``k`` and ``k / m``, into a :class:`RowText` memoized in
+the grid's ``row_text``, which lives exactly as long as the
 :class:`~robusthmm.models.SimplexGrid` object; rendering a grid surface then
 copies the excluded lines and formats only its live rows, those with a value
 other than ``inf`` or with argmin provenance.
@@ -323,14 +324,13 @@ def _image_table(gens: GeneratorGrid, grid: SimplexGrid, y: int) -> ImageTable:
     surface being stepped)."""
     table = gens.image_tables.get((grid, y))
     if table is None:
-        shape = (len(gens), len(grid))
-        alive = np.zeros(shape, dtype=bool)
-        dest = np.full(shape, -1, dtype=np.int64)
-        logmass = np.full(shape, -np.inf)
-        for g, gen in enumerate(gens.candidates):
-            posts, mass, alive[g] = _gen_images(grid, gen, y)
-            dest[g, alive[g]] = grid.round_rows(posts[alive[g]])
-            logmass[g, alive[g]] = np.log(mass[alive[g]])
+        posts, mass, alive = map(np.array, zip(*(
+            _gen_images(grid, gen, y) for gen in gens.candidates)))
+        dest = np.full(alive.shape, -1, dtype=np.int64)
+        logmass = np.full(alive.shape, -np.inf)
+        # one rounding call for every candidate: rows round independently
+        dest[alive] = grid.round_rows(posts[alive])
+        logmass[alive] = np.log(mass[alive])
         for arr in (alive, dest, logmass):
             arr.flags.writeable = False
         table = ImageTable(alive=alive, dest=dest, logmass=logmass)
@@ -573,13 +573,16 @@ def _row_text(surface) -> RowText:
 
 
 def _build_row_text(grid: SimplexGrid, n_gens: int | None) -> RowText:
-    n = grid.n_states
+    n, m = grid.n_states, grid.resolution
     names = [f"x{i}" for i in range(n)] + [f"p{i}" for i in range(n)]
-    cells = [",".join(map(repr, row)) + ","
-             for row in zip(*grid.coords.T.tolist(), *grid.points.T.tolist())]
+    # each coordinate k's two strings; ``points`` holds the same k / m
+    pieces = np.array([[f"{k},", f"{k / m!r},"] for k in range(m + 1)],
+                      dtype=object)[grid.coords].transpose(0, 2, 1)
+    cells = ["".join(row) for row in pieces.reshape(len(grid), -1).tolist()]
     if n_gens is not None:
         names.append("gen")
-        cells = [f"{cell}{g}," for cell in cells for g in range(n_gens)]
+        gen_cols = [f"{g}," for g in range(n_gens)]
+        cells = [cell + gen for cell in cells for gen in gen_cols]
     header = ",".join(names + ["value", "src_point", "src_gen"]) + "\n"
     return RowText(header=header, prefixes=tuple(cells),
                    excluded=tuple(f"{cell}inf,-1,-1\n" for cell in cells))

@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,7 @@ from robusthmm import cli, penalty
 from robusthmm.cli import load_config, main
 from robusthmm.errors import ConfigError
 from robusthmm.expectation import dr_expectation
-from robusthmm.models import SimplexGrid, parse_framework
+from robusthmm.models import GRID_CAP, SimplexGrid, parse_framework
 from robusthmm.penalty import evolve, initial_exact_surface, initial_grid_surface
 from conftest import CONFIGS
 
@@ -68,6 +71,41 @@ def test_tree_cap_exits_4(tmp_path):
     big = tmp_path / "big.json"
     big.write_text(json.dumps(cfg))
     assert run_cli("expect", big, tmp_path / "run") == 4
+
+
+_CAPPED_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from robusthmm.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("n,m,override", [(6, 1000, False),
+                                          (2, 10 ** 6, True)])
+def test_oversized_grid_exits_4_before_allocating(tmp_path, n, m, override):
+    # run in a child held to 1 GB of address space, so a grid that is
+    # enumerated before the cap check fails fast instead of filling memory
+    extra = ["--grid-resolution", str(m)] if override else []
+    cfg = {"n_states": n, "n_symbols": 2, "horizon": 1,
+           "grid_resolution": 10 if override else m,
+           "framework": "dynamic-dr", "uncertainty": {"k": 1.0},
+           "generators": [{"transition": np.eye(n).tolist(),
+                           "emission": [[0.5, 0.5]] * n}],
+           "prior": {"shape": "zero"}, "observations": [0]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    child = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CHILD, "penalty-evolve", "--config",
+         str(path), "--out", str(out), *extra],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (child.returncode, child.stdout, child.stderr) == (4, "", (
+        f"cap exceeded: a grid of n_states {n} and resolution {m} has "
+        f"{comb(m + n - 1, n - 1)} cells, over the cap of {GRID_CAP}\n"))
+    assert not out.exists()
 
 
 def test_control_cap_names_the_depth_and_the_count(tmp_path, capsys):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from math import inf
 from unittest import mock
 
@@ -88,6 +89,28 @@ def test_dr_expectation_matches_exhaustive_scan():
     best = max(q[0] - v for q, v in zip(grid.points, surface.values)
                if np.isfinite(v))
     assert abs(value - best) < 1e-15
+
+
+def test_scan_errors_name_the_step_and_the_level_count():
+    # 3,000 cells a surface: the scans take two surfaces a block, so the
+    # infeasible surfaces 1 and 3 sit in different blocks
+    grid = SimplexGrid.build(2, 2999)
+    gens = ex1_grid_of(1)
+    surfaces = [replace(project(np.zeros(len(grid)), grid), time=5)
+                for _ in range(4)]
+    for i in (1, 3):
+        object.__setattr__(surfaces[i], "values", np.full(len(grid), np.inf))
+    count = "at step 5: 2 of 4 surfaces infeasible"
+    with pytest.raises(InfeasibleSurface, match=(
+            f"^surface excludes every belief {count}$")):
+        expectation._dr_rows(surfaces, [1.0, 0.0], P1)
+    with pytest.raises(InfeasibleSurface, match=(
+            f"^every model is excluded in the one-step scan {count}$")):
+        expectation._sup_rows(surfaces, np.zeros((4, 2)), gens,
+                              gamma_at(gens), P1)
+    with pytest.raises(InfeasibleSurface, match=(
+            "^surface excludes every belief at step 5: 1 of 1 surfaces")):
+        dr_expectation(np.array([1.0, 0.0]), surfaces[1], P1)
 
 
 def test_dr_expectation_infeasible_surface_raises():

@@ -1,3 +1,4 @@
+import itertools
 from math import comb, log
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robusthmm import (DegenerateObservation, Generator, GeneratorGrid,
-                       SimplexGrid, gamma_at)
+from robusthmm import (CapExceeded, DegenerateObservation, Generator,
+                       GeneratorGrid, SimplexGrid, gamma_at)
+from robusthmm.models import GRID_CAP
 from robusthmm.oracles import (ORACLE_CAP_DEFAULT, _walk_models,
                                bernoulli_closed_forms, oracle_dr_direct,
                                oracle_penalty)
@@ -19,10 +21,43 @@ from conftest import example1_generator
 @pytest.mark.parametrize("n,m", [(2, 1), (2, 7), (3, 4), (4, 3)])
 def test_grid_count_and_lex_order(n, m):
     grid = SimplexGrid.build(n, m)
-    assert len(grid) == comb(m + n - 1, n - 1) == grid.expected_size()
+    assert len(grid) == comb(m + n - 1, n - 1)
     rows = [tuple(c) for c in grid.coords]
     assert rows == sorted(rows)
     assert np.allclose(grid.points.sum(axis=1), 1.0)
+
+
+@pytest.mark.parametrize("n,m", [
+    (n, m) for n in (1, 2, 3, 4, 5) for m in (1, 2, 5, 12, 25)
+    if (m + 1) ** n <= 10 ** 6])  # the product is scanned in Python
+def test_grid_cells_are_the_filtered_product_in_lex_order(n, m):
+    # every tuple of 0..m with sum m, in the order itertools.product lists
+    # them, which is lexicographic; points are those tuples over m
+    expected = [c for c in itertools.product(range(m + 1), repeat=n)
+                if sum(c) == m]
+    grid = SimplexGrid.build(n, m)
+    assert grid.coords.dtype == np.int64
+    assert grid.coords.tolist() == [list(c) for c in expected]
+    assert grid.points.tolist() == [[x / m for x in c] for c in expected]
+    assert np.array_equal(grid.rank(grid.coords), np.arange(len(grid)))
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 9), (2, 1000), (3, 80),
+                                 (4, 20), (6, 17)])
+def test_binomial_table_is_math_comb(n, m):
+    grid = SimplexGrid.build(n, m)
+    assert grid._binom.dtype == np.int64
+    assert grid._binom.tolist() == [[comb(r + k, k) for k in range(n)]
+                                    for r in range(m + 1)]
+
+
+@pytest.mark.parametrize("n,m", [(6, 1000), (3, 1413), (2, GRID_CAP)])
+def test_grid_over_the_cap_is_refused(n, m):
+    with pytest.raises(CapExceeded, match=(
+            f"n_states {n} and resolution {m} has {comb(m + n - 1, n - 1)} "
+            f"cells, over the cap of {GRID_CAP}")):
+        SimplexGrid.build(n, m)
+    assert len(SimplexGrid.build(2, GRID_CAP - 1)) == GRID_CAP
 
 
 @pytest.mark.parametrize("n,m", [(2, 3), (2, 6), (3, 4)])

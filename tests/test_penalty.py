@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robusthmm import penalty
@@ -421,6 +421,37 @@ def test_image_table_lives_with_its_generator_grid():
     assert ref() is None
 
 
+@pytest.mark.parametrize("n,m", [(2, 997), (3, 80), (4, 20)])
+def test_image_table_is_per_candidate_rounding(n, m):
+    # each candidate's images rounded on their own, by the candidate's
+    # round_rows call over its live rows; candidate 1 is the identity chain
+    # and cannot emit symbol 0 from state 0, candidate 2 never emits it
+    rng = np.random.Generator(np.random.Philox(n * 1000 + m))
+    d = 3
+    partial = rng.dirichlet(np.ones(d), size=n)
+    partial[0] = np.eye(d)[d - 1]
+    cands = tuple(Generator(transition=t, emission=e) for t, e in (
+        (rng.dirichlet(np.ones(n), size=n).T,
+         rng.dirichlet(np.ones(d), size=n)),
+        (np.eye(n), partial),
+        (rng.dirichlet(np.ones(n), size=n).T, np.tile(np.eye(d)[1], (n, 1)))))
+    gens = GeneratorGrid(candidates=cands, prior_penalty=np.zeros(3))
+    grid = SimplexGrid.build(n, m)
+    for y in range(d):
+        table = penalty._image_table(gens, grid, y)
+        for g, gen in enumerate(cands):
+            posts, mass, alive = penalty._gen_images(grid, gen, y)
+            dest = np.full(len(grid), -1)
+            dest[alive] = grid.round_rows(posts[alive])
+            logmass = np.full(len(grid), -np.inf)
+            logmass[alive] = np.log(mass[alive])
+            assert table.alive[g].tolist() == alive.tolist()
+            assert table.dest[g].tolist() == dest.tolist()
+            assert table.logmass[g].tobytes() == logmass.tobytes()
+    dead = ~penalty._image_table(gens, grid, 0).alive
+    assert 0 < dead[1].sum() < len(grid) and dead[2].all()
+
+
 def test_infinite_gamma_candidate_changes_no_dynamic_surface():
     grid = SimplexGrid.build(2, 30)
     base = mixed_gens()
@@ -586,7 +617,18 @@ def _outcome(step):
         return type(exc), str(exc)
 
 
+# a symbol mass whose np.log differs from math.log in the last bit where
+# numpy's log is vectorized (x86-64 with AVX-512), so taking np.log's bits
+# in the kernel fails whatever the hypothesis seed
+_LOG_MASS = 0.9833347065534214
+
+
 @given(_exact_levels(), st.sampled_from(["up", "dr"]))
+@example(case=(GeneratorGrid(candidates=(Generator(
+    transition=np.eye(1), emission=np.array([[_LOG_MASS, 1 - _LOG_MASS]])),),
+    prior_penalty=np.zeros(1)), [ExactSurface(
+        beliefs=np.ones((1, 1)), values=np.zeros(1), gen_ids=None, time=0)],
+    np.zeros(1), penalty.EXACT_CAP_DEFAULT), framework="dr")
 @settings(max_examples=400, deadline=None)
 def test_exact_level_kernel_matches_per_pair_reference(case, framework):
     # the stacked kernel is bit for bit the per-pair step on every surface
@@ -858,6 +900,24 @@ def test_row_text_lives_with_its_simplex_grid():
     del grid
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("n_gens", [None, 1, 3])
+@pytest.mark.parametrize("n,m", [(2, 1), (4, 3), (3, 7), (3, 10), (2, 49),
+                                 (3, 80), (2, 997)])
+def test_row_text_is_each_rows_repr(n, m, n_gens):
+    # the leading columns formatted row by row from the grid's own arrays
+    grid = SimplexGrid.build(n, m)
+    cells = [",".join(map(repr, c + p)) + "," for c, p in
+             zip(grid.coords.tolist(), grid.points.tolist())]
+    names = [f"x{i}" for i in range(n)] + [f"p{i}" for i in range(n)]
+    if n_gens is not None:
+        cells = [f"{cell}{g}," for cell in cells for g in range(n_gens)]
+        names.append("gen")
+    text = penalty._build_row_text(grid, n_gens)
+    assert text.header == ",".join(names) + ",value,src_point,src_gen\n"
+    assert text.prefixes == tuple(cells)
+    assert text.excluded == tuple(f"{cell}inf,-1,-1\n" for cell in cells)
 
 
 def test_second_render_builds_no_prefixes(monkeypatch):
