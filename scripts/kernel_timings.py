@@ -1,0 +1,90 @@
+"""Time the grid kernels on their own: the best of several runs of
+``SimplexGrid.round_rows`` on every Bayes image of an image table, and of
+one grid step (``forward_image_step``) in the dynamic and the static scope,
+at the grid shapes N=2/m=1000, N=3/m=80 and N=4/m=20.
+
+Usage::
+
+    python3 scripts/kernel_timings.py [--repeats 20]
+
+Three sticky candidates on two symbols, from a fixed seed. The step starts
+from the surface one step after a zero prior and reuses its image table, so
+it times the gather, the scatter-min and the normalization. Times are
+seconds of this machine; compare them only with runs on the same host.
+"""
+
+import argparse
+import sys
+from pathlib import Path
+from time import perf_counter
+
+try:
+    import robusthmm  # noqa: F401
+except ImportError:
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np
+
+from robusthmm import (Generator, GeneratorGrid, SimplexGrid,
+                       forward_image_step, gamma_at, initial_grid_surface)
+from robusthmm.penalty import _gen_images
+
+SHAPES = ((2, 1000), (3, 80), (4, 20))
+# (self-transition, own-symbol probability) around which each candidate is
+# drawn, and the step penalty of each
+MEANS = ((0.9, 0.7), (0.8, 0.6), (0.7, 0.55))
+GAMMAS = (0.0, 0.3, 0.6)
+
+
+def candidates(rng, n: int) -> GeneratorGrid:
+    """Sticky chains whose state ``i`` emits symbol ``i mod 2`` most."""
+    cands = []
+    for stay, hit in MEANS:
+        trans = np.full((n, n), (1.0 - stay) / (n - 1))
+        np.fill_diagonal(trans, stay)
+        emit = np.full((n, 2), 1.0 - hit)
+        emit[np.arange(n), np.arange(n) % 2] = hit
+        cands.append(Generator(
+            transition=np.array([rng.dirichlet(2000 * c) for c in trans.T]).T,
+            emission=np.array([rng.dirichlet(2000 * r) for r in emit])))
+    return GeneratorGrid(candidates=tuple(cands),
+                         prior_penalty=np.array(GAMMAS))
+
+
+def best_of(repeats: int, fn) -> float:
+    times = []
+    for _ in range(repeats):
+        start = perf_counter()
+        fn()
+        times.append(perf_counter() - start)
+    return min(times)
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--repeats", type=int, default=20)
+    repeats = parser.parse_args(argv).repeats
+    rng = np.random.default_rng(2016)
+    print(f"best of {repeats} runs, in ms")
+    print(f"{'N':>2} {'m':>5} {'cells':>6} {'rows':>6} {'round_rows':>11} "
+          f"{'step dyn':>9} {'step static':>12}")
+    for n, m in SHAPES:
+        grid, gens = SimplexGrid.build(n, m), candidates(rng, n)
+        images = np.concatenate([posts[alive] for posts, _, alive in (
+            _gen_images(grid, gen, 0) for gen in gens.candidates)])
+        rounding = best_of(repeats, lambda: grid.round_rows(images))
+        steps = []
+        for scope in ("dynamic", "static"):
+            gammas = gamma_at(gens) if scope == "dynamic" else None
+            surface, _ = forward_image_step(
+                initial_grid_surface(np.zeros(len(grid)), gens, grid, scope),
+                gens, gammas, 1, "dr")
+            steps.append(best_of(repeats, lambda: forward_image_step(
+                surface, gens, gammas, 0, "dr")))
+        print(f"{n:>2} {m:>5} {len(grid):>6} {len(images):>6} "
+              f"{rounding * 1e3:>11.3f} {steps[0] * 1e3:>9.3f} "
+              f"{steps[1] * 1e3:>12.3f}")
+
+
+if __name__ == "__main__":
+    main()

@@ -165,7 +165,7 @@ def load_config(path: str) -> RunConfig:
     resolution = _int_field(cfg, "grid_resolution", 1)
     try:
         scope, framework = parse_framework(_require(cfg, "framework"))
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"framework: {exc}") from None
 
     unc = _require(cfg, "uncertainty")
@@ -313,17 +313,24 @@ def build_grid_prior(prior_cfg: dict, grid: SimplexGrid) -> np.ndarray:
     elif shape == "support":
         beliefs = _require(prior_cfg, "beliefs", "prior")
         raw_vals = _require(prior_cfg, "values", "prior")
-        if not isinstance(beliefs, list) or len(beliefs) != len(raw_vals):
+        if (not isinstance(beliefs, list) or not isinstance(raw_vals, list)
+                or len(beliefs) != len(raw_vals)):
             raise ConfigError("prior.beliefs and prior.values must align")
-        values = np.full(len(grid), np.inf)
+        coords, support = [], []
         for b, v in zip(beliefs, raw_vals):
             b = _matrix(b, (grid.n_states,), "prior.beliefs")
+            support.append(_number(v, "prior.values"))
             try:
-                values[grid.exact_index(b)] = _number(v, "prior.values")
+                coords.append(grid.exact_coords(b))
             except ValueError:
                 raise ConfigError(
                     f"prior support belief {b.tolist()} is not a grid point "
                     f"at resolution {grid.resolution}") from None
+        values = np.full(len(grid), np.inf)
+        # one rank call; a repeated belief keeps its last value
+        ranks = grid.rank(np.reshape(coords, (-1, grid.n_states)))
+        for i, v in zip(ranks.tolist(), support):
+            values[i] = v
     else:
         raise ConfigError(f"unknown prior shape {shape!r}")
     if not np.isfinite(values).any():

@@ -31,14 +31,13 @@ _SCOPES = (STATIC, DYNAMIC)
 
 
 def parse_framework(label: str) -> tuple[str, str]:
-    """Split a combined label like ``"dynamic-dr"`` into (scope, framework)."""
-    try:
-        scope, framework = label.split("-")
-    except ValueError:
-        raise ValueError(f"bad framework label {label!r}") from None
-    if scope not in _SCOPES or framework not in _FRAMEWORKS:
+    """Split a combined label like ``"dynamic-dr"`` into (scope, framework);
+    ``ValueError`` for anything else, a label that is no string included."""
+    parts = label.split("-") if isinstance(label, str) else ()
+    if (len(parts) != 2 or parts[0] not in _SCOPES
+            or parts[1] not in _FRAMEWORKS):
         raise ValueError(f"bad framework label {label!r}")
-    return scope, framework
+    return parts[0], parts[1]
 
 
 def normalize_penalties(values: np.ndarray) -> np.ndarray:
@@ -110,21 +109,30 @@ class SimplexGrid:
         ``resolution``, by the combinatorial number system: position ``i``
         with ``rem`` units left before it skips the
         ``C(rem + k, k) - C(rem - x_i + k, k)`` lex-smaller compositions,
-        ``k = n_states - 1 - i``."""
-        coords = np.asarray(coords, dtype=np.int64)
-        rem = self.resolution - np.cumsum(coords, axis=1) + coords
-        k = np.arange(self.n_states - 1, -1, -1)
-        return (self._binom[rem, k] - self._binom[rem - coords, k]).sum(axis=1)
+        ``k = n_states - 1 - i``. One gather pair per position from its
+        row of ``_binom.T``; the last position skips nothing."""
+        cols = np.asarray(coords, dtype=np.int64).T
+        index = np.zeros(cols.shape[1], dtype=np.int64)
+        rem = self.resolution
+        for x, table in zip(cols[:-1], self._binom.T[:0:-1]):
+            index += table[rem] - table[rem - x]
+            rem = rem - x
+        return index
 
-    def exact_index(self, belief: np.ndarray) -> int:
-        """Index of a grid point, given to within 1e-9 grid steps."""
+    def exact_coords(self, belief: np.ndarray) -> np.ndarray:
+        """Integer coordinates of a grid point, given to within 1e-9 grid
+        steps; ``ValueError`` for any other belief."""
         scaled = np.asarray(belief, dtype=np.float64) * self.resolution
         coords = np.rint(scaled).astype(np.int64)
         if (scaled.shape != (self.n_states,) or np.min(coords) < 0
                 or np.max(np.abs(scaled - coords)) > 1e-9
                 or coords.sum() != self.resolution):
             raise ValueError(f"belief {belief} is not a grid point")
-        return int(self.rank(coords[None, :])[0])
+        return coords
+
+    def exact_index(self, belief: np.ndarray) -> int:
+        """Index of a grid point, given to within 1e-9 grid steps."""
+        return int(self.rank(self.exact_coords(belief)[None])[0])
 
     def round_rows(self, beliefs: np.ndarray) -> np.ndarray:
         """Index of the nearest grid point, in Euclidean distance, to each
@@ -134,7 +142,10 @@ class SimplexGrid:
         missing go to the largest remainders, and among equal remainders to
         the highest coordinate, which makes the result the lexicographically
         smallest nearest vector, i.e. the lowest canonical index, so rounding
-        is schedule-independent.
+        is schedule-independent. The work runs on the transposed (n_states x
+        rows) layout with no sort: coordinate ``j`` ranks ahead of ``i`` iff
+        its remainder is larger, or equal with ``j > i``, and a coordinate
+        gets a unit iff fewer than ``deficit`` others rank ahead of it.
 
         Raises ``ValueError`` unless every entry is finite and nonnegative
         and every row sums to 1 within 1e-9; the floors then never sum above
@@ -149,16 +160,19 @@ class SimplexGrid:
                 and (np.abs(beliefs.sum(axis=1) - 1.0) <= 1e-9).all()):
             raise ValueError("beliefs must be finite and nonnegative, each "
                              "row summing to 1 within 1e-9")
-        scaled = beliefs * self.resolution
-        base = np.floor(scaled).astype(np.int64)
-        deficit = self.resolution - base.sum(axis=1)
-        # a stable sort of the reversed columns by descending remainder puts
-        # the highest index first among equal remainders
-        order = np.argsort(-(scaled - base)[:, ::-1], axis=1, kind="stable")
-        bump = np.arange(self.n_states) < deficit[:, None]
-        rows = np.arange(len(base))[:, None]
-        base[rows, self.n_states - 1 - order] += bump
-        return self.rank(base)
+        # remainders overwrite the scaled rows; floors stay float until the
+        # rank, integers exactly
+        frac = np.multiply(beliefs.T, self.resolution, order="C")
+        base = np.floor(frac)
+        frac -= base
+        deficit = self.resolution - base.sum(axis=0)
+        ahead = np.zeros(base.shape, dtype=np.min_scalar_type(self.n_states))
+        for i in range(self.n_states):
+            later = frac[i + 1:] >= frac[i]  # each later j against i
+            ahead[i] += later.sum(axis=0, dtype=ahead.dtype)
+            ahead[i + 1:] += ~later
+        base += ahead < deficit
+        return self.rank(base.T)
 
     def round_to_index(self, belief: np.ndarray) -> int:
         """:meth:`round_rows` for a single belief."""

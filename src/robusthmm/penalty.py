@@ -29,7 +29,8 @@ needs that symbol, into an :class:`ImageTable` memoized in the
 :class:`~robusthmm.models.GeneratorGrid`'s ``image_tables``; the table lives
 exactly as long as that object. One level kernel, :func:`_grid_level`, steps
 a stack of surfaces on one grid by a gather from the table and one
-scatter-min, at most ``_CELL_BUDGET`` cells a call; :func:`step_level` runs
+sort-free scatter-min, :func:`_reduce_candidates`, at most
+``_CELL_BUDGET`` cells a call; :func:`step_level` runs
 a tree level or control's new triples through it, and
 :func:`forward_image_step` is its one-row case. Rounding goes through
 :meth:`~robusthmm.models.SimplexGrid.round_rows`, which raises ``ValueError``
@@ -37,8 +38,9 @@ on a belief with a non-finite or negative entry or a sum off 1 by more than
 1e-9. Exact mode has its own level kernel, :func:`_exact_level`: one stacked
 Bayes update per candidate, with the bytes of
 :func:`~robusthmm.hmm.filter_step`, and one sort-merge; :func:`exact_step`
-is its one-surface case. That sort-merge, :func:`_merge_rows`, is the one
-merge rule: it also merges an exact prior and reduces each grid step.
+is its one-surface case. That sort-merge, :func:`_merge_rows`, also merges
+an exact prior; the grid step keeps its rule (least value, ties to the
+lowest (source, candidate) pair) without the sort.
 
 Surface CSVs on one grid share their header and every row's leading columns
 (integer coordinates, belief coordinates and, in the static scope, the
@@ -338,16 +340,24 @@ def _image_table(gens: GeneratorGrid, grid: SimplexGrid, y: int) -> ImageTable:
     return table
 
 
-def _reduce_candidates(dest, vals, srcs, gids, n_keys):
-    """Deterministic min-reduction per destination key by
-    :func:`_merge_rows`: the winner on ties is always the lowest (source,
-    candidate) pair."""
+def _reduce_candidates(dest, vals, srcs, gids, n_keys, n_gens):
+    """Deterministic min-reduction per destination key, with no sort: a
+    scatter-min of the values, then a scatter-min of ``src * n_gens + gid``
+    over the entries that reach their key's least value, so ties (``-0.0``
+    tying ``0.0``) go to the lowest (source, candidate) pair; each key then
+    keeps its winner's own value, sign of zero included."""
     out = np.full(n_keys, np.inf)
+    np.minimum.at(out, dest, vals)
+    hit = np.flatnonzero(vals == out[dest])
+    at, pair = dest[hit], srcs[hit] * n_gens + gids[hit]
+    best = np.full(n_keys, np.iinfo(np.int64).max)
+    np.minimum.at(best, at, pair)
+    win = hit[pair == best[at]]
+    at = dest[win]
+    out[at] = vals[win]
     out_src = np.full(n_keys, -1, dtype=np.int64)
     out_gen = np.full(n_keys, -1, dtype=np.int64)
-    keep = _merge_rows(dest[None], vals, gids, srcs)
-    at = dest[keep]
-    out[at], out_src[at], out_gen[at] = vals[keep], srcs[keep], gids[keep]
+    out_src[at], out_gen[at] = srcs[win], gids[win]
     return out, out_src, out_gen
 
 
@@ -379,7 +389,8 @@ def _grid_level(surfaces, gens: GeneratorGrid, gammas: np.ndarray | None,
         out, out_src, out_gen = (a.reshape(len(chunk), size) for a in
                                  _reduce_candidates(rows * size + dest, vals,
                                                     srcs, gids,
-                                                    len(chunk) * size))
+                                                    len(chunk) * size,
+                                                    n_gens))
         yield (chunk, *_normalize_rows(out, chunk[0].time + 1), out_src,
                out_gen)
 

@@ -519,6 +519,44 @@ def test_point_mass_prior_pins_one_cell(tmp_path):
     assert finite[0][2:5] == ["0.3", "0.7", "0.0"]
 
 
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+@pytest.mark.parametrize("label", [3, None, ["dynamic", "dr"]],
+                         ids=["number", "null", "list"])
+def test_framework_that_is_no_string_exits_2(tmp_path, capsys, command,
+                                             label):
+    path = _edited_config(tmp_path, "oracle_t3.json",
+                          lambda cfg: cfg.update(framework=label))
+    assert run_cli(command, path, tmp_path / "run") == 2
+    assert capsys.readouterr().err == (
+        f"config error: framework: bad framework label {label!r}\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_support_prior_ranks_its_beliefs_once(monkeypatch):
+    # every support belief is validated first, then ranked in one call; a
+    # repeated belief keeps its last value, as one assignment per belief did
+    calls = []
+    original = SimplexGrid.rank
+
+    def counted(self, coords):
+        calls.append(len(coords))
+        return original(self, coords)
+
+    monkeypatch.setattr(SimplexGrid, "rank", counted)
+    grid = SimplexGrid.build(3, 10)
+    prior = {"shape": "support", "values": [0.5, 0.0, 0.2, 0.7],
+             "beliefs": [[0.1, 0.2, 0.7], [1.0, 0.0, 0.0], [0.1, 0.2, 0.7],
+                         [0.0, 0.5, 0.5]]}
+    values = cli.build_grid_prior(prior, grid)
+    assert calls == [4]
+    monkeypatch.undo()
+    expected = np.full(len(grid), np.inf)
+    for b, v in zip(prior["beliefs"], prior["values"]):
+        expected[grid.exact_index(np.array(b))] = v
+    assert values.tolist() == expected.tolist()
+    assert np.isfinite(values).sum() == 3
+
+
 def test_unknown_config_key_is_named(tmp_path, capsys):
     path = _edited_config(tmp_path, "oracle_t3.json",
                           lambda cfg: cfg.update(horizn=3))
@@ -594,11 +632,14 @@ def _table_prior_with_nan(cfg):
      lambda cfg: cfg["generators"][1].update(gamma=10 ** 400),
      "penalty-evolve"),
     ("example1.json", _set("simulation", "seed", 2 ** 128), "simulate"),
+    ("oracle_t3.json", _set("prior", "values", None), "penalty-evolve"),
+    ("oracle_t3.json", _set("prior", "values", 0.5), "penalty-evolve"),
 ], ids=["nan-phi", "inf-phi", "control-gamma-row-not-a-list",
         "nan-control-gamma", "nan-terminal-cost", "nan-running-cost",
         "nan-table-prior", "nan-support-prior", "nan-generator-gamma",
         "minus-inf-generator-gamma", "huge-generator-gamma",
-        "huge-simulation-seed"])
+        "huge-simulation-seed", "null-support-values",
+        "number-support-values"])
 def test_bad_numbers_exit_2(tmp_path, capsys, name, edit, command):
     path = _edited_config(tmp_path, name, edit)
     assert run_cli(command, path, tmp_path / "run") == 2

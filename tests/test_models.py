@@ -154,6 +154,28 @@ def test_row_rounding_equals_one_row_rounding(n, m):
     assert np.array_equal(grid.round_rows(grid.points), np.arange(len(grid)))
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_rounding_breaks_many_way_ties_by_the_highest_coordinate(n):
+    # points of the 3m and 4m grids rounded on the m grid: their remainders
+    # are multiples of 1/3 or 1/4, so many rows tie three or more ways
+    # (8,122 of the 22,024 rows over N = 3-5), and the deficit goes to the
+    # highest coordinates among equal remainders
+    rows = tied = 0
+    for m in (1, 2, 3, 5):
+        grid = SimplexGrid.build(n, m)
+        index = {tuple(map(int, c)): i for i, c in enumerate(grid.coords)}
+        for fine in (3 * m, 4 * m):
+            beliefs = SimplexGrid.build(n, fine).points
+            frac = beliefs * m - np.floor(beliefs * m)
+            tied += sum(int(np.unique(r, return_counts=True)[1].max() >= 3)
+                        for r in frac)
+            rows += len(beliefs)
+            assert grid.round_rows(beliefs).tolist() == [
+                _reference_round(grid, b, index) for b in beliefs]
+    assert (rows, tied) == {3: (611, 83), 4: (3566, 302),
+                            5: (17847, 7737)}[n]
+
+
 # ---------------------------------------------------------------------------
 # generator grid and penalties
 

@@ -240,6 +240,67 @@ def _lexsort_reduce(dest, vals, srcs, gids, n_keys):
     return out, out_src, out_gen
 
 
+def _i64(*xs):
+    return np.array(xs, dtype=np.int64)
+
+
+def _reduce_case(name):
+    # (dest, vals, srcs, gids, n_keys, n_gens) for the scatter-min reduction
+    if name == "signed-zero":
+        # keys 0-3 each get 0.0 and -0.0, the lower (source, candidate) pair
+        # holding either sign, fed in either order; key 4 gets two -0.0
+        return (_i64(0, 0, 1, 1, 2, 2, 3, 3, 4, 4),
+                np.array([0.0, -0.0, -0.0, 0.0, 0.0, -0.0, -0.0, 0.0,
+                          -0.0, -0.0]),
+                _i64(1, 2, 1, 2, 2, 1, 2, 1, 3, 0),
+                _i64(0, 0, 0, 0, 0, 0, 0, 0, 1, 1), 5, 2)
+    if name == "equal-values":
+        # one value at the same (source, candidate) pairs of three keys, fed
+        # in a shuffled order; source 0 holds only candidates 2 and 3, so
+        # its lower source wins over source 1's lower candidate
+        rng = np.random.Generator(np.random.Philox(7))
+        srcs, gids = (a.ravel() for a in np.meshgrid(np.arange(6),
+                                                     np.arange(4)))
+        keep = (srcs > 0) | (gids >= 2)
+        srcs, gids = srcs[keep], gids[keep]
+        dest = np.repeat(np.arange(3), len(srcs))
+        order = rng.permutation(len(dest))
+        return (dest[order], np.full(len(dest), 0.25), np.tile(srcs, 3)[order],
+                np.tile(gids, 3)[order], 3, 4)
+    if name == "empty":
+        return _i64(), np.array([]), _i64(), _i64(), 4, 3
+    if name == "untouched-keys":
+        return (_i64(5, 1, 5), np.array([2.0, 1.5, 0.5]), _i64(0, 3, 2),
+                _i64(1, 0, 0), 9, 2)
+    # distinct (key, source, candidate) triples on 50 of 60 keys, with few
+    # distinct values and both signs of zero
+    rng = np.random.Generator(np.random.Philox(11))
+    size, n_pairs, n_gens = 4000, 900, 3
+    code = rng.choice(50 * n_pairs, size=size, replace=False)
+    pairs = code % n_pairs
+    return (code // n_pairs, rng.choice([-0.0, 0.0, 0.5, 1.0], size),
+            pairs // n_gens, pairs % n_gens, 60, n_gens)
+
+
+@pytest.mark.parametrize("name", ["signed-zero", "equal-values", "empty",
+                                  "untouched-keys", "random-ties"])
+def test_scatter_min_reduction_is_the_lexsort_reduction(name):
+    # the winner of each key is its least value, ties to the lowest (source,
+    # candidate) pair, and the key keeps that winner's own bits
+    dest, vals, srcs, gids, n_keys, n_gens = _reduce_case(name)
+    got = penalty._reduce_candidates(dest, vals, srcs, gids, n_keys, n_gens)
+    ref = _lexsort_reduce(dest, vals, srcs, gids, n_keys)
+    assert got[0].tobytes() == ref[0].tobytes()
+    for g, r in zip(got[1:], ref[1:]):
+        assert g.dtype == np.int64 and g.tolist() == r.tolist()
+    if name == "signed-zero":
+        assert np.signbit(got[0]).tolist() == [False, True, True, False, True]
+    if name == "equal-values":
+        assert (got[1].tolist(), got[2].tolist()) == ([0, 0, 0], [2, 2, 2])
+    if name == "untouched-keys":
+        assert got[1].tolist() == [-1, 3, -1, -1, -1, 2, -1, -1, -1]
+
+
 def _reference_normalize(values):
     # one surface: less the least of its compacted finite entries
     finite = values[np.isfinite(values)]
