@@ -27,8 +27,8 @@ def main() -> None:
     print(f"{'m':>5} {'cells':>6} {'sup error':>12}")
     for m in (10, 20, 40, 80):
         grid = SimplexGrid.build(cfg.n_states, m)
-        prior = (grid, build_grid_prior(cfg.prior_cfg, grid))
-        worst = _convergence_error((prior, cfg, obs, runs))
+        worst = _convergence_error(grid, build_grid_prior(cfg.prior_cfg, grid),
+                                   cfg, obs, runs)
         print(f"{m:>5} {len(grid):>6} {worst:>12.6f}")
 
 

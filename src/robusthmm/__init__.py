@@ -12,14 +12,14 @@ from .models import (DR, DYNAMIC, STATIC, UP, GeneratorGrid, SimplexGrid,
                      gamma_at, parse_framework)
 from .penalty import (ExactSurface, ExtendedPenaltySurface, PenaltySurface,
                       StepReport, evolve, exact_step, forward_image_step,
-                      initial_exact_surface, initial_grid_surface, project,
+                      initial_exact_surface, initial_grid_surface,
                       render_surface_csv)
 from .expectation import (ObservationTree, StateFunctional, TreeSetup,
                           UncertaintyParams, backward_expectation,
                           bsde_decompose, bsde_driver, build_observation_tree,
                           dr_expectation, fill_backward, one_step_expectation,
-                          penalty_to_rho, tree_document)
+                          tree_document)
 from .control import (ControlProblem, ControlSolution, ControlValue,
-                      brute_force, evaluate_policy, solve, terminal_value)
+                      brute_force, evaluate_policy, solve)
 from .oracles import (OracleReport, bernoulli_closed_forms, oracle_dr_direct,
                       oracle_penalty, render_report_csv)

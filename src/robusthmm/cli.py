@@ -42,6 +42,7 @@ from .penalty import (evolve, initial_exact_surface, initial_grid_surface,
                       render_surface_csv)
 
 ORACLE_TOL = 1e-9
+HORIZON_CAP = 10 ** 6  # steps of one run
 CONVERGENCE_RESOLUTIONS = (10, 20, 40)
 _PHI_DRAWS = 50
 _CONFIG_KEYS = frozenset({
@@ -162,6 +163,9 @@ def load_config(path: str) -> RunConfig:
     n = _int_field(cfg, "n_states", 1)
     d = _int_field(cfg, "n_symbols", 1)
     horizon = _int_field(cfg, "horizon", 0)
+    if horizon > HORIZON_CAP:  # before anything is sized by it
+        raise CapExceeded(f"a horizon of {horizon} steps is over the cap of "
+                          f"{HORIZON_CAP}")
     resolution = _int_field(cfg, "grid_resolution", 1)
     try:
         scope, framework = parse_framework(_require(cfg, "framework"))
@@ -548,11 +552,10 @@ def _exact_run(runs: dict, beliefs, values, gens: GeneratorGrid, obs,
     return runs[key]
 
 
-def _check_one_framework(args):
+def _check_one_framework(label: str, cfg: RunConfig, obs, runs):
     """Exact-tree evolution versus enumeration, plus worst-case expectations
     against enumerated models, for one framework label. One walk of the
     model set scores every observation prefix and every payoff."""
-    label, cfg, obs, runs = args
     scope, framework = parse_framework(label)
     beliefs, values = build_exact_prior(cfg.prior_values, cfg.grid)
     surfaces = _exact_run(runs, beliefs, values, cfg.gens, obs, framework,
@@ -590,12 +593,11 @@ def _check_one_framework(args):
     return reports
 
 
-def _convergence_error(args):
-    """Sup-norm gap between a grid run from a (grid, prior values) pair and
+def _convergence_error(grid, values, cfg: RunConfig, obs, runs) -> float:
+    """Sup-norm gap between a grid run from prior ``values`` on ``grid`` and
     the exact run, over every step and every reachable exact belief. The
     exact run comes from ``runs`` when an earlier item of the same check
     evolved the same exact prior."""
-    (grid, values), cfg, obs, runs = args
     grid_surfaces, _ = evolve(
         initial_grid_surface(values, cfg.gens, grid, DYNAMIC), cfg.gens, obs,
         DR)
@@ -617,12 +619,12 @@ def _cmd_oracle_check(run: Run) -> int:
              for m in CONVERGENCE_RESOLUTIONS]
     sweep = [(grid, build_grid_prior(cfg.prior_cfg, grid)) for grid in grids]
     runs: dict = {}  # exact runs of this check, see _exact_run
-    report_batches = run.pmap(_check_one_framework,
-                              [(label, cfg, obs, runs)
-                               for label in _FRAMEWORK_LABELS])
+    report_batches = run.pmap(
+        lambda label: _check_one_framework(label, cfg, obs, runs),
+        _FRAMEWORK_LABELS)
     reports = [r for batch in report_batches for r in batch]
-    errors = run.pmap(_convergence_error,
-                      [(prior, cfg, obs, runs) for prior in sweep])
+    errors = run.pmap(lambda prior: _convergence_error(*prior, cfg, obs, runs),
+                      sweep)
     run.add_csv("oracle_report.csv", render_report_csv(reports))
     max_diff = max(r.abs_diff for r in reports)
     run.extra["max_abs_diff"] = max_diff

@@ -19,6 +19,10 @@ Costs: choosing control ``u`` at a node of depth ``t`` pays the running cost
 indexed ``t`` immediately; the terminal cost is charged against the leaf
 surface by an infimum over beliefs of expected cost minus converted penalty
 (beliefs whose converted penalty is infinite are excluded from the scan).
+Every other scan takes the sup, so this leaf picks the least plausible
+belief (ROADMAP item 1, open). Gammas: the forward step under ``u`` charges
+``gamma_at(gens, u)`` and the q-value scan of ``u`` zeros, where the tree
+charges ``setup.gammas`` in both.
 """
 
 from __future__ import annotations
@@ -135,23 +139,15 @@ class ControlSolution:
         return self.values[(self.root_history, root_states[0])].value
 
 
-def terminal_value(cost: np.ndarray, surface: PenaltySurface,
-                   params: UncertaintyParams):
-    """Leaf value: infimum over beliefs of expected cost minus converted
-    penalty, scanning only beliefs the surface does not exclude. The
-    one-surface case of :func:`_terminal_rows`."""
-    (value,), (cell,) = _terminal_rows(cost, [surface], params)
-    return value, surface.grid.points[cell].copy()
-
-
-def _terminal_rows(cost, surfaces: list, params: UncertaintyParams):
-    """:func:`terminal_value` of a level's surfaces: lists of the values and
-    argmin cells. The cells' cost is computed once; a surface with one
-    usable cell costs it alone, as that one-row product rounds apart from
-    the full one."""
+def _terminal_rows(cost, surfaces: list, params: UncertaintyParams) -> list:
+    """Leaf values of a level's surfaces: per surface, the infimum over
+    beliefs of expected cost minus converted penalty, scanning only beliefs
+    the surface does not exclude. The cells' cost is computed once; a
+    surface with one usable cell costs it alone, as that one-row product
+    rounds apart from the full one."""
     cost = np.asarray(cost, float)
     points = surfaces[0].grid.points
-    linear, values, cells = points @ cost, [], []
+    linear, values = points @ cost, []
     for block in _blocks(surfaces, len(points)):
         rho = _rho(np.array([s.values for s in surfaces[block]]), params)
         usable = np.isfinite(rho)
@@ -160,10 +156,10 @@ def _terminal_rows(cost, surfaces: list, params: UncertaintyParams):
         scores = np.where(usable, linear - rho, inf)
         for r in np.flatnonzero(usable.sum(axis=1) == 1):
             scores[r, usable[r]] = points[usable[r]] @ cost - rho[r, usable[r]]
+        # the first least entry, so a tie of 0.0 and -0.0 keeps its order
         pick = scores.argmin(axis=1)
-        cells.extend(pick.tolist())
         values.extend(scores[np.arange(len(scores)), pick].tolist())
-    return values, cells
+    return values
 
 
 def _enumerate_states(problem: ControlProblem, root_history: tuple,
@@ -229,7 +225,7 @@ def _fill_values(problem: ControlProblem, registry, levels, successors,
     """
     d = problem.gens.n_symbols
     leaves = [(h, s) for h, state_ids in levels[-1].items() for s in state_ids]
-    leaf_values, _ = _terminal_rows(
+    leaf_values = _terminal_rows(
         problem.terminal_cost.values,
         [registry.surfaces[s] for _, s in leaves], problem.params)
     values = {key: ControlValue(value, None, None)

@@ -40,19 +40,10 @@ class UncertaintyParams:
             raise ValueError("k_exp must be at least 1")
 
 
-def penalty_to_rho(alpha: float, params: UncertaintyParams) -> float:
-    """Convert an accumulated penalty into payoff units.
-
-    ``(alpha / k) ** k_exp`` with the conventions ``x ** inf = 0`` for
-    ``x in [0, 1]`` and ``+inf`` otherwise; ``k = inf`` charges every finite
-    ``alpha`` nothing, and ``alpha = +inf`` always maps to ``+inf``.
-    """
-    if alpha < 0:
-        raise ValueError("penalties must be nonnegative")
-    return float(_rho(np.asarray([alpha]), params)[0])
-
-
 def _rho(alpha: np.ndarray, params: UncertaintyParams) -> np.ndarray:
+    """Penalties in payoff units, ``(alpha / k) ** k_exp``: ``x ** inf`` is
+    0 on [0, 1] and ``inf`` above, ``k = inf`` charges every finite
+    ``alpha`` nothing, and ``alpha = inf`` always maps to ``inf``."""
     if params.k == inf:
         return np.where(alpha < inf, 0.0, inf)
     if params.k_exp == inf:

@@ -130,10 +130,6 @@ class SimplexGrid:
             raise ValueError(f"belief {belief} is not a grid point")
         return coords
 
-    def exact_index(self, belief: np.ndarray) -> int:
-        """Index of a grid point, given to within 1e-9 grid steps."""
-        return int(self.rank(self.exact_coords(belief)[None])[0])
-
     def round_rows(self, beliefs: np.ndarray) -> np.ndarray:
         """Index of the nearest grid point, in Euclidean distance, to each
         row of a (rows x n_states) array of beliefs.

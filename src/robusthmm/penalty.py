@@ -27,20 +27,22 @@ of the observed symbol depend only on (grid, candidate, symbol), never on the
 surface. They are computed once per (grid, symbol), the first time a step
 needs that symbol, into an :class:`ImageTable` memoized in the
 :class:`~robusthmm.models.GeneratorGrid`'s ``image_tables``; the table lives
-exactly as long as that object. One level kernel, :func:`_grid_level`, steps
-a stack of surfaces on one grid by a gather from the table and one
-sort-free scatter-min, :func:`_reduce_candidates`, at most
-``_CELL_BUDGET`` cells a call; :func:`step_level` runs
-a tree level or control's new triples through it, and
-:func:`forward_image_step` is its one-row case. Rounding goes through
+exactly as long as that object. Rounding goes through
 :meth:`~robusthmm.models.SimplexGrid.round_rows`, which raises ``ValueError``
 on a belief with a non-finite or negative entry or a sum off 1 by more than
-1e-9. Exact mode has its own level kernel, :func:`_exact_level`: one stacked
-Bayes update per candidate, with the bytes of
-:func:`~robusthmm.hmm.filter_step`, and one sort-merge; :func:`exact_step`
-is its one-surface case. That sort-merge, :func:`_merge_rows`, also merges
-an exact prior; the grid step keeps its rule (least value, ties to the
-lowest (source, candidate) pair) without the sort.
+1e-9.
+
+Each mode has one level kernel, which steps a level's surfaces on one symbol
+into one (surface, :class:`StepReport`) pair per surface.
+:func:`_grid_level` is a gather from the table and one sort-free
+scatter-min, :func:`_reduce_candidates`, at most ``_CELL_BUDGET`` cells a
+call; :func:`_exact_level` is one stacked Bayes update per candidate, with
+the bytes of :func:`~robusthmm.hmm.filter_step`, and one sort-merge,
+:func:`_merge_rows`, which also merges an exact prior (the grid step keeps
+its rule, least value and ties to the lowest (source, candidate) pair,
+without the sort). :func:`step_level` picks the kernel for a tree level or
+control's new triples; :func:`forward_image_step` and :func:`exact_step`,
+which :func:`evolve` steps, are the one-surface cases.
 
 Surface CSVs on one grid share their header and every row's leading columns
 (integer coordinates, belief coordinates and, in the static scope, the
@@ -59,7 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import partial
 from math import log
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -146,10 +148,10 @@ class ExactSurface:
                 for g, b, v in zip(self.gen_ids, self.beliefs, self.values)}
 
 
-@dataclass(frozen=True)
-class StepReport:
+class StepReport(NamedTuple):
     """Bookkeeping for one forward step: the normalization subtracted, the
-    count of unreachable cells, and per-cell argmin provenance."""
+    count of unreachable cells, and per-cell argmin provenance. A named
+    tuple, as a level kernel builds one per surface."""
 
     time: int
     m_t: float
@@ -181,16 +183,6 @@ def _merge_rows(ident: np.ndarray, values: np.ndarray, *ties: np.ndarray):
     return order[first]
 
 
-def project(initial, grid: SimplexGrid) -> PenaltySurface:
-    """The time-zero surface of initial penalty values, one per grid point,
-    normalized to minimum zero."""
-    values = np.asarray(initial, dtype=np.float64)
-    if values.shape != (len(grid),):
-        raise ValueError("one initial value per grid point required")
-    return PenaltySurface(grid=grid, values=normalize_penalties(values),
-                          time=0)
-
-
 def initial_grid_surface(values, gens: GeneratorGrid, grid: SimplexGrid,
                          scope: str):
     """Time-zero surface on ``grid`` from one initial penalty per grid point
@@ -201,10 +193,13 @@ def initial_grid_surface(values, gens: GeneratorGrid, grid: SimplexGrid,
     static surface again after."""
     if scope not in (STATIC, DYNAMIC):
         raise ValueError(f"bad scope {scope!r}")
-    surface = project(values, grid)
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (len(grid),):
+        raise ValueError("one initial value per grid point required")
+    values = normalize_penalties(values)
     if scope == DYNAMIC:
-        return surface
-    values = surface.values[:, None] + gens.prior_penalty[None, :]
+        return PenaltySurface(grid=grid, values=values, time=0)
+    values = values[:, None] + gens.prior_penalty[None, :]
     return ExtendedPenaltySurface(grid=grid, gens=gens,
                                   values=normalize_penalties(values), time=0)
 
@@ -362,20 +357,22 @@ def _reduce_candidates(dest, vals, srcs, gids, n_keys, n_gens):
 
 
 def _grid_level(surfaces, gens: GeneratorGrid, gammas: np.ndarray | None,
-                y: int, framework: str):
-    """The level kernel: grid surfaces on one grid stepped on symbol ``y``,
-    stacked at most ``_CELL_BUDGET`` (surface, candidate, cell) triples a
-    call. A call is one gather from the image table, one
-    :func:`_reduce_candidates` keyed on ``row * size + dest`` and a per-row
-    normalization; it yields the surfaces and their (rows x size) values,
-    ``m_t`` and argmin provenance."""
+                y: int, framework: str) -> list:
+    """The grid level kernel: surfaces on one grid stepped on symbol ``y``
+    into one (surface, :class:`StepReport`) pair each. A call of at most
+    ``_CELL_BUDGET`` (surface, candidate, cell) triples is one gather from
+    the image table, one :func:`_reduce_candidates` keyed on ``row * size +
+    dest`` (``dest`` a (cell, candidate) key in the static scope) and a
+    per-row normalization."""
     if framework not in (UP, DR):
         raise ValueError(f"bad framework {framework!r}")
     src = surfaces[0]
     if not isinstance(src, (PenaltySurface, ExtendedPenaltySurface)):
         raise TypeError(f"unsupported surface type {type(src).__name__}")
-    grid, n_gens, size = src.grid, len(gens), src.values.size
+    grid, n_gens, shape = src.grid, len(gens), src.values.shape
+    size = src.values.size
     table = _image_table(gens, grid, y)
+    out = []
     for block in _blocks(surfaces, n_gens * len(grid)):
         chunk = surfaces[block]
         before = _candidate_penalties(chunk, gens, gammas)[1]
@@ -386,54 +383,40 @@ def _grid_level(surfaces, gens: GeneratorGrid, gammas: np.ndarray | None,
         dest = table.dest[gids, srcs]
         if _static(chunk[0]):
             dest = dest * n_gens + gids
-        out, out_src, out_gen = (a.reshape(len(chunk), size) for a in
-                                 _reduce_candidates(rows * size + dest, vals,
-                                                    srcs, gids,
-                                                    len(chunk) * size,
-                                                    n_gens))
-        yield (chunk, *_normalize_rows(out, chunk[0].time + 1), out_src,
-               out_gen)
+        best, out_src, out_gen = (a.reshape(len(chunk), *shape) for a in
+                                  _reduce_candidates(rows * size + dest, vals,
+                                                     srcs, gids,
+                                                     len(chunk) * size,
+                                                     n_gens))
+        time = chunk[0].time + 1
+        values, m_t = _normalize_rows(best.reshape(len(chunk), size), time)
+        infeasible = np.isinf(values).sum(axis=1).tolist()
+        out.extend((replace(s, values=v, time=time),
+                    StepReport(time=time, m_t=m, infeasible_cells=n,
+                               argmin_src=a, argmin_gen=g))
+                   for s, v, m, n, a, g in zip(
+                       chunk, values.reshape(best.shape), m_t.tolist(),
+                       infeasible, out_src, out_gen))
+    return out
 
 
 def forward_image_step(src, gens: GeneratorGrid,
                        gammas: np.ndarray | None, y: int, framework: str):
     """Push a grid surface one step forward after observing symbol ``y``:
-    the one-row case of the level kernel :func:`_grid_level`.
-
-    Returns the updated surface of the same kind and a :class:`StepReport`.
-    Every live (candidate, cell) pair that :func:`_candidate_penalties`
-    admits is pushed to the cell nearest its Bayes image. Generator scope is
-    carried by the surface type: a plain :class:`PenaltySurface` (``gammas``
-    required) reduces each destination cell across candidates, an
-    :class:`ExtendedPenaltySurface` (``gammas`` omitted) keeps the candidate
-    axis and reduces per (destination cell, candidate) key.
-    """
-    ((_, values, m_t, out_src, out_gen),) = _grid_level(
-        [src], gens, gammas, y, framework)
-    shape, time = src.values.shape, src.time + 1
-    values = values[0].reshape(shape)
-    report = StepReport(time=time, m_t=float(m_t[0]),
-                        infeasible_cells=int(np.isinf(values).sum()),
-                        argmin_src=out_src[0].reshape(shape),
-                        argmin_gen=out_gen[0].reshape(shape))
-    return replace(src, values=values, time=time), report
+    the one-surface case of the level kernel :func:`_grid_level`. Returns
+    the updated surface of the same kind and a :class:`StepReport`."""
+    return _grid_level([src], gens, gammas, y, framework)[0]
 
 
 def step_level(surfaces, gens: GeneratorGrid, gammas: np.ndarray | None,
                framework: str) -> list:
     """Each surface's children, one per symbol: the level goes through its
     kernel, :func:`_exact_level` or :func:`_grid_level`, once per symbol."""
-    symbols = range(gens.n_symbols)
-    if isinstance(surfaces[0], ExactSurface):
-        levels = [_exact_level(surfaces, gens, gammas, y, framework)
-                  for y in symbols]
-        return [[child for child, _ in kids] for kids in zip(*levels)]
-    by_symbol = [[replace(s, values=row.reshape(s.values.shape),
-                          time=s.time + 1)
-                  for chunk, values, *_ in _grid_level(surfaces, gens, gammas,
-                                                       y, framework)
-                  for s, row in zip(chunk, values)] for y in symbols]
-    return [list(row) for row in zip(*by_symbol)]
+    kernel = (_exact_level if isinstance(surfaces[0], ExactSurface)
+              else _grid_level)
+    return [list(kids) for kids in zip(*(
+        [child for child, _ in kernel(surfaces, gens, gammas, y, framework)]
+        for y in range(gens.n_symbols)))]
 
 
 def _normalize_rows(values: np.ndarray, time: int):

@@ -18,7 +18,7 @@ from robusthmm import (ControlProblem, Generator, GeneratorGrid, SimplexGrid,
                        backward_expectation, brute_force, bsde_decompose,
                        bsde_driver, dr_expectation, evolve, fill_backward,
                        gamma_at, initial_exact_surface, initial_grid_surface,
-                       one_step_expectation, project, solve)
+                       one_step_expectation, solve)
 from robusthmm.cli import build_exact_prior, main
 from robusthmm.oracles import (bernoulli_closed_forms, oracle_dr_direct,
                                oracle_penalty)
@@ -119,7 +119,7 @@ def test_criterion_4_expectation_axioms(oracle_cfg):
         vals[mask] = np.inf
         if not np.isfinite(vals).any():
             vals[0] = 0.0
-        surface = project(vals, grid)
+        surface = initial_grid_surface(vals, gens, grid, "dynamic")
         gammas = rng.exponential(0.5, len(gens))
         gammas -= gammas.min()
         phi = rng.uniform(-3, 3, 2)

@@ -81,6 +81,19 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+def _run_capped(command, path, out, extra=()):
+    """Exit code, stdout and stderr of the CLI in a child held to 1 GB of
+    address space, so a run that sizes memory before its cap check fails
+    fast instead of filling memory."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    child = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CHILD, command, "--config", str(path),
+         "--out", str(out), *extra],
+        capture_output=True, text=True, env=env, timeout=60)
+    return child.returncode, child.stdout, child.stderr
+
+
 @pytest.mark.parametrize("n,m,override", [(6, 1000, False),
                                           (2, 10 ** 6, True)])
 def test_oversized_grid_exits_4_before_allocating(tmp_path, n, m, override):
@@ -96,15 +109,24 @@ def test_oversized_grid_exits_4_before_allocating(tmp_path, n, m, override):
     path = tmp_path / "big.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "run"
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    child = subprocess.run(
-        [sys.executable, "-c", _CAPPED_CHILD, "penalty-evolve", "--config",
-         str(path), "--out", str(out), *extra],
-        capture_output=True, text=True, env=env, timeout=60)
-    assert (child.returncode, child.stdout, child.stderr) == (4, "", (
+    assert _run_capped("penalty-evolve", path, out, extra) == (4, "", (
         f"cap exceeded: a grid of n_states {n} and resolution {m} has "
         f"{comb(m + n - 1, n - 1)} cells, over the cap of {GRID_CAP}\n"))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "filter", "penalty-evolve"])
+@pytest.mark.parametrize("horizon", [10 ** 30, cli.HORIZON_CAP + 1])
+def test_oversized_horizon_exits_4_before_allocating(tmp_path, command,
+                                                     horizon):
+    # a path of 10 ** 30 steps overflows the list that holds its models,
+    # and one of 10 ** 12 exhausts memory, unless the horizon is capped
+    path = _edited_config(tmp_path, "simulate.json",
+                          lambda cfg: cfg.update(horizon=horizon))
+    out = tmp_path / "run"
+    assert _run_capped(command, path, out) == (4, "", (
+        f"cap exceeded: a horizon of {horizon} steps is over the cap of "
+        f"{cli.HORIZON_CAP}\n"))
     assert not out.exists()
 
 
@@ -552,7 +574,7 @@ def test_support_prior_ranks_its_beliefs_once(monkeypatch):
     monkeypatch.undo()
     expected = np.full(len(grid), np.inf)
     for b, v in zip(prior["beliefs"], prior["values"]):
-        expected[grid.exact_index(np.array(b))] = v
+        expected[np.flatnonzero((grid.points == b).all(axis=1))] = v
     assert values.tolist() == expected.tolist()
     assert np.isfinite(values).sum() == 3
 

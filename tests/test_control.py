@@ -13,7 +13,7 @@ from robusthmm import (CapExceeded, ControlProblem, Generator, GeneratorGrid,
                        initial_exact_surface, initial_grid_surface,
                        one_step_expectation, solve)
 from robusthmm import InfeasibleSurface, control, expectation, penalty
-from robusthmm.control import StateRegistry, decision_nodes, terminal_value
+from robusthmm.control import StateRegistry, decision_nodes
 from conftest import LEVEL_SHAPES, level_case
 
 P1 = UncertaintyParams(k=1.0, k_exp=1.0)
@@ -286,8 +286,7 @@ def _reference_terminal(cost, surface, params):
     if not usable.any():
         raise InfeasibleSurface("terminal surface excludes every belief")
     scores = surface.grid.points[usable] @ cost - rho[usable]
-    pos = int(np.argmin(scores))
-    return float(scores[pos]), surface.grid.points[np.nonzero(usable)[0][pos]]
+    return float(scores[int(np.argmin(scores))])
 
 
 @given(LEVEL_SHAPES.map(lambda shape: shape[:-1] + ("dynamic",)),
@@ -309,11 +308,8 @@ def test_batched_leaves_match_terminal_value(shape, params, budget, seed):
             control._terminal_rows(cost, surfaces, params)
         return
     with mock.patch.object(penalty, "_CELL_BUDGET", budget):
-        values, cells = control._terminal_rows(cost, surfaces, params)
-    for surface, value, cell, (ref_value, ref_belief) in zip(
-            surfaces, values, cells, expected):
-        one_value, one_belief = terminal_value(cost, surface, params)
+        values = control._terminal_rows(cost, surfaces, params)
+    for surface, value, ref_value in zip(surfaces, values, expected):
+        (one_value,) = control._terminal_rows(cost, [surface], params)
         assert (np.float64(value).tobytes() == np.float64(one_value).tobytes()
                 == np.float64(ref_value).tobytes())
-        assert (surface.grid.points[cell].tobytes() == one_belief.tobytes()
-                == ref_belief.tobytes())

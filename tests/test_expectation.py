@@ -14,7 +14,7 @@ from robusthmm import (ExtendedPenaltySurface, Generator, GeneratorGrid,
                        UncertaintyParams, backward_expectation, bsde_decompose,
                        bsde_driver, dr_expectation, fill_backward, gamma_at,
                        initial_exact_surface, initial_grid_surface,
-                       one_step_expectation, penalty_to_rho, project)
+                       one_step_expectation)
 from robusthmm.oracles import oracle_dr_direct, oracle_penalty
 from conftest import LEVEL_SHAPES, example1_generator, level_case
 
@@ -35,28 +35,26 @@ def ex1_grid_of(count=2):
 # ---------------------------------------------------------------------------
 # rho
 
+def _rho(penalties, params):
+    return expectation._rho(np.array(penalties, dtype=float), params).tolist()
+
+
 def test_rho_basic_values():
-    assert penalty_to_rho(0.0, P1) == 0.0
-    assert penalty_to_rho(2.0, UncertaintyParams(k=1.0, k_exp=2.0)) == 4.0
-    assert penalty_to_rho(3.0, UncertaintyParams(k=2.0, k_exp=1.0)) == 1.5
+    assert _rho([0.0], P1) == [0.0]
+    assert _rho([2.0], UncertaintyParams(k=1.0, k_exp=2.0)) == [4.0]
+    assert _rho([3.0], UncertaintyParams(k=2.0, k_exp=1.0)) == [1.5]
 
 
 def test_rho_hard_threshold_conventions():
     params = UncertaintyParams(k=1.0, k_exp=inf)
-    assert penalty_to_rho(0.5, params) == 0.0
-    assert penalty_to_rho(1.0, params) == 0.0
-    assert penalty_to_rho(1.5, params) == inf
-    assert penalty_to_rho(inf, params) == inf
-    assert penalty_to_rho(inf, P1) == inf
-    with pytest.raises(ValueError):
-        penalty_to_rho(-0.1, P1)
+    assert _rho([0.5, 1.0, 1.5, inf], params) == [0.0, 0.0, inf, inf]
+    assert _rho([inf], P1) == [inf]
 
 
 @pytest.mark.parametrize("k_exp", [1.0, inf])
 def test_rho_with_infinite_k_keeps_excluded_penalties_infinite(k_exp):
     params = UncertaintyParams(k=inf, k_exp=k_exp)
-    assert penalty_to_rho(inf, params) == inf
-    assert penalty_to_rho(0.0, params) == penalty_to_rho(7.5, params) == 0.0
+    assert _rho([inf, 0.0, 7.5], params) == [inf, 0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +62,8 @@ def test_rho_with_infinite_k_keeps_excluded_penalties_infinite(k_exp):
 
 def test_dr_expectation_unpenalized_hits_vertex():
     grid = SimplexGrid.build(2, 6)
-    surface = project(np.zeros(len(grid)), grid)
+    surface = initial_grid_surface(np.zeros(len(grid)), ex1_grid_of(), grid,
+                                   "dynamic")
     value, argmax = dr_expectation(np.array([1.0, 0.0]), surface, P1)
     assert value == 1.0
     assert np.array_equal(argmax, [1.0, 0.0])
@@ -73,8 +72,8 @@ def test_dr_expectation_unpenalized_hits_vertex():
 def test_dr_expectation_point_mass_is_linear_expectation():
     grid = SimplexGrid.build(2, 5)
     values = np.full(len(grid), np.inf)
-    values[grid.exact_index(np.array([0.6, 0.4]))] = 0.0
-    surface = project(values, grid)
+    values[3] = 0.0  # the cell (0.6, 0.4)
+    surface = initial_grid_surface(values, ex1_grid_of(), grid, "dynamic")
     value, argmax = dr_expectation(np.array([1.0, 0.0]), surface, P1)
     assert abs(value - 0.6) < 1e-15
     assert np.allclose(argmax, [0.6, 0.4])
@@ -84,7 +83,7 @@ def test_dr_expectation_matches_exhaustive_scan():
     grid = SimplexGrid.build(2, 10)
     with np.errstate(divide="ignore"):
         table = np.abs(np.log(grid.points[:, 0] / grid.points[:, 1]))
-    surface = project(table, grid)
+    surface = initial_grid_surface(table, ex1_grid_of(), grid, "dynamic")
     value, _ = dr_expectation(np.array([1.0, 0.0]), surface, P1)
     best = max(q[0] - v for q, v in zip(grid.points, surface.values)
                if np.isfinite(v))
@@ -96,7 +95,8 @@ def test_scan_errors_name_the_step_and_the_level_count():
     # infeasible surfaces 1 and 3 sit in different blocks
     grid = SimplexGrid.build(2, 2999)
     gens = ex1_grid_of(1)
-    surfaces = [replace(project(np.zeros(len(grid)), grid), time=5)
+    surfaces = [replace(initial_grid_surface(np.zeros(len(grid)), gens, grid,
+                                             "dynamic"), time=5)
                 for _ in range(4)]
     for i in (1, 3):
         object.__setattr__(surfaces[i], "values", np.full(len(grid), np.inf))
@@ -115,7 +115,8 @@ def test_scan_errors_name_the_step_and_the_level_count():
 
 def test_dr_expectation_infeasible_surface_raises():
     grid = SimplexGrid.build(2, 3)
-    surface = project(np.zeros(len(grid)), grid)
+    surface = initial_grid_surface(np.zeros(len(grid)), ex1_grid_of(), grid,
+                                   "dynamic")
     object.__setattr__(surface, "values", np.full(len(grid), np.inf))
     with pytest.raises(InfeasibleSurface):
         dr_expectation(np.array([1.0, 0.0]), surface, P1)
@@ -127,7 +128,8 @@ def test_dr_expectation_infeasible_surface_raises():
 def test_one_step_constant_payoff_is_constant():
     grid = SimplexGrid.build(2, 6)
     gens = ex1_grid_of(2)
-    surface = project(np.abs(grid.points[:, 0] - 0.3), grid)
+    surface = initial_grid_surface(np.abs(grid.points[:, 0] - 0.3), gens,
+                                   grid, "dynamic")
     value = one_step_expectation(np.array([4.2, 4.2]), surface, gens,
                                  gamma_at(gens), P1)
     assert abs(value - 4.2) < 1e-12
@@ -135,7 +137,8 @@ def test_one_step_constant_payoff_is_constant():
 
 def test_one_step_linear_maximization_hits_vertex(ex1_gens):
     grid = SimplexGrid.build(2, 6)
-    surface = project(np.zeros(len(grid)), grid)
+    surface = initial_grid_surface(np.zeros(len(grid)), ex1_gens, grid,
+                                   "dynamic")
     value = one_step_expectation(np.array([1.0, 0.0]), surface, ex1_gens,
                                  np.zeros(1), P1)
     assert abs(value - 0.75) < 1e-12
@@ -143,7 +146,8 @@ def test_one_step_linear_maximization_hits_vertex(ex1_gens):
 
 def test_one_step_infinite_gamma_excludes_candidate(ex1_gens):
     grid = SimplexGrid.build(2, 6)
-    surface = project(np.zeros(len(grid)), grid)
+    surface = initial_grid_surface(np.zeros(len(grid)), ex1_gens, grid,
+                                   "dynamic")
     two = GeneratorGrid(candidates=(example1_generator(),
                                     example1_generator(0.9, 0.1)),
                         prior_penalty=np.array([0.0, 0.0]))
@@ -160,7 +164,7 @@ def test_one_step_without_penalties_is_plain_predictive_sup():
     # general; here both copies vanish)
     grid = SimplexGrid.build(2, 8)
     gens = ex1_grid_of(2)
-    surface = project(np.zeros(len(grid)), grid)
+    surface = initial_grid_surface(np.zeros(len(grid)), gens, grid, "dynamic")
     xi = np.array([0.7, -0.4])
     value = one_step_expectation(xi, surface, gens, np.zeros(2), P1)
     best = max(float(((gen.transition @ p) @ gen.emission) @ xi)
@@ -227,7 +231,8 @@ def test_one_step_monotone_in_payoff():
     grid = SimplexGrid.build(2, 8)
     gens = ex1_grid_of(2)
     rng = np.random.Generator(np.random.Philox(key=5))
-    surface = project(rng.exponential(1.0, len(grid)), grid)
+    surface = initial_grid_surface(rng.exponential(1.0, len(grid)), gens,
+                                   grid, "dynamic")
     for _ in range(30):
         lo = rng.uniform(-2, 2, 2)
         hi = lo + rng.uniform(0, 1, 2)
@@ -433,7 +438,7 @@ def _random_surface(grid, rng):
     if mask.all():
         mask[0] = False
     vals[mask] = np.inf
-    return project(vals, grid)
+    return initial_grid_surface(vals, ex1_grid_of(), grid, "dynamic")
 
 
 def test_axioms_sampled():

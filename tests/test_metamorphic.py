@@ -3,17 +3,23 @@ states changes nothing but the labels, and the backward expectation is
 monotone in the payoff. Each runs on the shipped oracle instance and on a
 random three-state, three-symbol one, whose matrices have none of the
 shipped instance's symmetries (its emission matrices are symmetric, so a
-symbol swap there cannot tell an emission row from a column)."""
+symbol swap there cannot tell an emission row from a column).
+
+Control's properties run on the shipped control instance, whose surfaces
+are not flat, so a value that ignored them would show: a terminal shift
+shifts every value, every value is monotone in the costs, costs and ``k``
+scaled together scale the values at ``k_exp = 1``, and relabelling the
+controls relabels the policy."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from robusthmm import (Generator, GeneratorGrid, SimplexGrid, StateFunctional,
-                       TreeSetup, UncertaintyParams, backward_expectation,
-                       dr_expectation, evolve, initial_exact_surface,
-                       initial_grid_surface)
+from robusthmm import (ControlProblem, Generator, GeneratorGrid, SimplexGrid,
+                       StateFunctional, TreeSetup, UncertaintyParams,
+                       backward_expectation, dr_expectation, evolve,
+                       initial_exact_surface, initial_grid_surface, solve)
 from robusthmm.cli import build_exact_prior
 
 LABELS = [("static", "up"), ("dynamic", "up"), ("static", "dr"),
@@ -152,3 +158,91 @@ def test_backward_expectation_is_monotone_in_the_payoff(instance, kind,
         for t, (a, b) in enumerate(zip(low.values, high.values,
                                        strict=True)):
             assert (b >= a).all(), (t, a, b)
+
+
+def _control_problem(cfg, running=None, terminal=None, params=None,
+                     gens=None, labels=None):
+    """The control problem of a config, with the named parts replaced."""
+    control = cfg.control
+    return ControlProblem(
+        labels=tuple(control["labels"] if labels is None else labels),
+        gens=cfg.gens if gens is None else gens,
+        initial_surface=cfg.initial_surface(), framework=cfg.framework,
+        horizon=cfg.horizon, params=cfg.params if params is None else params,
+        running_cost=control["running_cost"] if running is None else running,
+        terminal_cost=StateFunctional(values=control["terminal_cost"]
+                                      if terminal is None else terminal))
+
+
+@pytest.mark.parametrize("shift", [0.7, -1.3, 5.0])
+def test_terminal_shift_shifts_every_control_value(control_cfg, shift):
+    base = solve(_control_problem(control_cfg))
+    moved = solve(_control_problem(
+        control_cfg, terminal=control_cfg.control["terminal_cost"] + shift))
+    assert moved.values.keys() == base.values.keys()
+    for key, record in base.values.items():
+        assert moved.values[key].value == pytest.approx(record.value + shift,
+                                                        abs=1e-12)
+        assert moved.values[key].control == record.control
+
+
+@pytest.mark.parametrize("part", ["running", "terminal"])
+def test_control_values_are_monotone_in_the_costs(control_cfg, part):
+    base = solve(_control_problem(control_cfg))
+    rng = np.random.Generator(np.random.Philox(key=17))
+    for _ in range(3):
+        if part == "running":
+            cost = control_cfg.control["running_cost"]
+            higher = _control_problem(
+                control_cfg, running=cost + rng.uniform(0.0, 0.5, cost.shape))
+        else:
+            cost = control_cfg.control["terminal_cost"]
+            higher = _control_problem(
+                control_cfg, terminal=cost + rng.uniform(0.0, 0.5, cost.shape))
+        raised = solve(higher)
+        assert raised.values.keys() == base.values.keys()
+        for key, record in base.values.items():
+            assert raised.values[key].value >= record.value, key
+
+
+def test_scaling_costs_and_k_together_scales_control_values(control_cfg):
+    # at k_exp = 1, rho(alpha) = alpha / k, so costs x lam with k / lam
+    # multiply every payoff and every converted penalty by lam
+    assert control_cfg.params.k_exp == 1.0
+    lam = 2.5
+    base = solve(_control_problem(control_cfg))
+    scaled = solve(_control_problem(
+        control_cfg, running=control_cfg.control["running_cost"] * lam,
+        terminal=control_cfg.control["terminal_cost"] * lam,
+        params=UncertaintyParams(k=control_cfg.params.k / lam)))
+    assert scaled.root_value == pytest.approx(lam * base.root_value,
+                                              abs=1e-12)
+    for key, record in base.values.items():
+        assert scaled.values[key].value == pytest.approx(lam * record.value,
+                                                         abs=1e-12)
+        assert scaled.values[key].control == record.control
+
+
+def test_swapping_control_labels_swaps_the_policy(control_cfg):
+    # the shipped problem's q-values never tie, so the swap is exact
+    gens = control_cfg.gens
+    swapped = GeneratorGrid(candidates=gens.candidates,
+                            prior_penalty=gens.prior_penalty,
+                            control_penalty=gens.control_penalty[::-1])
+    base = solve(_control_problem(control_cfg))
+    relabelled = solve(_control_problem(
+        control_cfg, running=control_cfg.control["running_cost"][:, ::-1],
+        gens=swapped, labels=control_cfg.control["labels"][::-1]))
+    assert set(base.policy.values()) == {0, 1}
+    assert relabelled.policy == {h: 1 - u for h, u in base.policy.items()}
+    assert relabelled.root_value == pytest.approx(base.root_value, abs=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the control leaf "
+                   "takes an infimum over beliefs, not the sup; the root "
+                   "value reads -2.941 today")
+def test_constant_control_costs_give_their_sum(control_cfg):
+    running = np.zeros_like(control_cfg.control["running_cost"])
+    problem = _control_problem(control_cfg, running=running,
+                               terminal=np.ones(control_cfg.n_states))
+    assert solve(problem).root_value == pytest.approx(1.0, abs=1e-12)

@@ -89,7 +89,7 @@ def test_grid_points_round_to_themselves():
     grid = SimplexGrid.build(3, 9)
     for i, p in enumerate(grid.points):
         assert grid.round_to_index(p) == i
-        assert grid.exact_index(p) == i
+        assert grid.rank(grid.exact_coords(p)[None]).tolist() == [i]
 
 
 @pytest.mark.parametrize("belief", [[0.2, 0.3], [-0.5, 1.5], [0.7, 0.7],
@@ -107,7 +107,7 @@ def test_rounding_rejects_beliefs_off_the_simplex(belief):
                                     [0.2, 0.3]])
 def test_exact_index_rejects_off_grid_beliefs(belief):
     with pytest.raises(ValueError):
-        SimplexGrid.build(2, 10).exact_index(np.array(belief))
+        SimplexGrid.build(2, 10).exact_coords(np.array(belief))
 
 
 def test_rounding_accepts_float_noise_in_the_sum():

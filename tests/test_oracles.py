@@ -387,7 +387,7 @@ def test_oracle_check_walks_once(oracle_cfg, label, monkeypatch):
     # one walk scores every prefix's penalties and all 50 payoffs
     walks = _count_calls(monkeypatch, "_walk_models")
     obs = list(oracle_cfg.observations)
-    reports = _check_one_framework((label, oracle_cfg, obs, {}))
+    reports = _check_one_framework(label, oracle_cfg, obs, {})
     assert len(walks) == 1
     assert len(reports) == len(obs) + 1 + 50
     assert max(r.abs_diff for r in reports) <= 1e-9

@@ -13,7 +13,7 @@ from robusthmm import (CapExceeded, ExactSurface, Generator, GeneratorGrid,
                        InfeasibleSurface, SimplexGrid, TreeSetup,
                        UncertaintyParams, build_observation_tree, evolve,
                        exact_step, forward_image_step, gamma_at,
-                       initial_exact_surface, initial_grid_surface, project,
+                       initial_exact_surface, initial_grid_surface,
                        render_surface_csv)
 from robusthmm.oracles import oracle_penalty
 from conftest import LEVEL_SHAPES, example1_generator, level_case
@@ -46,15 +46,17 @@ def mixed_gens(count=3):
 
 def test_project_constant_normalizes_to_zero():
     grid = SimplexGrid.build(2, 6)
-    surface = project(np.full(len(grid), 5.0), grid)
+    surface = initial_grid_surface(np.full(len(grid), 5.0),
+                                   uninformative_gens(), grid, "dynamic")
     assert np.array_equal(surface.values, np.zeros(len(grid)))
 
 
 def test_project_abs_log_odds_is_symmetric_v():
     grid = SimplexGrid.build(2, 6)
     with np.errstate(divide="ignore"):
-        surface = project(np.abs(np.log(grid.points[:, 0] / grid.points[:, 1])),
-                          grid)
+        surface = initial_grid_surface(
+            np.abs(np.log(grid.points[:, 0] / grid.points[:, 1])),
+            uninformative_gens(), grid, "dynamic")
     vals = surface.values
     assert vals[3] == 0.0  # central point (0.5, 0.5)
     assert np.isinf(vals[0]) and np.isinf(vals[-1])
@@ -65,7 +67,8 @@ def test_project_point_mass():
     grid = SimplexGrid.build(2, 5)
     values = np.full(len(grid), np.inf)
     values[2] = 7.0
-    surface = project(values, grid)
+    surface = initial_grid_surface(values, uninformative_gens(), grid,
+                                   "dynamic")
     assert surface.values[2] == 0.0
     assert np.isinf(np.delete(surface.values, 2)).all()
 
@@ -75,7 +78,8 @@ def test_project_point_mass():
 
 def test_uninformative_step_is_identity_with_zero_normalizer():
     grid = SimplexGrid.build(2, 8)
-    src = project(np.abs(grid.points[:, 0] - 0.5), grid)
+    src = initial_grid_surface(np.abs(grid.points[:, 0] - 0.5),
+                               uninformative_gens(), grid, "dynamic")
     out, report = forward_image_step(src, uninformative_gens(),
                                      np.zeros(1), 0, "up")
     assert np.array_equal(out.values, src.values)
@@ -84,7 +88,8 @@ def test_uninformative_step_is_identity_with_zero_normalizer():
 
 def test_up_and_dr_coincide_under_uninformative_emissions():
     grid = SimplexGrid.build(2, 8)
-    src = project(np.abs(grid.points[:, 0] - 0.5), grid)
+    src = initial_grid_surface(np.abs(grid.points[:, 0] - 0.5),
+                               uninformative_gens(), grid, "dynamic")
     out_up, _ = forward_image_step(src, uninformative_gens(), np.zeros(1),
                                    0, "up")
     out_dr, rep = forward_image_step(src, uninformative_gens(), np.zeros(1),
@@ -400,35 +405,37 @@ def test_level_kernel_matches_one_surface_steps(shape, framework, budget):
             with mock.patch.object(penalty, "_CELL_BUDGET", budget), \
                     pytest.raises(InfeasibleSurface,
                                   match="observation at step 1 impossible"):
-                list(penalty._grid_level(surfaces, gens, gammas, y,
-                                         framework))
+                penalty._grid_level(surfaces, gens, gammas, y, framework)
             feasible = False
             continue
-        with mock.patch.object(penalty, "_CELL_BUDGET", budget):
-            blocks = list(penalty._grid_level(surfaces, gens, gammas, y,
-                                              framework))
+        chunks = []
+        candidate_penalties = penalty._candidate_penalties
+
+        def spy(chunk, *args):
+            chunks.append(len(chunk))
+            return candidate_penalties(chunk, *args)
+
+        with mock.patch.object(penalty, "_CELL_BUDGET", budget), \
+                mock.patch.object(penalty, "_candidate_penalties", spy):
+            pairs = penalty._grid_level(surfaces, gens, gammas, y, framework)
         cells = len(gens) * len(surfaces[0].grid)
-        assert all(len(chunk) == 1 or len(chunk) * cells <= budget
-                   for chunk, *_ in blocks)
-        rows = [(row, m_t[i], src[i], gen[i])
-                for chunk, values, m_t, src, gen in blocks
-                for i, row in enumerate(values)]
-        assert len(rows) == len(surfaces)
+        assert all(n == 1 or n * cells <= budget for n in chunks)
+        assert sum(chunks) == len(pairs) == len(surfaces)
         ones = []
-        for surface, (row, m_t, src, gen), ref in zip(surfaces, rows,
-                                                      expected):
-            one, report = forward_image_step(surface, gens, gammas, y,
-                                             framework)
+        for surface, (child, report), ref in zip(surfaces, pairs, expected):
+            one, one_report = forward_image_step(surface, gens, gammas, y,
+                                                 framework)
             ref_values, ref_m, ref_src, ref_gen = ref
-            assert (row.tobytes() == one.values.tobytes()
+            assert (child.values.tobytes() == one.values.tobytes()
                     == ref_values.tobytes())
-            assert (m_t.tobytes() == np.float64(report.m_t).tobytes()
-                    == np.float64(ref_m).tobytes())
-            for got in (src.reshape(ref_src.shape), report.argmin_src):
-                assert np.array_equal(got, ref_src)
-            for got in (gen.reshape(ref_gen.shape), report.argmin_gen):
-                assert np.array_equal(got, ref_gen)
-            assert report.infeasible_cells == int(np.isinf(ref_values).sum())
+            assert child.time == one.time == 1
+            for rep in (report, one_report):
+                assert (np.float64(rep.m_t).tobytes()
+                        == np.float64(ref_m).tobytes())
+                assert np.array_equal(rep.argmin_src, ref_src)
+                assert np.array_equal(rep.argmin_gen, ref_gen)
+                assert rep.infeasible_cells == int(np.isinf(ref_values).sum())
+                assert rep.time == 1
             ones.append(one)
         children.append(ones)
     with mock.patch.object(penalty, "_CELL_BUDGET", budget):
@@ -956,7 +963,8 @@ def test_renderer_matches_reference_on_arbitrary_surfaces(cases):
 
 def test_row_text_lives_with_its_simplex_grid():
     grid = SimplexGrid.build(2, 10)
-    render_surface_csv(project(np.zeros(len(grid)), grid))
+    render_surface_csv(initial_grid_surface(
+        np.zeros(len(grid)), uninformative_gens(), grid, "dynamic"))
     ref = weakref.ref(grid.row_text[None])
     del grid
     gc.collect()
@@ -1001,7 +1009,8 @@ def test_static_and_dynamic_surfaces_keep_separate_row_text():
     # with one candidate both scopes have K = 1, but only the static
     # surface has a gen column
     grid = SimplexGrid.build(2, 5)
-    dynamic = project(np.zeros(len(grid)), grid)
+    dynamic = initial_grid_surface(np.zeros(len(grid)), uninformative_gens(),
+                                   grid, "dynamic")
     static = initial_grid_surface(np.zeros(len(grid)), uninformative_gens(),
                                   grid, "static")
     texts = [render_surface_csv(s) for s in (dynamic, static, dynamic)]
@@ -1024,7 +1033,8 @@ def test_exact_surface_csv_layout():
 def test_surface_csv_roundtrip():
     grid = SimplexGrid.build(2, 3)
     values = np.array([np.inf, 0.5, 0.0, 1.25])
-    surface = project(values, grid)
+    surface = initial_grid_surface(values, uninformative_gens(), grid,
+                                   "dynamic")
     text = render_surface_csv(surface)
     lines = text.strip().split("\n")
     assert lines[0] == "x0,x1,p0,p1,value,src_point,src_gen"
