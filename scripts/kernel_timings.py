@@ -1,7 +1,10 @@
-"""Time the grid kernels on their own: the best of several runs of
-``SimplexGrid.round_rows`` on every Bayes image of an image table, and of
-one grid step (``forward_image_step``) in the dynamic and the static scope,
-at the grid shapes N=2/m=1000, N=3/m=80 and N=4/m=20.
+"""Time the grid kernels and the surface renderer on their own: the best
+of several runs of ``SimplexGrid.round_rows`` on every Bayes image of an
+image table, of one grid step (``forward_image_step``) and of rendering the
+stepped surface's CSV (``render_surface_csv`` with the step's report) in
+the dynamic and the static scope, at the grid shapes N=2/m=1000, N=3/m=80
+and N=4/m=20; and of rendering the 255 nodes of an N=2/m=100 observation
+tree of depth 7 in the batches the ``expect`` command uses.
 
 Usage::
 
@@ -9,7 +12,8 @@ Usage::
 
 Three sticky candidates on two symbols, from a fixed seed. The step starts
 from the surface one step after a zero prior and reuses its image table, so
-it times the gather, the scatter-min and the normalization. Times are
+it times the gather, the scatter-min and the normalization. Rendering
+times exclude the one-time build of the grid's row text. Times are
 seconds of this machine; compare them only with runs on the same host.
 """
 
@@ -25,9 +29,11 @@ except ImportError:
 
 import numpy as np
 
-from robusthmm import (Generator, GeneratorGrid, SimplexGrid,
-                       forward_image_step, gamma_at, initial_grid_surface)
-from robusthmm.penalty import _gen_images
+from robusthmm import (Generator, GeneratorGrid, SimplexGrid, TreeSetup,
+                       UncertaintyParams, build_observation_tree,
+                       forward_image_step, gamma_at, initial_grid_surface,
+                       render_surface_csv)
+from robusthmm.penalty import _blocks, _gen_images
 
 SHAPES = ((2, 1000), (3, 80), (4, 20))
 # (self-transition, own-symbol probability) around which each candidate is
@@ -67,13 +73,14 @@ def main(argv=None) -> None:
     rng = np.random.default_rng(2016)
     print(f"best of {repeats} runs, in ms")
     print(f"{'N':>2} {'m':>5} {'cells':>6} {'rows':>6} {'round_rows':>11} "
-          f"{'step dyn':>9} {'step static':>12}")
+          f"{'step dyn':>9} {'step static':>12} {'render dyn':>11} "
+          f"{'render static':>14}")
     for n, m in SHAPES:
         grid, gens = SimplexGrid.build(n, m), candidates(rng, n)
         images = np.concatenate([posts[alive] for posts, _, alive in (
             _gen_images(grid, gen, 0) for gen in gens.candidates)])
         rounding = best_of(repeats, lambda: grid.round_rows(images))
-        steps = []
+        steps, renders = [], []
         for scope in ("dynamic", "static"):
             gammas = gamma_at(gens) if scope == "dynamic" else None
             surface, _ = forward_image_step(
@@ -81,9 +88,25 @@ def main(argv=None) -> None:
                 gens, gammas, 1, "dr")
             steps.append(best_of(repeats, lambda: forward_image_step(
                 surface, gens, gammas, 0, "dr")))
+            stepped, report = forward_image_step(surface, gens, gammas, 0,
+                                                 "dr")
+            render_surface_csv([stepped], [report])  # builds the row text
+            renders.append(best_of(repeats, lambda: render_surface_csv(
+                [stepped], [report])))
         print(f"{n:>2} {m:>5} {len(grid):>6} {len(images):>6} "
               f"{rounding * 1e3:>11.3f} {steps[0] * 1e3:>9.3f} "
-              f"{steps[1] * 1e3:>12.3f}")
+              f"{steps[1] * 1e3:>12.3f} {renders[0] * 1e3:>11.3f} "
+              f"{renders[1] * 1e3:>14.3f}")
+    grid, gens = SimplexGrid.build(2, 100), candidates(rng, 2)
+    nodes = build_observation_tree(TreeSetup(
+        gens=gens, framework="dr", horizon=7, params=UncertaintyParams(k=1.0),
+        initial_surface=initial_grid_surface(np.zeros(len(grid)), gens, grid,
+                                             "dynamic"))).nodes
+    blocks = _blocks(nodes, len(grid))
+    tree = best_of(repeats, lambda: [render_surface_csv(nodes[b])
+                                     for b in blocks])
+    print(f"tree N=2 m=100 depth 7: {len(nodes)} nodes in {len(blocks)} "
+          f"batches, render {tree * 1e3:.3f}")
 
 
 if __name__ == "__main__":

@@ -6,8 +6,7 @@ __version__ = "0.1.0"
 
 from .errors import (CapExceeded, ConfigError, DegenerateObservation,
                      InfeasibleSurface, RobustHMMError)
-from .hmm import (Generator, Path, as_filter_state, filter_step,
-                  obs_predictive, predict, simulate_path)
+from .hmm import Generator, Path, as_filter_state, filter_step, simulate_path
 from .models import (DR, DYNAMIC, STATIC, UP, GeneratorGrid, SimplexGrid,
                      gamma_at, parse_framework)
 from .penalty import (ExactSurface, ExtendedPenaltySurface, PenaltySurface,

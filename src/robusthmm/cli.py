@@ -15,6 +15,7 @@ carrying a wall-clock field.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -38,8 +39,8 @@ from .models import (DR, DYNAMIC, GeneratorGrid, SimplexGrid,
 from . import oracles
 from .oracles import (ORACLE_CAP_DEFAULT, OracleReport, payoff_values,
                       penalty_table, render_report_csv)
-from .penalty import (evolve, initial_exact_surface, initial_grid_surface,
-                      render_surface_csv)
+from .penalty import (_blocks, evolve, evolve_steps, initial_exact_surface,
+                      initial_grid_surface, render_surface_csv)
 
 ORACLE_TOL = 1e-9
 HORIZON_CAP = 10 ** 6  # steps of one run
@@ -376,6 +377,14 @@ def _write_atomic(out_dir: str, name: str, text: str) -> str:
     return name
 
 
+def _add_surfaces(run, names: list, surfaces: list) -> None:
+    """Write each surface's CSV, rendered in the level kernels' batches."""
+    for block in _blocks(surfaces, surfaces[0].values.size):
+        texts = render_surface_csv(surfaces[block])
+        for name, text in zip(names[block], texts):
+            run.add_csv(name, text)
+
+
 def _write_json(out_dir: str, name: str, doc: dict) -> str:
     text = json.dumps(_sanitize(doc), indent=2, sort_keys=True) + "\n"
     return _write_atomic(out_dir, name, text)
@@ -473,13 +482,13 @@ def _cmd_filter(run: Run) -> int:
 def _cmd_penalty_evolve(run: Run) -> int:
     cfg = run.cfg
     obs = _observations(cfg)
-    surfaces, reports = evolve(cfg.initial_surface(), cfg.gens, obs,
-                               cfg.framework)
-    for t, surface in enumerate(surfaces):
-        report = reports[t - 1] if t >= 1 else None
+    run.extra["m_t"] = m_t = []  # each step is written, then let go
+    for t, (surface, report) in enumerate(evolve_steps(
+            cfg.initial_surface(), cfg.gens, obs, cfg.framework)):
         run.add_csv(f"surface_t{t:03d}.csv",
-                    render_surface_csv(surface, report))
-    run.extra["m_t"] = [r.m_t for r in reports]
+                    render_surface_csv([surface], [report])[0])
+        if report is not None:
+            m_t.append(report.m_t)
     run.extra["observations"] = obs
     return 0
 
@@ -495,8 +504,7 @@ def _cmd_expect(run: Run) -> int:
     tree = backward_expectation(StateFunctional(values=cfg.phi), setup)
     bsde_decompose(tree, setup)
     names = [f"surface_{history_label(h)}.csv" for h in tree.histories()]
-    for name, surface in zip(names, tree.nodes):
-        run.add_csv(name, render_surface_csv(surface))
+    _add_surfaces(run, names, tree.nodes)
     run.add_json("tree.json", tree_document(tree, dict(enumerate(names))))
     run.extra["root_value"] = float(tree.values[0][0])
     return 0
@@ -517,11 +525,9 @@ def _cmd_control(run: Run) -> int:
     except ValueError as exc:  # the static generator scope
         raise ConfigError(f"control: {exc}") from None
     solution = solve(problem)
-    state_files = {}
-    for sid, surface in enumerate(solution.registry.surfaces):
-        name = f"surface_state_{sid:04d}.csv"
-        run.add_csv(name, render_surface_csv(surface))
-        state_files[sid] = name
+    surfaces = solution.registry.surfaces
+    names = [f"surface_state_{sid:04d}.csv" for sid in range(len(surfaces))]
+    _add_surfaces(run, names, surfaces)
     values_doc, policy_doc = {}, {}
     for (history, sid), record in sorted(solution.values.items()):
         key = f"{history_label(history)}|{sid}"
@@ -532,7 +538,7 @@ def _cmd_control(run: Run) -> int:
                                "label": problem.labels[record.control]}
     run.add_json("values.json", values_doc)
     run.add_json("policy.json", policy_doc)
-    run.add_json("states.json", {str(k): v for k, v in state_files.items()})
+    run.add_json("states.json", {str(k): v for k, v in enumerate(names)})
     run.extra["root_value"] = solution.root_value
     return 0
 
@@ -653,6 +659,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache  # one parser per process, built on first use
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="robusthmm",

@@ -111,17 +111,6 @@ class Path:
         return len(self.observed)
 
 
-def predict(p: np.ndarray, gen: Generator) -> np.ndarray:
-    """One-step prediction of the belief: ``A @ p``."""
-    return gen.transition @ p
-
-
-def obs_predictive(p: np.ndarray, gen: Generator) -> np.ndarray:
-    """Distribution of the next symbol given belief ``p``: entry ``y`` is
-    ``sum_i (A p)_i emission[i, y]``."""
-    return predict(p, gen) @ gen.emission
-
-
 def filter_step(p: np.ndarray, gen: Generator, y: int) -> np.ndarray:
     """Bayes update of the belief after observing symbol ``y``.
 

@@ -41,19 +41,18 @@ the bytes of :func:`~robusthmm.hmm.filter_step`, and one sort-merge,
 :func:`_merge_rows`, which also merges an exact prior (the grid step keeps
 its rule, least value and ties to the lowest (source, candidate) pair,
 without the sort). :func:`step_level` picks the kernel for a tree level or
-control's new triples; :func:`forward_image_step` and :func:`exact_step`,
-which :func:`evolve` steps, are the one-surface cases.
+control's new triples; :func:`forward_image_step` and :func:`exact_step`
+are the one-surface cases, which :func:`evolve_steps` yields one at a time.
 
 Surface CSVs on one grid share their header and every row's leading columns
 (integer coordinates, belief coordinates and, in the static scope, the
 candidate), and an excluded row with no provenance reads the same on every
-surface of the grid. That text (header, leading columns, whole excluded
-lines) is joined once per (grid, candidate axis), from the strings of each
-coordinate value ``k`` and ``k / m``, into a :class:`RowText` memoized in
-the grid's ``row_text``, which lives exactly as long as the
-:class:`~robusthmm.models.SimplexGrid` object; rendering a grid surface then
-copies the excluded lines and formats only its live rows, those with a value
-other than ``inf`` or with argmin provenance.
+surface of the grid. That text is built once per (grid, candidate axis)
+into a :class:`RowText` of object arrays memoized in the grid's
+``row_text``, which lives as long as the grid. :func:`render_surface_csv`
+renders a batch on one grid in one array pass: it copies excluded lines and
+joins each live row (a value other than ``inf``, or argmin provenance) from
+its prefix, value and provenance, each distinct float formatted once.
 """
 
 from __future__ import annotations
@@ -500,24 +499,27 @@ def exact_step(src: ExactSurface, gens: GeneratorGrid,
     return _exact_level([src], gens, gammas, y, framework, cap)[0]
 
 
-def evolve(surface, gens: GeneratorGrid, obs: Sequence[int], framework: str,
-           cap: int = EXACT_CAP_DEFAULT):
+def evolve_steps(surface, gens: GeneratorGrid, obs: Sequence[int],
+                 framework: str, cap: int = EXACT_CAP_DEFAULT):
     """Propagate an initial surface through a whole observation sequence at
-    its scope's default per-step penalties.
-
-    Returns the list of surfaces (including time zero) and the per-step
-    reports. Grid surfaces are stepped on their grid, exact ones on exactly
-    tracked beliefs with at most ``cap`` candidate rows a step.
-    """
+    its scope's default per-step penalties, yielding (surface, report) per
+    step, time zero first with report None; no earlier step is kept. Grid
+    surfaces go through :func:`forward_image_step`, exact ones through
+    :func:`exact_step`, at most ``cap`` candidate rows a step."""
     step = (partial(exact_step, cap=cap) if isinstance(surface, ExactSurface)
             else forward_image_step)
     gammas = _default_gammas(surface, gens)
-    surfaces, reports = [surface], []
+    yield surface, None
     for y in obs:
         surface, report = step(surface, gens, gammas, int(y), framework)
-        surfaces.append(surface)
-        reports.append(report)
-    return surfaces, reports
+        yield surface, report
+
+
+def evolve(surface, gens: GeneratorGrid, obs: Sequence[int], framework: str,
+           cap: int = EXACT_CAP_DEFAULT):
+    """Every surface of :func:`evolve_steps` and the per-step reports."""
+    surfaces, reports = zip(*evolve_steps(surface, gens, obs, framework, cap))
+    return list(surfaces), list(reports[1:])
 
 
 def _rows(surface):
@@ -538,27 +540,23 @@ def _rows(surface):
 
 @dataclass(frozen=True, eq=False)
 class RowText:
-    """The text of a grid surface's CSV that depends only on the grid and
-    the candidate axis: the header line and, for each row of :func:`_rows`,
-    its columns before ``value``, each with its trailing separator, and its
-    whole line as an excluded row with no provenance."""
+    """A grid surface's CSV text fixed by the grid and candidate axis: the
+    header; per row of :func:`_rows`, its columns before ``value`` and its
+    excluded line; ``src``, the text ``,k,`` of source ids -1, 0, ..."""
 
     header: str
-    prefixes: tuple[str, ...]
-    excluded: tuple[str, ...]
+    prefixes: np.ndarray
+    excluded: np.ndarray
+    src: np.ndarray
 
 
 def _row_text(surface) -> RowText:
     """The :class:`RowText` of a grid surface, built on first use and
-    memoized in its grid's ``row_text``; the key is the candidate count of
-    a static surface and None on a dynamic one, which has no ``gen``
-    column."""
-    if isinstance(surface, PenaltySurface):
-        n_gens = None
-    elif isinstance(surface, ExtendedPenaltySurface):
-        n_gens = len(surface.gens)
-    else:
+    memoized in its grid's ``row_text``, keyed by a static surface's
+    candidate count and by None on a dynamic one (no ``gen`` column)."""
+    if not isinstance(surface, (PenaltySurface, ExtendedPenaltySurface)):
         raise TypeError(f"unsupported surface type {type(surface).__name__}")
+    n_gens = len(surface.gens) if _static(surface) else None
     text = surface.grid.row_text.get(n_gens)
     if text is None:
         text = _build_row_text(surface.grid, n_gens)
@@ -569,54 +567,76 @@ def _row_text(surface) -> RowText:
 def _build_row_text(grid: SimplexGrid, n_gens: int | None) -> RowText:
     n, m = grid.n_states, grid.resolution
     names = [f"x{i}" for i in range(n)] + [f"p{i}" for i in range(n)]
-    # each coordinate k's two strings; ``points`` holds the same k / m
+    # each coordinate k's two strings (``points`` holds k / m), joined once
     pieces = np.array([[f"{k},", f"{k / m!r},"] for k in range(m + 1)],
                       dtype=object)[grid.coords].transpose(0, 2, 1)
-    cells = ["".join(row) for row in pieces.reshape(len(grid), -1).tolist()]
+    rows = np.full((len(grid), 2 * n + 1), "\n", dtype=object)
+    rows[:, :-1] = pieces.reshape(len(grid), -1)
+    cells = np.array("".join(rows.ravel().tolist()).split("\n")[:-1], object)
     if n_gens is not None:
         names.append("gen")
-        gen_cols = [f"{g}," for g in range(n_gens)]
-        cells = [cell + gen for cell in cells for gen in gen_cols]
+        cells = (cells[:, None] + np.array(
+            [f"{g}," for g in range(n_gens)], dtype=object)).ravel()
     header = ",".join(names + ["value", "src_point", "src_gen"]) + "\n"
-    return RowText(header=header, prefixes=tuple(cells),
-                   excluded=tuple(f"{cell}inf,-1,-1\n" for cell in cells))
+    src = np.array([f",{k}," for k in range(-1, len(grid))], dtype=object)
+    return RowText(header=header, prefixes=cells,
+                   excluded=cells + "inf,-1,-1\n", src=src)
 
 
-def render_surface_csv(surface, report: StepReport | None = None) -> str:
-    """CSV text for one surface, one line per row of :func:`_rows`.
+def _id_text(ids: np.ndarray, form: str, table=()) -> np.ndarray:
+    """``form.format(k)`` of each id k, from ``table`` (ids -1, 0, ...) or
+    one made up to the largest id, else id by id (hand-built reports)."""
+    lo, hi = ids.min(initial=-1), ids.max(initial=-1)
+    if lo < -1 or hi >= max(len(table) - 1, ids.size):
+        return np.array([form.format(k) for k in ids.tolist()], object)
+    if hi >= len(table) - 1:
+        table = np.array([form.format(k) for k in range(-1, hi + 1)], object)
+    return table[ids + 1]
+
+
+def _exact_csv(surface: ExactSurface) -> str:
+    beliefs, values, gen_ids = _rows(surface)
+    gen_ids = np.full(len(values), -1) if gen_ids is None else gen_ids
+    rows = zip(*beliefs.T.tolist(), gen_ids.tolist(), values.tolist())
+    names = [f"p{i}" for i in range(beliefs.shape[1])] + ["gen", "value"]
+    return "\n".join([",".join(names), *map(",".join, (
+        map(repr, row) for row in rows))]) + "\n"
+
+
+def render_surface_csv(surfaces, reports=None) -> list[str]:
+    """CSV text of each surface (a batch on one grid and candidate axis,
+    or exact surfaces), one line per row of :func:`_rows`; ``reports`` is
+    None or one :class:`StepReport` or None per surface.
 
     Columns: integer coordinates (grid surfaces), belief coordinates, the
     candidate (surfaces other than :class:`PenaltySurface`; -1 on an exact
     dynamic one), the penalty value (``inf`` for excluded cells), and argmin
-    provenance (grid surfaces; -1 without a report). On a grid surface only
-    the live rows (a value other than ``inf``, or provenance other than -1)
-    format their value and provenance; the rest of each line, and every
-    other row whole, comes from the grid's :class:`RowText`.
-    """
-    if isinstance(surface, ExactSurface):
-        beliefs, values, gen_ids = _rows(surface)
-        n = beliefs.shape[1]
-        names = [f"p{i}" for i in range(n)] + ["gen", "value"]
-        cols = list(beliefs.T) + [
-            np.full(len(values), -1) if gen_ids is None else gen_ids, values]
-        lines = [",".join(names)]
-        lines.extend(",".join(map(repr, row))
-                     for row in zip(*(col.tolist() for col in cols)))
-        return "\n".join(lines) + "\n"
-    text = _row_text(surface)
-    values = surface.values.ravel()
+    provenance (grid surfaces; -1 without a report). A grid batch is one
+    array pass over the grid's :class:`RowText`: a row with a value other
+    than ``inf`` or provenance other than -1 joins its prefix, value and
+    provenance, each distinct float bit pattern formatted once (``-0.0``
+    apart from ``0.0``); any other row is its excluded line."""
+    if isinstance(surfaces[0], ExactSurface):
+        return [_exact_csv(s) for s in surfaces]
+    text = _row_text(surfaces[0])
+    values = np.concatenate([s.values.ravel() for s in surfaces])
+    n_rows = len(text.excluded)
     live = values != np.inf
-    if report is not None:
-        src, gen = report.argmin_src.ravel(), report.argmin_gen.ravel()
-        live |= (src != -1) | (gen != -1)
-    live = np.flatnonzero(live)
-    rows = list(text.excluded)
-    prefixes = text.prefixes
-    if report is None:
-        for i, v in zip(live.tolist(), values[live].tolist()):
-            rows[i] = f"{prefixes[i]}{v!r},-1,-1\n"
+    if reports is not None:  # (src, gen) ids of every row, -1 where unset
+        ids = np.concatenate([np.full((2, n_rows), -1) if r is None else
+                              (r.argmin_src.ravel(), r.argmin_gen.ravel())
+                              for r in reports], axis=1)
+        live |= (ids[0] != -1) | (ids[1] != -1)
+    at = np.flatnonzero(live)
+    bits, where = np.unique(values[at].view(np.int64), return_inverse=True)
+    floats = np.array(list(map(repr, bits.view(np.float64).tolist())), object)
+    if reports is None:  # no provenance: one tail per distinct value
+        tails = (floats + ",-1,-1\n")[where]
     else:
-        for i, v, s, g in zip(live.tolist(), values[live].tolist(),
-                              src[live].tolist(), gen[live].tolist()):
-            rows[i] = f"{prefixes[i]}{v!r},{s},{g}\n"
-    return text.header + "".join(rows)
+        tails = (floats[where] + _id_text(ids[0, at], ",{},", text.src)
+                 + _id_text(ids[1, at], "{}\n"))
+    lines = np.empty((len(surfaces), 1 + n_rows), dtype=object)
+    lines[:, 0] = text.header
+    lines[:, 1:] = text.excluded
+    lines.ravel()[at + at // n_rows + 1] = text.prefixes[at % n_rows] + tails
+    return ["".join(line) for line in lines.tolist()]

@@ -1,8 +1,11 @@
+import argparse
+import gc
 import json
 import os
 import subprocess
 import sys
 import warnings
+import weakref
 from math import comb
 from pathlib import Path
 
@@ -211,6 +214,62 @@ def test_output_directory_is_made_once(tmp_path, monkeypatch):
     assert run_cli("control", CONFIGS / "control_t3.json", out) == 0
     assert len(list(out.iterdir())) > 3
     assert made == [str(out)]
+
+
+def test_parser_is_built_once(tmp_path, monkeypatch, capsys):
+    cli.build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for run in ("first", "second"):
+        assert run_cli("penalty-evolve", CONFIGS / "oracle_t3.json",
+                       tmp_path / run) == 0
+    # one top-level parser and one per subcommand, made by the first call
+    assert len(built) == 1 + len(cli._COMMANDS)
+    with pytest.raises(SystemExit) as bad_flag:
+        main(["penalty-evolve", "--config", str(CONFIGS / "oracle_t3.json"),
+              "--no-such-flag"])
+    assert bad_flag.value.code == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    assert len(built) == 1 + len(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("label", ["dynamic-dr", "static-up"])
+def test_penalty_evolve_lets_go_of_each_written_step(tmp_path, monkeypatch,
+                                                     label):
+    # step t's surface is unreachable once step t + 2 is written: the run
+    # renders and writes each step as it arrives and keeps none of them
+    refs = []
+    step = penalty.forward_image_step
+
+    def remembered(*args, **kwargs):
+        surface, report = step(*args, **kwargs)
+        refs.append(weakref.ref(surface))  # refs[t - 1] is step t
+        return surface, report
+
+    written = []
+    add_csv = cli.Run.add_csv
+
+    def spy(run, name, text):
+        t = int(name[len("surface_t"):-len(".csv")])
+        gc.collect()
+        assert t == 0 or refs[t - 1]() is not None
+        assert all(ref() is None for ref in refs[:max(0, t - 2)])
+        written.append(t)
+        return add_csv(run, name, text)
+
+    monkeypatch.setattr(penalty, "forward_image_step", remembered)
+    monkeypatch.setattr(cli.Run, "add_csv", spy)
+    path = _edited_config(tmp_path, "simulate.json",
+                          lambda cfg: cfg.update(framework=label))
+    assert run_cli("penalty-evolve", path, tmp_path / "run") == 0
+    assert written == list(range(21))
+    assert len(read_manifest(tmp_path / "run")["m_t"]) == 20
 
 
 def test_control_under_a_static_framework_exits_2(tmp_path, capsys):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robusthmm import (DegenerateObservation, Generator, Path, filter_step,
-                       obs_predictive, predict, simulate_path)
+                       simulate_path)
 from conftest import example1_generator
 
 
@@ -42,24 +42,6 @@ def test_impossible_observation_raises():
         filter_step(np.array([1.0, 0.0]), gen, 1)
 
 
-def test_predict_identity_and_columns():
-    assert np.array_equal(predict(np.array([0.2, 0.8]),
-                                  uninformative_generator()), [0.2, 0.8])
-    gen = Generator(transition=np.array([[0.9, 0.2], [0.1, 0.8]]),
-                    emission=np.full((2, 2), 0.5))
-    assert np.allclose(predict(np.array([1.0, 0.0]), gen), [0.9, 0.1])
-    assert np.allclose(predict(np.array([0.5, 0.5]), gen), [0.55, 0.45])
-
-
-def test_obs_predictive_examples():
-    assert np.allclose(obs_predictive(np.array([0.3, 0.7]),
-                                      uninformative_generator()), [0.5, 0.5])
-    gen = example1_generator()
-    assert np.allclose(obs_predictive(np.array([0.5, 0.5]), gen), [0.5, 0.5])
-    assert np.allclose(obs_predictive(np.array([1.0, 0.0]), gen),
-                       gen.emission[0])
-
-
 def test_simulate_zero_horizon():
     path = simulate_path([], np.array([0.0, 1.0]), 0, seed=1)
     assert path.hidden.tolist() == [1]
@@ -94,7 +76,7 @@ def test_simulate_symbol_frequencies_match_predictive():
                     emission=np.array([[0.75, 0.25], [0.25, 0.75]]))
     n = 100_000
     path = simulate_path([gen] * n, pi, n, seed=2026)
-    target = obs_predictive(pi, gen)
+    target = (gen.transition @ pi) @ gen.emission
     for y in (0, 1):
         freq = float(np.mean(path.observed == y))
         se = np.sqrt(target[y] * (1 - target[y]) / n)

@@ -912,8 +912,8 @@ def test_renderer_is_byte_identical_to_per_kind_loops(scope, seed, n, m):
     assert any((r.argmin_src == -1).any() for r in reports) == (
         scope == "static" or n > 1)
     for surface, report in cases:
-        assert (render_surface_csv(surface, report)
-                == _reference_render_surface_csv(surface, report))
+        assert (render_surface_csv([surface], [report])
+                == [_reference_render_surface_csv(surface, report)])
 
 
 @st.composite
@@ -957,14 +957,100 @@ def _render_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_renderer_matches_reference_on_arbitrary_surfaces(cases):
     for surface, report in cases:
-        assert (render_surface_csv(surface, report)
-                == _reference_render_surface_csv(surface, report))
+        assert (render_surface_csv([surface], [report])
+                == [_reference_render_surface_csv(surface, report)])
+
+
+@st.composite
+def _render_batches(draw):
+    """1-5 grid surfaces on one grid and candidate axis, each with a random
+    share of ``inf``, one of them possibly holding a ``-0.0`` beside the
+    ``0.0`` of another, each with no report, a hand-built one (ids from -3
+    on, possibly beyond the grid) or, once stepped, the engine's."""
+    n = draw(st.integers(1, 4))
+    grid = SimplexGrid.build(n, draw(st.integers(1, (8, 6, 4, 3)[n - 1])))
+    rng = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**32))))
+    gens = _random_gens(rng, n, 2)
+    static = draw(st.booleans())
+    shape = (len(grid), len(gens)) if static else (len(grid),)
+    surfaces, reports = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        values = rng.exponential(size=shape)
+        values[rng.random(shape) < draw(st.floats(0.0, 1.0))] = np.inf
+        flat = values.reshape(-1)
+        finite = np.isfinite(flat)
+        if finite.any():
+            flat[finite] -= flat[finite].min()
+            if draw(st.booleans()):
+                flat[np.flatnonzero(finite)[0]] = -0.0
+        surface = (penalty.ExtendedPenaltySurface(grid, gens, values, 0)
+                   if static else penalty.PenaltySurface(grid, values, 0))
+        report = draw(st.sampled_from(["none", "hand", "engine"]))
+        if report == "engine":
+            try:
+                surface, report = forward_image_step(
+                    surface, gens, None if static else gamma_at(gens),
+                    draw(st.integers(0, 1)), "dr")
+            except InfeasibleSurface:
+                report = "none"
+        if report == "hand":
+            high = draw(st.sampled_from([3, len(grid) + 3]))
+            report = penalty.StepReport(
+                time=0, m_t=0.0, infeasible_cells=0,
+                argmin_src=rng.integers(-3, high, shape),
+                argmin_gen=rng.integers(-3, 3, shape))
+        surfaces.append(surface)
+        reports.append(None if report == "none" else report)
+    return surfaces, reports
+
+
+@given(_render_batches())
+@settings(max_examples=200, deadline=None)
+def test_batch_renders_each_surface_as_the_reference(batch):
+    surfaces, reports = batch
+    expected = [_reference_render_surface_csv(s, r)
+                for s, r in zip(surfaces, reports)]
+    assert render_surface_csv(surfaces, reports) == expected
+    if all(r is None for r in reports):
+        assert render_surface_csv(surfaces) == expected
+
+
+def test_batch_keeps_minus_zero_apart_from_zero():
+    # one batch formats the bit patterns of 0.0 and -0.0 apart
+    grid = SimplexGrid.build(2, 4)
+    zero = penalty.PenaltySurface(grid, [np.inf, 0.0, 1.5, np.inf, 0.0], 0)
+    minus = penalty.PenaltySurface(grid, [-0.0, np.inf, 1.5, 0.0, np.inf], 0)
+    hand = penalty.StepReport(time=0, m_t=0.0, infeasible_cells=0,
+                              argmin_src=np.array([-1, 2, 0, -1, -1]),
+                              argmin_gen=np.array([-1, 0, 0, -1, -1]))
+    for reports in (None, [hand, None], [None, hand]):
+        assert render_surface_csv([zero, minus], reports) == [
+            _reference_render_surface_csv(s, r)
+            for s, r in zip([zero, minus], reports or [None, None])]
+    lines = [text.splitlines() for text in
+             render_surface_csv([zero, minus])]
+    assert lines[0][2] == "1,3,0.25,0.75,0.0,-1,-1"
+    assert lines[1][1] == "0,4,0.0,1.0,-0.0,-1,-1"
+
+
+def test_provenance_beyond_the_grid_is_rendered():
+    # a hand-built report may hold ids the grid's tables do not reach
+    grid = SimplexGrid.build(1, 3)
+    surface = penalty.PenaltySurface(grid, [0.0], 0)
+    for src, gen in ((2, 5), (-3, -1), (10 ** 12, 0), (-1, -7)):
+        report = penalty.StepReport(time=0, m_t=0.0, infeasible_cells=0,
+                                    argmin_src=np.array([src]),
+                                    argmin_gen=np.array([gen]))
+        assert render_surface_csv([surface], [report]) == [
+            _reference_render_surface_csv(surface, report)]
+        assert render_surface_csv([surface], [report])[0].endswith(
+            f",0.0,{src},{gen}\n")
 
 
 def test_row_text_lives_with_its_simplex_grid():
     grid = SimplexGrid.build(2, 10)
-    render_surface_csv(initial_grid_surface(
-        np.zeros(len(grid)), uninformative_gens(), grid, "dynamic"))
+    render_surface_csv([initial_grid_surface(
+        np.zeros(len(grid)), uninformative_gens(), grid, "dynamic")])
     ref = weakref.ref(grid.row_text[None])
     del grid
     gc.collect()
@@ -985,8 +1071,8 @@ def test_row_text_is_each_rows_repr(n, m, n_gens):
         names.append("gen")
     text = penalty._build_row_text(grid, n_gens)
     assert text.header == ",".join(names) + ",value,src_point,src_gen\n"
-    assert text.prefixes == tuple(cells)
-    assert text.excluded == tuple(f"{cell}inf,-1,-1\n" for cell in cells)
+    assert text.prefixes.tolist() == cells
+    assert text.excluded.tolist() == [f"{cell}inf,-1,-1\n" for cell in cells]
 
 
 def test_second_render_builds_no_prefixes(monkeypatch):
@@ -996,10 +1082,9 @@ def test_second_render_builds_no_prefixes(monkeypatch):
     surfaces, reports = evolve(
         initial_grid_surface(np.zeros(len(grid)), gens, grid, "static"), gens,
         [0, 1, 1], "dr")
-    first = [render_surface_csv(s, r)
-             for s, r in zip(surfaces, [None] + reports)]
+    first = render_surface_csv(surfaces, [None] + reports)
     assert len(builds) == 1
-    again = [render_surface_csv(s, r)
+    again = [render_surface_csv([s], [r])[0]
              for s, r in zip(surfaces, [None] + reports)]
     assert again == first
     assert len(builds) == 1
@@ -1013,7 +1098,7 @@ def test_static_and_dynamic_surfaces_keep_separate_row_text():
                                    grid, "dynamic")
     static = initial_grid_surface(np.zeros(len(grid)), uninformative_gens(),
                                   grid, "static")
-    texts = [render_surface_csv(s) for s in (dynamic, static, dynamic)]
+    texts = [render_surface_csv([s])[0] for s in (dynamic, static, dynamic)]
     assert set(grid.row_text) == {None, 1}
     assert texts[0] == texts[2] == _reference_render_surface_csv(dynamic)
     assert texts[1] == _reference_render_surface_csv(static)
@@ -1024,7 +1109,7 @@ def test_exact_surface_csv_layout():
     prior = initial_exact_surface(np.array([[0.4, 0.6], [0.5, 0.5]]),
                                   np.array([0.2, 0.0]), gens, "static")
     surfaces, _ = evolve(prior, gens, [0], "dr")
-    text = render_surface_csv(surfaces[-1])
+    (text,) = render_surface_csv(surfaces[-1:])
     lines = text.strip().split("\n")
     assert lines[0] == "p0,p1,gen,value"
     assert len(lines) == 1 + len(surfaces[-1])
@@ -1035,7 +1120,7 @@ def test_surface_csv_roundtrip():
     values = np.array([np.inf, 0.5, 0.0, 1.25])
     surface = initial_grid_surface(values, uninformative_gens(), grid,
                                    "dynamic")
-    text = render_surface_csv(surface)
+    (text,) = render_surface_csv([surface])
     lines = text.strip().split("\n")
     assert lines[0] == "x0,x1,p0,p1,value,src_point,src_gen"
     parsed = [float(line.split(",")[4]) for line in lines[1:]]

@@ -12,6 +12,7 @@ import json
 import sys
 
 from conftest import CONFIGS, REPO
+from robusthmm import cli
 from robusthmm.cli import main
 
 
@@ -42,8 +43,17 @@ def test_bench_tracer_wraps_every_layer(tmp_path):
     benchmark = json.loads((REPO / "BENCHMARK.json").read_text())
     wanted = {m["name"] for m in benchmark["per_layer"]} - {"trace.overhead_s"}
     tracer = spans.Tracer()
+    tracer.install()
+    traced = cli.render_surface_csv
+    batches = []  # the number of texts each traced render call returned
+
+    def counted(*args, **kwargs):
+        texts = traced(*args, **kwargs)
+        batches.append(len(texts))
+        return texts
+
+    cli.render_surface_csv = counted
     try:
-        tracer.install()
         static = _with_label(tmp_path, "oracle_t3.json", "static-dr")
         assert main(["penalty-evolve", "--config", str(static),
                      "--out", str(tmp_path / "static")]) == 0
@@ -56,15 +66,19 @@ def test_bench_tracer_wraps_every_layer(tmp_path):
             assert main([command, "--config", str(config),
                          "--out", str(tmp_path / command)]) == 0
     finally:
+        cli.render_surface_csv = traced
         tracer.remove()
     metrics = tracer.layer_metrics()
     assert wanted <= set(metrics)
     # the one traced tree, oracle_t3.json's H=3 over 2 symbols
     assert metrics["expectation.tree_nodes"] == 1 + 2 + 4 + 8
-    # every surface file is rendered under the traced name, once
+    # every surface file is rendered under the traced name, once; a call
+    # renders a batch: one step of penalty-evolve, tree nodes or states
     surface_files = list(tmp_path.rglob("surface_*.csv"))
     assert len(surface_files) > len(runs)
-    assert metrics["penalty.render_calls"] == len(surface_files)
+    assert metrics["penalty.render_calls"] == len(batches)
+    assert sum(batches) == len(surface_files)
+    assert len(batches) < len(surface_files)
 
 
 def test_bench_tracer_counts_the_exact_steps_of_oracle_check(tmp_path):
