@@ -3,8 +3,12 @@ of several runs of ``SimplexGrid.round_rows`` on every Bayes image of an
 image table, of one grid step (``forward_image_step``) and of rendering the
 stepped surface's CSV (``render_surface_csv`` with the step's report) in
 the dynamic and the static scope, at the grid shapes N=2/m=1000, N=3/m=80
-and N=4/m=20; and of rendering the 255 nodes of an N=2/m=100 observation
-tree of depth 7 in the batches the ``expect`` command uses.
+and N=4/m=20; of rendering the 255 nodes of an N=2/m=100 observation
+tree of depth 7 in the batches the ``expect`` command uses; and of the
+three stages of one ``oracle-check`` on ``configs/oracle_t3.json`` (N=2,
+3 candidates, horizon 3, a 5-belief support prior): the enumeration walk
+of each scope, the four exact runs and the grid-convergence sweep at
+m = 10, 20 and 40, which reuses the exact runs as the check does.
 
 Usage::
 
@@ -33,7 +37,16 @@ from robusthmm import (Generator, GeneratorGrid, SimplexGrid, TreeSetup,
                        UncertaintyParams, build_observation_tree,
                        forward_image_step, gamma_at, initial_grid_surface,
                        render_surface_csv)
-from robusthmm.penalty import _blocks, _gen_images
+from robusthmm.cli import (_FRAMEWORK_LABELS, CONVERGENCE_RESOLUTIONS,
+                           _convergence_error, _exact_run, build_exact_prior,
+                           build_grid_prior, load_config)
+from robusthmm.models import parse_framework
+from robusthmm.oracles import ORACLE_CAP_DEFAULT, _walk_models
+from robusthmm.penalty import (_blocks, _gen_images, evolve,
+                               initial_exact_surface)
+
+ORACLE_CONFIG = (Path(__file__).resolve().parent.parent / "configs"
+                 / "oracle_t3.json")
 
 SHAPES = ((2, 1000), (3, 80), (4, 20))
 # (self-transition, own-symbol probability) around which each candidate is
@@ -107,6 +120,32 @@ def main(argv=None) -> None:
                                      for b in blocks])
     print(f"tree N=2 m=100 depth 7: {len(nodes)} nodes in {len(blocks)} "
           f"batches, render {tree * 1e3:.3f}")
+    oracle_stages(repeats)
+
+
+def oracle_stages(repeats: int) -> None:
+    cfg = load_config(str(ORACLE_CONFIG))
+    obs, gens = list(cfg.observations), cfg.gens
+    beliefs, values = build_exact_prior(cfg.prior_values, cfg.grid)
+    labels = [parse_framework(label) for label in _FRAMEWORK_LABELS]
+    walks = best_of(repeats, lambda: [
+        _walk_models(beliefs, values, gens, obs, scope, None,
+                     ORACLE_CAP_DEFAULT) for scope in ("static", "dynamic")])
+    exact = best_of(repeats, lambda: [
+        evolve(initial_exact_surface(beliefs, values, gens, scope), gens,
+               obs, framework) for scope, framework in labels])
+    runs: dict = {}
+    for scope, framework in labels:
+        _exact_run(runs, beliefs, values, gens, obs, framework, scope)
+    sweep = [(grid, build_grid_prior(cfg.prior_cfg, grid)) for grid in (
+        SimplexGrid.build(cfg.n_states, m) for m in CONVERGENCE_RESOLUTIONS)]
+    errors = best_of(repeats, lambda: [
+        _convergence_error(grid, prior, cfg, obs, runs)
+        for grid, prior in sweep])
+    print(f"oracle-check {ORACLE_CONFIG.name}: walk per scope (2) "
+          f"{walks * 1e3:.3f}, exact runs (4) {exact * 1e3:.3f}, "
+          f"sweep m={'/'.join(map(str, CONVERGENCE_RESOLUTIONS))} "
+          f"{errors * 1e3:.3f}")
 
 
 if __name__ == "__main__":

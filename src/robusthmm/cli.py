@@ -558,16 +558,19 @@ def _exact_run(runs: dict, beliefs, values, gens: GeneratorGrid, obs,
     return runs[key]
 
 
-def _check_one_framework(label: str, cfg: RunConfig, obs, runs):
+def _check_one_framework(label: str, cfg: RunConfig, obs, phis, runs, walks):
     """Exact-tree evolution versus enumeration, plus worst-case expectations
-    against enumerated models, for one framework label. One walk of the
-    model set scores every observation prefix and every payoff."""
+    of the payoff rows ``phis`` against enumerated models, for one framework
+    label. ``walks`` holds one walk of the model set per scope, which scores
+    both frameworks, every observation prefix and every payoff."""
     scope, framework = parse_framework(label)
     beliefs, values = build_exact_prior(cfg.prior_values, cfg.grid)
     surfaces = _exact_run(runs, beliefs, values, cfg.gens, obs, framework,
                           scope)
-    levels = oracles._walk_models(beliefs, values, cfg.gens, obs, framework,
-                                  scope, None, ORACLE_CAP_DEFAULT)
+    if scope not in walks:
+        walks[scope] = oracles._walk_models(beliefs, values, cfg.gens, obs,
+                                            scope, None, ORACLE_CAP_DEFAULT)
+    levels = walks[scope][framework]
     reports = []
     for t, (surface, models) in enumerate(zip(surfaces, levels)):
         oracle = penalty_table(models, scope)
@@ -584,8 +587,6 @@ def _check_one_framework(label: str, cfg: RunConfig, obs, runs):
             oracle_value=oracle[anchor] if anchor is not None else 0.0,
             engine_value=engine[anchor] if anchor is not None else 0.0,
             instance=f"sup-over-{len(oracle)}-rows"))
-    rng = np.random.Generator(np.random.Philox(key=2026))
-    phis = rng.uniform(-1.0, 1.0, size=(_PHI_DRAWS, cfg.n_states))
     oracle_vals = payoff_values(levels[-1], phis, k=cfg.params.k,
                                 k_exp=cfg.params.k_exp)
     final = surfaces[-1]  # every payoff's dr_expectation, one gemv each
@@ -601,32 +602,35 @@ def _check_one_framework(label: str, cfg: RunConfig, obs, runs):
 
 def _convergence_error(grid, values, cfg: RunConfig, obs, runs) -> float:
     """Sup-norm gap between a grid run from prior ``values`` on ``grid`` and
-    the exact run, over every step and every reachable exact belief. The
-    exact run comes from ``runs`` when an earlier item of the same check
-    evolved the same exact prior."""
-    grid_surfaces, _ = evolve(
-        initial_grid_surface(values, cfg.gens, grid, DYNAMIC), cfg.gens, obs,
-        DR)
-    exact_surfaces = _exact_run(runs, *build_exact_prior(values, grid),
-                                cfg.gens, obs, DR, DYNAMIC)
-    worst = 0.0
-    for g_surf, e_surf in zip(grid_surfaces, exact_surfaces):
-        cells = grid.round_rows(e_surf.beliefs)
-        worst = max(worst, float(np.max(np.abs(g_surf.values[cells]
-                                               - e_surf.values))))
-    return worst
+    the exact run, over every step and every reachable exact belief, all
+    rounded by one call. The exact run comes from ``runs`` when an earlier
+    item of the same check evolved the same exact prior."""
+    gridded, _ = evolve(initial_grid_surface(values, cfg.gens, grid, DYNAMIC),
+                        cfg.gens, obs, DR)
+    exact = _exact_run(runs, *build_exact_prior(values, grid), cfg.gens, obs,
+                       DR, DYNAMIC)
+    cells = grid.round_rows(np.concatenate([s.beliefs for s in exact]))
+    steps = np.repeat(np.arange(len(exact)), [len(s) for s in exact])
+    on_grid = np.stack([s.values for s in gridded])[steps, cells]
+    return float(np.max(np.abs(on_grid - np.concatenate([s.values
+                                                         for s in exact]))))
 
 
 def _cmd_oracle_check(run: Run) -> int:
     cfg = run.cfg
     obs = _observations(cfg)
     # every sweep prior is built before any check runs, so a bad one fails fast
-    grids = [SimplexGrid.build(cfg.n_states, m)
+    grids = [cfg.grid if m == cfg.grid.resolution
+             else SimplexGrid.build(cfg.n_states, m)
              for m in CONVERGENCE_RESOLUTIONS]
-    sweep = [(grid, build_grid_prior(cfg.prior_cfg, grid)) for grid in grids]
+    sweep = [(grid, cfg.prior_values if grid is cfg.grid
+              else build_grid_prior(cfg.prior_cfg, grid)) for grid in grids]
+    rng = np.random.Generator(np.random.Philox(key=2026))
+    phis = rng.uniform(-1.0, 1.0, size=(_PHI_DRAWS, cfg.n_states))
     runs: dict = {}  # exact runs of this check, see _exact_run
+    walks: dict = {}  # model walks of this check, one per scope
     report_batches = run.pmap(
-        lambda label: _check_one_framework(label, cfg, obs, runs),
+        lambda label: _check_one_framework(label, cfg, obs, phis, runs, walks),
         _FRAMEWORK_LABELS)
     reports = [r for batch in report_batches for r in batch]
     errors = run.pmap(lambda prior: _convergence_error(*prior, cfg, obs, runs),

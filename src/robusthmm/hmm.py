@@ -132,7 +132,8 @@ def simulate_path(gen_seq: Sequence[Generator], p0: np.ndarray,
     """Sample a trajectory of hidden states and observations.
 
     Uses the counter-based Philox bit generator so results are reproducible
-    bit-for-bit for a fixed seed, independent of execution schedule.
+    bit-for-bit for a fixed seed, independent of execution schedule. Each
+    draw is ``Generator.choice``'s, from CDFs built once per generator.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -140,15 +141,21 @@ def simulate_path(gen_seq: Sequence[Generator], p0: np.ndarray,
         raise ValueError("need one generator per simulated step")
     p0 = as_filter_state(p0)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    n = len(p0)
-    state = int(rng.choice(n, p=p0))
-    hidden = [state]
-    observed = []
+    uniforms = iter(rng.random(2 * horizon + 1))
+    cdfs = {id(gen): gen for gen in gen_seq[:horizon]}  # distinct generators
+    for key, gen in cdfs.items():
+        cdfs[key] = [c / c[:, -1:] for c in (gen.transition.T.cumsum(axis=1),
+                                             gen.emission.cumsum(axis=1))]
+
+    def draw(cdf):
+        return int(cdf.searchsorted(next(uniforms), "right"))
+
+    cdf = p0.cumsum()
+    hidden, observed = [draw(cdf / cdf[-1])], []
     for t in range(horizon):
-        gen = gen_seq[t]
-        state = int(rng.choice(n, p=gen.transition[:, state]))
-        hidden.append(state)
-        observed.append(int(rng.choice(gen.n_symbols, p=gen.emission[state])))
+        trans, emit = cdfs[id(gen_seq[t])]
+        hidden.append(draw(trans[hidden[-1]]))
+        observed.append(draw(emit[hidden[-1]]))
     return Path(hidden=np.array(hidden, dtype=np.int64),
                 observed=np.array(observed, dtype=np.int64),
                 seed=int(seed))

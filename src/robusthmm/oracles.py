@@ -2,12 +2,12 @@
 
 Everything here is computed from the defining formulas by plain enumeration:
 walk every (initial belief, generator path) pair with the one-step Bayes
-filter, accumulate its penalty, and group by where it lands. The walk goes
-level by level with one stacked Bayes update per generator a level, each row
-with the bits of the one-row filter: posteriors are ``filter_step``'s, masses
-the per-row ``(T @ b) @ e[:, y]``, log masses ``math.log``'s. Level ``t``
-holds the models of the first ``t`` observations as arrays, in (prior belief,
-lexicographic generator path) order, so one walk serves every prefix and a
+filter, accumulate its UP and DR penalties, and group by where it lands. One
+stacked Bayes update per generator a level keeps the one-row filter's bits:
+posteriors are ``filter_step``'s, masses the per-row ``(T @ b) @ e[:, y]``,
+log masses ``math.log``'s. Level ``t`` holds the models of the first ``t``
+observations as arrays, in (prior belief, lexicographic generator path)
+order, so one walk per scope serves both frameworks, every prefix and a
 stack of payoffs. Nothing here imports the surface-propagation or
 expectation engines, so the two routes to each quantity stay independent.
 """
@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CapExceeded, DegenerateObservation
-from .models import (DR, DYNAMIC, STATIC, GeneratorGrid, SimplexGrid,
+from .models import (DR, DYNAMIC, STATIC, UP, GeneratorGrid, SimplexGrid,
                      gamma_at)
 
 ORACLE_CAP_DEFAULT = 10 ** 6
@@ -80,18 +80,20 @@ def _bayes_rows(beliefs: np.ndarray, gen, y: int):
 
 
 def _walk_models(prior_beliefs, prior_values, gens: GeneratorGrid, obs,
-                 framework: str, scope: str, grid: SimplexGrid | None,
-                 cap: int) -> list[Level]:
-    """The surviving models after every step: level ``t`` holds the models
-    of ``obs[:t]`` in (prior belief, lexicographic generator path) order;
-    dead models (zero-probability steps or infinite penalty) are dropped.
+                 scope: str, grid: SimplexGrid | None,
+                 cap: int) -> dict[str, list[Level]]:
+    """The surviving models after every step, per framework: level ``t`` of
+    ``walk[framework]`` holds the models of ``obs[:t]`` in (prior belief,
+    lexicographic generator path) order; dead models (zero-probability
+    steps or infinite penalty in that framework) are dropped.
 
     Each level extends every surviving prefix with each admissible
     generator (in the static scope only its own) by one :func:`_bayes_rows`
-    call per generator, and one ``lexsort`` on (parent, generator) restores
-    the order. With a ``grid``, each level after the prior is re-rounded by
-    one :meth:`~robusthmm.models.SimplexGrid.round_rows` call. The cap
-    bounds the models of the last level and is checked before any filtering.
+    call per generator, which steps a model's UP and DR penalties side by
+    side while either is finite, and one ``lexsort`` on (parent, generator)
+    restores the order. With a ``grid``, each level after the prior is
+    re-rounded by one :meth:`~robusthmm.models.SimplexGrid.round_rows` call.
+    The cap bounds the models of the last level and is checked first.
     """
     beliefs = np.asarray(prior_beliefs, dtype=np.float64) + 0.0
     penalties = np.asarray(prior_values, dtype=np.float64)
@@ -107,29 +109,36 @@ def _walk_models(prior_beliefs, prior_values, gens: GeneratorGrid, obs,
         beliefs = np.repeat(beliefs, n_gens, axis=0)
         first = np.tile(np.arange(n_gens), len(first))
     live = np.isfinite(penalties)
-    levels = [Level(beliefs[live], penalties[live], first[live])]
+    # one penalty column per framework, (UP, DR)
+    levels = [(beliefs[live], np.tile(penalties[live, None], 2), first[live])]
     gamma = gamma_at(gens)
     for t, y in enumerate(obs, start=1):
-        last, parts = levels[-1], []
+        (last_beliefs, last_penalties, last_first), parts = levels[-1], []
         for g, gen in enumerate(gens.candidates):
             if scope == DYNAMIC:
                 with np.errstate(over="ignore"):
-                    step = last.penalties + gamma[g]
-                rows = np.flatnonzero(np.isfinite(step))
+                    step = last_penalties + gamma[g]
+                rows = np.flatnonzero(np.isfinite(step).any(axis=1))
             else:
-                step, rows = last.penalties, np.flatnonzero(last.first == g)
-            live, mass, post = _bayes_rows(last.beliefs[rows], gen, y)
+                step, rows = last_penalties, np.flatnonzero(last_first == g)
+            live, mass, post = _bayes_rows(last_beliefs[rows], gen, y)
             rows, step = rows[live], step[rows[live]]
-            if framework == DR:
-                step = step - np.array([log(m) for m in mass.tolist()])
+            step[:, 1] -= [log(m) for m in mass.tolist()]
             parts.append((rows, np.full(len(rows), g), post + 0.0, step))
         parent, pick, beliefs, penalties = map(np.concatenate, zip(*parts))
         if grid is not None and len(beliefs):
             beliefs = grid.points[grid.round_rows(beliefs)] + 0.0
         order = np.lexsort((pick, parent))
-        levels.append(Level(beliefs[order], penalties[order], pick[order]
-                            if t == 1 else last.first[parent[order]]))
-    return levels
+        levels.append((beliefs[order], penalties[order], pick[order]
+                       if t == 1 else last_first[parent[order]]))
+    walk: dict = {UP: [], DR: []}
+    for beliefs, penalties, first in levels:
+        for column, framework in enumerate((UP, DR)):
+            keep = np.isfinite(penalties[:, column])
+            rows = slice(None) if keep.all() else keep
+            walk[framework].append(Level(
+                beliefs[rows], penalties[rows, column], first[rows]))
+    return walk
 
 
 def penalty_table(models: Level, scope: str,
@@ -177,9 +186,9 @@ def oracle_penalty(prior_beliefs, prior_values, gens: GeneratorGrid,
     """Penalty per reachable terminal belief, by direct enumeration: the
     :func:`penalty_table` of the last level of one walk, which re-rounds
     to ``grid`` after every step when one is given."""
-    levels = _walk_models(prior_beliefs, prior_values, gens, obs, framework,
-                          scope, grid, cap)
-    return penalty_table(levels[-1], scope, grid)
+    walk = _walk_models(prior_beliefs, prior_values, gens, obs, scope, grid,
+                        cap)
+    return penalty_table(walk[framework][-1], scope, grid)
 
 
 def oracle_dr_direct(phis, prior_beliefs, prior_values, gens: GeneratorGrid,
@@ -197,9 +206,9 @@ def oracle_dr_direct(phis, prior_beliefs, prior_values, gens: GeneratorGrid,
     if phis.ndim != 2:
         raise ValueError(f"phis must be a (draws x states) stack, got shape "
                          f"{phis.shape}")
-    levels = _walk_models(prior_beliefs, prior_values, gens, obs, framework,
-                          scope, grid, cap)
-    return payoff_values(levels[-1], phis, k, k_exp)
+    walk = _walk_models(prior_beliefs, prior_values, gens, obs, scope, grid,
+                        cap)
+    return payoff_values(walk[framework][-1], phis, k, k_exp)
 
 
 def _expectations(beliefs: np.ndarray, phis: np.ndarray) -> np.ndarray:

@@ -12,12 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from robusthmm import cli, penalty
+from robusthmm import cli, oracles, penalty
 from robusthmm.cli import load_config, main
 from robusthmm.errors import ConfigError
 from robusthmm.expectation import dr_expectation
 from robusthmm.models import GRID_CAP, SimplexGrid, parse_framework
-from robusthmm.penalty import evolve, initial_exact_surface, initial_grid_surface
+from robusthmm.penalty import (ExactSurface, evolve, initial_exact_surface,
+                              initial_grid_surface)
 from conftest import CONFIGS
 
 
@@ -306,8 +307,8 @@ def test_one_grid_per_run(tmp_path, monkeypatch, command, config, extra,
 
 
 def test_oracle_check_builds_each_grid_prior_once(tmp_path, monkeypatch):
-    # the configured grid's prior serves all four exact frameworks; each
-    # convergence resolution builds its own once
+    # the configured grid's prior serves all four exact frameworks and the
+    # sweep at its resolution; each other resolution builds its own once
     built = []
     build = cli.build_grid_prior
 
@@ -318,7 +319,23 @@ def test_oracle_check_builds_each_grid_prior_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "build_grid_prior", counted)
     assert run_cli("oracle-check", CONFIGS / "oracle_t3.json",
                    tmp_path / "run") == 0
-    assert built == [10, *cli.CONVERGENCE_RESOLUTIONS]
+    assert built == [10, 20, 40]
+
+
+def test_oracle_check_walks_once_per_scope(tmp_path, monkeypatch):
+    # one check walks the model set twice, once per scope; each walk serves
+    # both frameworks of its scope
+    scopes = []
+    walk = oracles._walk_models
+
+    def counted(beliefs, values, gens, obs, scope, *args):
+        scopes.append(scope)
+        return walk(beliefs, values, gens, obs, scope, *args)
+
+    monkeypatch.setattr(oracles, "_walk_models", counted)
+    assert run_cli("oracle-check", CONFIGS / "oracle_t3.json",
+                   tmp_path / "run") == 0
+    assert scopes == ["static", "dynamic"]
 
 
 def test_oracle_check_passes_on_shipped_instance(tmp_path):
@@ -332,6 +349,90 @@ def test_oracle_check_passes_on_shipped_instance(tmp_path):
     header = lines[0].split(",")
     col = header.index("abs_diff")
     assert max(float(line.split(",")[col]) for line in lines[1:]) <= 1e-9
+
+
+def _edit_exact_run(monkeypatch, label, edit):
+    """Pass the surfaces of oracle-check's exact run for ``label`` through
+    ``edit``, leaving every other evolve call alone."""
+    scope, framework = parse_framework(label)
+    original = cli.evolve
+
+    def edited(surface, gens, obs, fw):
+        surfaces, reports = original(surface, gens, obs, fw)
+        if (isinstance(surface, ExactSurface) and fw == framework
+                and (surface.gen_ids is None) == (scope == "dynamic")):
+            surfaces = edit(list(surfaces))
+        return surfaces, reports
+
+    monkeypatch.setattr(cli, "evolve", edited)
+
+
+def _report_gaps(out):
+    """The report's rows whose gap exceeds the oracle tolerance."""
+    rows = [line.split(",") for line in
+            (out / "oracle_report.csv").read_text().splitlines()[1:]]
+    return [row for row in rows if float(row[3]) > cli.ORACLE_TOL]
+
+
+def test_oracle_check_fails_on_a_shifted_exact_surface(tmp_path, monkeypatch):
+    # one row of dynamic-up's exact surface at step 1 moves by 1e-6: only
+    # that framework's penalty_t1 row carries the gap, and the check fails
+    def shift(surfaces):
+        s = surfaces[1]
+        values = s.values.copy()
+        values[int(np.argmax(values))] += 1e-6
+        surfaces[1] = ExactSurface(beliefs=s.beliefs, values=values,
+                                   gen_ids=s.gen_ids, time=s.time)
+        return surfaces
+
+    _edit_exact_run(monkeypatch, "dynamic-up", shift)
+    out = tmp_path / "run"
+    assert run_cli("oracle-check", CONFIGS / "oracle_t3.json", out) == 1
+    assert [row[0] for row in _report_gaps(out)] == ["dynamic-up/penalty_t1"]
+    assert abs(read_manifest(out)["max_abs_diff"] - 1e-6) < 1e-12
+
+
+def test_oracle_check_fails_on_a_dropped_exact_row(tmp_path, monkeypatch):
+    # static-up's exact surface at step 2 loses its highest row: the
+    # reachable sets differ and the check fails
+    def drop(surfaces):
+        s = surfaces[2]
+        keep = np.arange(len(s)) != int(np.argmax(s.values))
+        surfaces[2] = ExactSurface(beliefs=s.beliefs[keep],
+                                   values=s.values[keep],
+                                   gen_ids=s.gen_ids[keep], time=s.time)
+        return surfaces
+
+    _edit_exact_run(monkeypatch, "static-up", drop)
+    out = tmp_path / "run"
+    assert run_cli("oracle-check", CONFIGS / "oracle_t3.json", out) == 1
+    gaps = _report_gaps(out)
+    assert [(row[0], row[4]) for row in gaps] == [
+        ("static-up/penalty_t2", "reachable-set")]
+    assert float(gaps[0][1]) == float(gaps[0][2]) + 1
+
+
+def test_oracle_check_fails_on_a_perturbed_payoff_score(tmp_path,
+                                                        monkeypatch):
+    # the engine's score of payoff 7 under static-dr (the third label
+    # checked) moves by 1e-6: its dr_expectation_7 row shows the gap
+    calls = []
+    original = cli._dr_scores
+
+    def perturbed(*args):
+        values, best = original(*args)
+        calls.append(len(values))
+        if len(calls) == 3:
+            values[7] += 1e-6
+        return values, best
+
+    monkeypatch.setattr(cli, "_dr_scores", perturbed)
+    out = tmp_path / "run"
+    assert run_cli("oracle-check", CONFIGS / "oracle_t3.json", out) == 1
+    assert calls == [cli._PHI_DRAWS] * 4
+    assert ([row[0] for row in _report_gaps(out)]
+            == ["static-dr/dr_expectation_7"])
+    assert abs(read_manifest(out)["max_abs_diff"] - 1e-6) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["oracle_t3.json", "tree_d3.json"])

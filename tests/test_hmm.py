@@ -68,6 +68,49 @@ def test_simulate_reproducible_and_seed_sensitive():
             or not np.array_equal(a.observed, c.observed))
 
 
+def _reference_path(gen_seq, p0, horizon, seed):
+    """One ``rng.choice`` per hidden state and per symbol, in path order."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    state = int(rng.choice(len(p0), p=p0))
+    hidden, observed = [state], []
+    for gen in gen_seq[:horizon]:
+        state = int(rng.choice(gen.n_states, p=gen.transition[:, state]))
+        hidden.append(state)
+        observed.append(int(rng.choice(gen.n_symbols,
+                                       p=gen.emission[state])))
+    return hidden, observed
+
+
+def _sparse_generator(rng, n, d):
+    """Dirichlet rows, some entries zeroed and the rows renormalized."""
+    trans = rng.dirichlet(np.ones(n), size=n)
+    emit = rng.dirichlet(np.ones(d), size=n)
+    for rows in (trans, emit):
+        rows[rng.random(rows.shape) < 0.25] = 0.0
+        rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+        rows /= rows.sum(axis=1, keepdims=True)
+    return Generator(transition=trans.T, emission=emit)
+
+
+@pytest.mark.parametrize("case", range(30))
+def test_simulate_draws_as_choice_does(case):
+    # the CDF draws keep every state and symbol of the rng.choice loop
+    rng = np.random.default_rng([21, case])
+    n, d = int(rng.integers(2, 6)), int(rng.integers(2, 4))
+    gens = [_sparse_generator(rng, n, d) for _ in range(3)]
+    horizon = int(rng.integers(0, 41))
+    gen_seq = [gens[g] for g in rng.integers(0, 3, size=horizon)]
+    p0 = rng.dirichlet(np.ones(n))
+    p0[rng.random(n) < 0.3] = 0.0
+    p0[int(rng.integers(n))] += 1.0
+    p0 /= p0.sum()
+    seed = int(rng.integers(0, 2 ** 63))
+    path = simulate_path(gen_seq, p0, horizon, seed)
+    hidden, observed = _reference_path(gen_seq, p0, horizon, seed)
+    assert path.hidden.tolist() == hidden
+    assert path.observed.tolist() == observed
+
+
 def test_simulate_symbol_frequencies_match_predictive():
     # iid states (equal transition columns), so symbols are iid with the
     # predictive mixture law; frequencies must land within 3 standard errors

@@ -198,6 +198,21 @@ def _as_bits(results):
             for belief, penalty, first in results]
 
 
+def _assert_walk_is_reference(walk, beliefs, values, gens, obs, scope, grid):
+    """Both frameworks' levels of one walk, each bit for bit the reference
+    walk of that framework; returns the references of the last level."""
+    last = {}
+    for framework in ("up", "dr"):
+        # level t holds the models of the prefix obs[:t]
+        assert len(walk[framework]) == len(obs) + 1
+        for t, level in enumerate(walk[framework]):
+            reference = _reference_walk(beliefs, values, gens, obs[:t],
+                                        framework, scope, grid)
+            assert _as_bits(level) == _as_bits(reference)
+        last[framework] = reference
+    return last
+
+
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("scope,framework", FRAMEWORKS)
 def test_walk_matches_path_by_path_reference(seed, scope, framework):
@@ -205,14 +220,10 @@ def test_walk_matches_path_by_path_reference(seed, scope, framework):
     for horizon in range(4):
         obs = [int(y) for y in rng.integers(0, d, size=horizon)]
         for grid in (None, SimplexGrid.build(n, 7)):
-            levels = _walk_models(beliefs, values, gens, obs, framework,
-                                  scope, grid, ORACLE_CAP_DEFAULT)
-            # level t holds the models of the prefix obs[:t]
-            assert len(levels) == horizon + 1
-            for t, level in enumerate(levels):
-                reference = _reference_walk(beliefs, values, gens, obs[:t],
-                                            framework, scope, grid)
-                assert _as_bits(level) == _as_bits(reference)
+            walk = _walk_models(beliefs, values, gens, obs, scope, grid,
+                                ORACLE_CAP_DEFAULT)
+            reference = _assert_walk_is_reference(walk, beliefs, values, gens,
+                                                  obs, scope, grid)[framework]
             if not reference:
                 continue
             phis = rng.uniform(-1.0, 1.0, size=(5, n))
@@ -230,13 +241,11 @@ def test_walk_matches_reference_at_four_states(seed, scope, framework):
         np.random.default_rng([4, seed]), 4, 3)
     obs = [int(y) for y in rng.integers(0, d, size=4)]
     for grid in (None, SimplexGrid.build(n, 7)):
-        levels = _walk_models(beliefs, values, gens, obs, framework, scope,
-                              grid, ORACLE_CAP_DEFAULT)
-        assert len(levels) == len(obs) + 1 and len(levels[-1]) > 0
-        for t, level in enumerate(levels):
-            reference = _reference_walk(beliefs, values, gens, obs[:t],
-                                        framework, scope, grid)
-            assert _as_bits(level) == _as_bits(reference)
+        walk = _walk_models(beliefs, values, gens, obs, scope, grid,
+                            ORACLE_CAP_DEFAULT)
+        assert len(walk[framework][-1]) > 0
+        _assert_walk_is_reference(walk, beliefs, values, gens, obs, scope,
+                                  grid)
 
 
 @pytest.mark.parametrize("scope,framework", FRAMEWORKS)
@@ -384,10 +393,16 @@ def test_cap_is_checked_before_walking(monkeypatch):
 @pytest.mark.parametrize("label", ["static-up", "dynamic-up", "static-dr",
                                    "dynamic-dr"])
 def test_oracle_check_walks_once(oracle_cfg, label, monkeypatch):
-    # one walk scores every prefix's penalties and all 50 payoffs
+    # one walk scores every prefix's penalties and all 50 payoffs of the
+    # label and of its twin in the same scope
     walks = _count_calls(monkeypatch, "_walk_models")
     obs = list(oracle_cfg.observations)
-    reports = _check_one_framework(label, oracle_cfg, obs, {})
-    assert len(walks) == 1
-    assert len(reports) == len(obs) + 1 + 50
-    assert max(r.abs_diff for r in reports) <= 1e-9
+    phis = _phi_stack(oracle_cfg.n_states)
+    scope, framework = label.split("-")
+    twin = f"{scope}-{'dr' if framework == 'up' else 'up'}"
+    memo = {}
+    for name in (label, twin):
+        reports = _check_one_framework(name, oracle_cfg, obs, phis, {}, memo)
+        assert len(reports) == len(obs) + 1 + 50
+        assert max(r.abs_diff for r in reports) <= 1e-9
+    assert len(walks) == 1 and list(memo) == [scope]
