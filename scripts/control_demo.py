@@ -23,8 +23,8 @@ def main() -> None:
     cfg = load_config(str(CONFIG))
     problem = ControlProblem(
         labels=tuple(cfg.control["labels"]), gens=cfg.gens,
-        initial_surface=cfg.initial_surface(), framework=cfg.framework,
-        horizon=cfg.horizon,
+        gammas=cfg.control["gamma"], initial_surface=cfg.initial_surface(),
+        framework=cfg.framework, horizon=cfg.horizon,
         params=cfg.params, running_cost=cfg.control["running_cost"],
         terminal_cost=StateFunctional(values=cfg.control["terminal_cost"]))
     solution = solve(problem)

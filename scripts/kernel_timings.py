@@ -35,13 +35,13 @@ import numpy as np
 
 from robusthmm import (Generator, GeneratorGrid, SimplexGrid, TreeSetup,
                        UncertaintyParams, build_observation_tree,
-                       forward_image_step, gamma_at, initial_grid_surface,
+                       forward_image_step, initial_grid_surface,
                        render_surface_csv)
 from robusthmm.cli import (_FRAMEWORK_LABELS, CONVERGENCE_RESOLUTIONS,
                            _convergence_error, _exact_run, build_exact_prior,
                            build_grid_prior, load_config)
 from robusthmm.models import parse_framework
-from robusthmm.oracles import ORACLE_CAP_DEFAULT, _walk_models
+from robusthmm.oracles import _walk_models
 from robusthmm.penalty import (_blocks, _gen_images, evolve,
                                initial_exact_surface)
 
@@ -95,7 +95,7 @@ def main(argv=None) -> None:
         rounding = best_of(repeats, lambda: grid.round_rows(images))
         steps, renders = [], []
         for scope in ("dynamic", "static"):
-            gammas = gamma_at(gens) if scope == "dynamic" else None
+            gammas = gens.prior_penalty if scope == "dynamic" else None
             surface, _ = forward_image_step(
                 initial_grid_surface(np.zeros(len(grid)), gens, grid, scope),
                 gens, gammas, 1, "dr")
@@ -129,8 +129,8 @@ def oracle_stages(repeats: int) -> None:
     beliefs, values = build_exact_prior(cfg.prior_values, cfg.grid)
     labels = [parse_framework(label) for label in _FRAMEWORK_LABELS]
     walks = best_of(repeats, lambda: [
-        _walk_models(beliefs, values, gens, obs, scope, None,
-                     ORACLE_CAP_DEFAULT) for scope in ("static", "dynamic")])
+        _walk_models(beliefs, values, gens, obs, scope, None)
+        for scope in ("static", "dynamic")])
     exact = best_of(repeats, lambda: [
         evolve(initial_exact_surface(beliefs, values, gens, scope), gens,
                obs, framework) for scope, framework in labels])

@@ -8,7 +8,7 @@ from .errors import (CapExceeded, ConfigError, DegenerateObservation,
                      InfeasibleSurface, RobustHMMError)
 from .hmm import Generator, Path, as_filter_state, filter_step, simulate_path
 from .models import (DR, DYNAMIC, STATIC, UP, GeneratorGrid, SimplexGrid,
-                     gamma_at, parse_framework)
+                     parse_framework)
 from .penalty import (ExactSurface, ExtendedPenaltySurface, PenaltySurface,
                       StepReport, evolve, exact_step, forward_image_step,
                       initial_exact_surface, initial_grid_surface,

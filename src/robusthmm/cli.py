@@ -37,8 +37,8 @@ from .hmm import Generator, as_filter_state, filter_step, simulate_path
 from .models import (DR, DYNAMIC, GeneratorGrid, SimplexGrid,
                      normalize_penalties, parse_framework)
 from . import oracles
-from .oracles import (ORACLE_CAP_DEFAULT, OracleReport, payoff_values,
-                      penalty_table, render_report_csv)
+from .oracles import (OracleReport, payoff_values, penalty_table,
+                      render_report_csv)
 from .penalty import (_blocks, evolve, evolve_steps, initial_exact_surface,
                       initial_grid_surface, render_surface_csv)
 
@@ -138,11 +138,14 @@ def _int_field(cfg, key, minimum, where="config") -> int:
 
 
 def _matrix(raw, shape, where) -> np.ndarray:
-    """A config array of the given shape with finite entries."""
+    """A config array of the given shape with finite entries; ``[]`` is
+    the one JSON spelling of a shape with no rows, (0, U) included."""
     try:
         arr = np.asarray(raw, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}: not a numeric array") from None
+    if arr.shape == (0,) and shape[:1] == (0,):
+        arr = arr.reshape(shape)
     if arr.shape != shape:
         raise ConfigError(f"{where}: expected shape {shape}, got {arr.shape}")
     if not np.isfinite(arr).all():
@@ -150,7 +153,9 @@ def _matrix(raw, shape, where) -> np.ndarray:
     return arr
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, resolution: int | None = None) -> RunConfig:
+    """The validated config, its grid and prior built at ``resolution``
+    (``--grid-resolution``) if given, else at ``grid_resolution``."""
     try:
         with open(path, "rb") as fh:
             raw_bytes = fh.read()
@@ -167,7 +172,11 @@ def load_config(path: str) -> RunConfig:
     if horizon > HORIZON_CAP:  # before anything is sized by it
         raise CapExceeded(f"a horizon of {horizon} steps is over the cap of "
                           f"{HORIZON_CAP}")
-    resolution = _int_field(cfg, "grid_resolution", 1)
+    configured = _int_field(cfg, "grid_resolution", 1)
+    if resolution is None:
+        resolution = configured
+    elif resolution < 1:
+        raise ConfigError("--grid-resolution must be >= 1")
     try:
         scope, framework = parse_framework(_require(cfg, "framework"))
     except ValueError as exc:
@@ -201,7 +210,6 @@ def load_config(path: str) -> RunConfig:
         gammas.append(_number(entry.get("gamma", 0.0), f"{where}.gamma"))
 
     control_cfg = cfg.get("control")
-    control_penalty = None
     if control_cfg is not None:
         _check_keys(control_cfg, _CONTROL_KEYS, "control")
         labels = _require(control_cfg, "labels", "control")
@@ -213,19 +221,20 @@ def load_config(path: str) -> RunConfig:
                        for row in table)):
             raise ConfigError(
                 "control.gamma must be one row per control, one entry per generator")
-        control_penalty = np.array(
+        gamma = np.array(
             [[_number(v, "control.gamma") for v in row] for row in table])
+        if not np.isfinite(gamma).any(axis=1).all():
+            raise ConfigError("control.gamma: a row excludes every generator")
         run_table = _matrix(_require(control_cfg, "running_cost", "control"),
                             (horizon, len(labels)), "control.running_cost")
         term = _matrix(_require(control_cfg, "terminal_cost", "control"),
                        (n,), "control.terminal_cost")
-        control_cfg = {"labels": [str(x) for x in labels],
+        control_cfg = {"labels": [str(x) for x in labels], "gamma": gamma,
                        "running_cost": run_table, "terminal_cost": term}
 
     try:
         gens = GeneratorGrid(candidates=tuple(candidates),
-                             prior_penalty=np.array(gammas),
-                             control_penalty=control_penalty)
+                             prior_penalty=np.array(gammas))
     except (ValueError, InfeasibleSurface) as exc:
         raise ConfigError(f"generators: {exc}") from None
 
@@ -274,7 +283,7 @@ def load_config(path: str) -> RunConfig:
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError("output_dir must be a string")
 
-    # build the default-resolution prior eagerly so bad tables fail fast
+    # build the prior eagerly so bad tables fail fast
     grid = SimplexGrid.build(n, resolution)
     prior_values = build_grid_prior(prior_cfg, grid)
 
@@ -517,6 +526,7 @@ def _cmd_control(run: Run) -> int:
     try:
         problem = ControlProblem(
             labels=tuple(cfg.control["labels"]), gens=cfg.gens,
+            gammas=cfg.control["gamma"],
             initial_surface=cfg.initial_surface(), framework=cfg.framework,
             horizon=cfg.horizon, params=cfg.params,
             running_cost=cfg.control["running_cost"],
@@ -569,7 +579,7 @@ def _check_one_framework(label: str, cfg: RunConfig, obs, phis, runs, walks):
                           scope)
     if scope not in walks:
         walks[scope] = oracles._walk_models(beliefs, values, cfg.gens, obs,
-                                            scope, None, ORACLE_CAP_DEFAULT)
+                                            scope, None)
     levels = walks[scope][framework]
     reports = []
     for t, (surface, models) in enumerate(zip(surfaces, levels)):
@@ -687,13 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.grid_resolution is not None:
-            if args.grid_resolution < 1:
-                raise ConfigError("--grid-resolution must be >= 1")
-            grid = SimplexGrid.build(cfg.n_states, args.grid_resolution)
-            cfg.prior_values = build_grid_prior(cfg.prior_cfg, grid)
-            cfg.grid = grid
+        cfg = load_config(args.config, args.grid_resolution)
         out_dir = args.out or cfg.output_dir or "out"
         run = Run(args.command, cfg, out_dir)
         code = _COMMANDS[args.command](run)

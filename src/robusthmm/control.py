@@ -21,7 +21,7 @@ surface by an infimum over beliefs of expected cost minus converted penalty
 (beliefs whose converted penalty is infinite are excluded from the scan).
 Every other scan takes the sup, so this leaf picks the least plausible
 belief (ROADMAP item 1, open). Gammas: the forward step under ``u`` charges
-``gamma_at(gens, u)`` and the q-value scan of ``u`` zeros, where the tree
+``problem.gammas[u]`` and the q-value scan of ``u`` zeros, where the tree
 charges ``setup.gammas`` in both.
 """
 
@@ -30,22 +30,24 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import inf
+from typing import ClassVar
+
 import numpy as np
 
 from .errors import CapExceeded, InfeasibleSurface
 from .expectation import StateFunctional, UncertaintyParams, _rho, _sup_rows
-from .models import GeneratorGrid, gamma_at
+from .models import GeneratorGrid, normalize_penalties
 from .penalty import PenaltySurface, _blocks, step_level
 
-STATE_CAP_DEFAULT = 20000
-POLICY_CAP_DEFAULT = 10 ** 7
 _HASH_DECIMALS = 12
 
 
 @dataclass(frozen=True, eq=False)
 class ControlProblem:
     """A finite control set acting through per-control generator penalties:
-    ``gens.control_penalty`` holds one row per control.
+    ``gammas`` is the ``(n_controls, n_candidates)`` table of the per-step
+    penalty each control puts on each candidate, each row normalized to
+    minimum zero here.
 
     A run starts from ``initial_surface``, which must be a grid surface in
     the dynamic generator scope (a :class:`PenaltySurface`), and steps it
@@ -55,24 +57,27 @@ class ControlProblem:
 
     labels: tuple[str, ...]
     gens: GeneratorGrid
+    gammas: np.ndarray
     initial_surface: PenaltySurface
     framework: str
     horizon: int
     params: UncertaintyParams
     running_cost: np.ndarray
     terminal_cost: StateFunctional
-    state_cap: int = STATE_CAP_DEFAULT
-    policy_cap: int = POLICY_CAP_DEFAULT
+    state_cap: ClassVar[int] = 20000  # (history, state) pairs enumerated
+    policy_cap: ClassVar[int] = 10 ** 7  # policies brute_force tries
 
     def __post_init__(self):
         if not self.labels:
             raise ValueError("control set must be nonempty")
         if not isinstance(self.initial_surface, PenaltySurface):
             raise ValueError("control requires the dynamic generator scope")
-        if self.gens.control_penalty is None:
-            raise ValueError("generator grid carries no per-control penalties")
-        if self.gens.control_penalty.shape[0] != len(self.labels):
-            raise ValueError("one penalty row per control required")
+        gammas = np.asarray(self.gammas, dtype=np.float64)
+        if gammas.shape != (len(self.labels), len(self.gens)):
+            raise ValueError("control penalty table must be "
+                             "(n_controls, n_candidates)")
+        gammas = np.stack([normalize_penalties(row) for row in gammas])
+        gammas.flags.writeable = False
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
         rc = np.asarray(self.running_cost, dtype=np.float64)
@@ -80,6 +85,7 @@ class ControlProblem:
             raise ValueError("running cost table must be (horizon, n_controls)")
         object.__setattr__(self, "running_cost", rc)
         object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "gammas", gammas)
 
     @property
     def n_controls(self) -> int:
@@ -131,12 +137,10 @@ class ControlSolution:
     registry: StateRegistry
     successors: dict
     levels: list
-    root_history: tuple
 
     @property
     def root_value(self) -> float:
-        root_states = self.levels[0][self.root_history]
-        return self.values[(self.root_history, root_states[0])].value
+        return self.values[((), self.levels[0][()][0])].value
 
 
 def _terminal_rows(cost, surfaces: list, params: UncertaintyParams) -> list:
@@ -162,23 +166,20 @@ def _terminal_rows(cost, surfaces: list, params: UncertaintyParams) -> list:
     return values
 
 
-def _enumerate_states(problem: ControlProblem, root_history: tuple,
-                      root_surface: PenaltySurface, controls):
-    """Reachable (node, surface) pairs level by level, with the successor
-    map (state, control, symbol) -> state.
+def _enumerate_states(problem: ControlProblem, controls):
+    """Reachable (node, surface) pairs level by level from the root, with
+    the successor map (state, control, symbol) -> state.
 
     ``controls(history)`` lists the controls to expand at a node: every
     control for the solver, the policy's choice for the evaluator. A triple
     reached again from another history is looked up, not stepped again.
     """
     d = problem.gens.n_symbols
-    gammas = [gamma_at(problem.gens, u) for u in range(problem.n_controls)]
     registry = StateRegistry()
-    root_id = registry.intern(root_surface)
-    levels = [{root_history: [root_id]}]
+    levels = [{(): [registry.intern(problem.initial_surface)]}]
     successors: dict = {}
     total = 1
-    for _ in range(problem.horizon - len(root_history)):
+    for _ in range(problem.horizon):
         level, new_level = levels[-1], {}
         expand = {history: controls(history) for history in level}
         stepped = {}  # (state, control) -> children per symbol
@@ -189,7 +190,7 @@ def _enumerate_states(problem: ControlProblem, root_history: tuple,
             if ids:
                 stepped.update(zip(((s, u) for s in ids), step_level(
                     [registry.surfaces[s] for s in ids], problem.gens,
-                    gammas[u], problem.framework)))
+                    problem.gammas[u], problem.framework)))
         for history, state_ids in level.items():
             child_lists = {history + (y,): [] for y in range(d)}
             for state_id in state_ids:
@@ -252,30 +253,23 @@ def _fill_values(problem: ControlProblem, registry, levels, successors,
     return values
 
 
-def solve(problem: ControlProblem, root_history: tuple = (),
-          root_surface: PenaltySurface | None = None) -> ControlSolution:
+def solve(problem: ControlProblem) -> ControlSolution:
     """Dynamic-programming solution of the control problem.
 
     Enumerates reachable (node, surface) states, fills values bottom up, and
     extracts the minimizing control everywhere; ties resolve to the lowest
     control index. The returned policy holds the optimal control at every
-    history reached from the root. ``root_history``/``root_surface`` allow
-    re-solving a subproblem rooted mid-tree; the root surface defaults to
-    ``problem.initial_surface``.
+    history reached from the root. A subproblem rooted mid-tree is a problem
+    of its own: the child surface, ``horizon - 1`` and ``running_cost[1:]``.
     """
-    root_history = tuple(root_history)
-    if root_surface is None:
-        root_surface = problem.initial_surface
-
     def every_control(history):
         return range(problem.n_controls)
 
-    registry, levels, successors = _enumerate_states(
-        problem, root_history, root_surface, every_control)
+    registry, levels, successors = _enumerate_states(problem, every_control)
     values = _fill_values(problem, registry, levels, successors,
                           every_control)
     policy: dict = {}
-    frontier = {root_history: levels[0][root_history][0]}
+    frontier = {(): levels[0][()][0]}
     for _ in levels[:-1]:
         reached = {}
         for history, sid in frontier.items():
@@ -284,8 +278,7 @@ def solve(problem: ControlProblem, root_history: tuple = (),
                 reached[history + (y,)] = successors[(sid, u, y)]
         frontier = reached
     return ControlSolution(policy=policy, values=values, registry=registry,
-                           successors=successors, levels=levels,
-                           root_history=root_history)
+                           successors=successors, levels=levels)
 
 
 def evaluate_policy(problem: ControlProblem, policy: dict) -> ControlSolution:
@@ -306,12 +299,10 @@ def evaluate_policy(problem: ControlProblem, policy: dict) -> ControlSolution:
                              f"range({problem.n_controls})")
         return (u,)
 
-    registry, levels, successors = _enumerate_states(
-        problem, (), problem.initial_surface, chosen)
+    registry, levels, successors = _enumerate_states(problem, chosen)
     values = _fill_values(problem, registry, levels, successors, chosen)
     return ControlSolution(policy=policy, values=values, registry=registry,
-                           successors=successors, levels=levels,
-                           root_history=())
+                           successors=successors, levels=levels)
 
 
 def decision_nodes(problem: ControlProblem) -> list[tuple]:

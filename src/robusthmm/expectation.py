@@ -22,7 +22,7 @@ from .models import GeneratorGrid
 from .penalty import (ExactSurface, _blocks, _candidate_penalties,
                       _default_gammas, _rows, step_level)
 
-TREE_CAP_DEFAULT = 4096
+TREE_CAP = 4096  # leaves of one observation tree
 _NO_BELIEF = "surface excludes every belief"
 
 
@@ -206,7 +206,6 @@ class TreeSetup:
     horizon: int
     initial_surface: object
     params: UncertaintyParams
-    cap: int = TREE_CAP_DEFAULT
     gammas: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -216,11 +215,12 @@ class TreeSetup:
 
 def build_observation_tree(setup: TreeSetup) -> ObservationTree:
     """Grow the full tree of histories, evolving a surface along each edge;
-    a level is stepped at once by :func:`~robusthmm.penalty.step_level`."""
+    a level is stepped at once by :func:`~robusthmm.penalty.step_level`,
+    and more than ``TREE_CAP`` leaves are refused before any step."""
     d = setup.gens.n_symbols
-    if d ** setup.horizon > setup.cap:
+    if d ** setup.horizon > TREE_CAP:
         raise CapExceeded(
-            f"{d ** setup.horizon} leaves would exceed the cap of {setup.cap}")
+            f"{d ** setup.horizon} leaves would exceed the cap of {TREE_CAP}")
     levels = [[setup.initial_surface]]
     for _ in range(setup.horizon):
         levels.append(list(itertools.chain.from_iterable(step_level(

@@ -143,19 +143,13 @@ class SimplexGrid:
         its remainder is larger, or equal with ``j > i``, and a coordinate
         gets a unit iff fewer than ``deficit`` others rank ahead of it.
 
-        Raises ``ValueError`` unless every entry is finite and nonnegative
-        and every row sums to 1 within 1e-9; the floors then never sum above
-        ``m``.
+        Every row must be finite and nonnegative and sum to 1 within 1e-9
+        (the floors then never sum above ``m``); the caller checks that.
         """
         beliefs = np.asarray(beliefs, dtype=np.float64)
         if beliefs.ndim != 2 or beliefs.shape[1] != self.n_states:
             raise ValueError(f"beliefs must be (rows, {self.n_states}), "
                              f"got {beliefs.shape}")
-        # NaN fails the first test, +inf the second
-        if not ((beliefs >= 0.0).all()
-                and (np.abs(beliefs.sum(axis=1) - 1.0) <= 1e-9).all()):
-            raise ValueError("beliefs must be finite and nonnegative, each "
-                             "row summing to 1 within 1e-9")
         # remainders overwrite the scaled rows; floors stay float until the
         # rank, integers exactly
         frac = np.multiply(beliefs.T, self.resolution, order="C")
@@ -171,8 +165,13 @@ class SimplexGrid:
         return self.rank(base.T)
 
     def round_to_index(self, belief: np.ndarray) -> int:
-        """:meth:`round_rows` for a single belief."""
+        """:meth:`round_rows` for a single belief from outside, checked:
+        ``ValueError`` for a non-finite or negative entry or a sum off 1 by
+        more than 1e-9 (NaN fails the first test, +inf the second)."""
         belief = np.asarray(belief, dtype=np.float64)
+        if not ((belief >= 0.0).all() and abs(belief.sum() - 1.0) <= 1e-9):
+            raise ValueError("belief must be finite and nonnegative, "
+                             "summing to 1 within 1e-9")
         return int(self.round_rows(belief[None])[0])
 
 
@@ -180,9 +179,9 @@ class SimplexGrid:
 class GeneratorGrid:
     """A finite set of candidate generators with their prior penalties.
 
-    ``prior_penalty`` is normalized to minimum zero at construction, and so
-    is each row of ``control_penalty``, which optionally holds one penalty
-    row per control; :func:`gamma_at` picks the one that applies.
+    ``prior_penalty``, normalized to minimum zero at construction, is the
+    per-step penalty on each candidate where no control picks one (that
+    table is :attr:`~robusthmm.control.ControlProblem.gammas`).
 
     ``image_tables`` memoizes the candidates' rounded Bayes images per
     (grid, symbol) for :mod:`robusthmm.penalty`'s grid steps, and
@@ -193,7 +192,6 @@ class GeneratorGrid:
 
     candidates: tuple[Generator, ...]
     prior_penalty: np.ndarray
-    control_penalty: np.ndarray | None = None
     image_tables: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
     predictive: dict = field(default_factory=dict, init=False, repr=False,
@@ -216,16 +214,8 @@ class GeneratorGrid:
             raise ValueError("one prior penalty per candidate required")
         pen = normalize_penalties(pen)
         pen.flags.writeable = False
-        ctrl = self.control_penalty
-        if ctrl is not None:
-            ctrl = np.asarray(ctrl, dtype=np.float64)
-            if ctrl.ndim != 2 or ctrl.shape[1] != len(cands):
-                raise ValueError("control penalty table must be (n_controls, n_candidates)")
-            ctrl = np.stack([normalize_penalties(row) for row in ctrl])
-            ctrl.flags.writeable = False
         object.__setattr__(self, "candidates", cands)
         object.__setattr__(self, "prior_penalty", pen)
-        object.__setattr__(self, "control_penalty", ctrl)
 
     def __len__(self) -> int:
         return len(self.candidates)
@@ -237,18 +227,3 @@ class GeneratorGrid:
     @property
     def n_symbols(self) -> int:
         return self.candidates[0].n_symbols
-
-
-def gamma_at(grid: GeneratorGrid, control: int | None = None) -> np.ndarray:
-    """Per-candidate penalty on each step's generator choice.
-
-    The grid's stationary prior, or with a control index the matching row of
-    the control table. It does not depend on the time or the observation
-    history, so callers look it up once per run or per control. Both are
-    normalized to minimum zero at construction.
-    """
-    if control is None:
-        return grid.prior_penalty
-    if grid.control_penalty is None:
-        raise ValueError("no control penalty table configured")
-    return grid.control_penalty[control]

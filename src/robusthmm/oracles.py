@@ -21,10 +21,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CapExceeded, DegenerateObservation
-from .models import (DR, DYNAMIC, STATIC, UP, GeneratorGrid, SimplexGrid,
-                     gamma_at)
+from .models import DR, DYNAMIC, STATIC, UP, GeneratorGrid, SimplexGrid
 
-ORACLE_CAP_DEFAULT = 10 ** 6
+ORACLE_CAP = 10 ** 6  # models of the last level of one walk
 
 
 @dataclass(frozen=True)
@@ -80,8 +79,8 @@ def _bayes_rows(beliefs: np.ndarray, gen, y: int):
 
 
 def _walk_models(prior_beliefs, prior_values, gens: GeneratorGrid, obs,
-                 scope: str, grid: SimplexGrid | None,
-                 cap: int) -> dict[str, list[Level]]:
+                 scope: str,
+                 grid: SimplexGrid | None) -> dict[str, list[Level]]:
     """The surviving models after every step, per framework: level ``t`` of
     ``walk[framework]`` holds the models of ``obs[:t]`` in (prior belief,
     lexicographic generator path) order; dead models (zero-probability
@@ -93,15 +92,16 @@ def _walk_models(prior_beliefs, prior_values, gens: GeneratorGrid, obs,
     side while either is finite, and one ``lexsort`` on (parent, generator)
     restores the order. With a ``grid``, each level after the prior is
     re-rounded by one :meth:`~robusthmm.models.SimplexGrid.round_rows` call.
-    The cap bounds the models of the last level and is checked first.
+    ``ORACLE_CAP`` bounds the models of the last level and is checked
+    first.
     """
     beliefs = np.asarray(prior_beliefs, dtype=np.float64) + 0.0
     penalties = np.asarray(prior_values, dtype=np.float64)
     n_gens = len(gens)
     n_models = len(penalties) * (n_gens if scope == STATIC
                                  else n_gens ** len(obs))
-    if n_models > cap:
-        raise CapExceeded(f"{n_models} models exceed the cap of {cap}")
+    if n_models > ORACLE_CAP:
+        raise CapExceeded(f"{n_models} models exceed the cap of {ORACLE_CAP}")
     first = np.zeros(len(penalties), dtype=np.int64)
     if scope == STATIC:
         with np.errstate(over="ignore"):
@@ -111,13 +111,12 @@ def _walk_models(prior_beliefs, prior_values, gens: GeneratorGrid, obs,
     live = np.isfinite(penalties)
     # one penalty column per framework, (UP, DR)
     levels = [(beliefs[live], np.tile(penalties[live, None], 2), first[live])]
-    gamma = gamma_at(gens)
     for t, y in enumerate(obs, start=1):
         (last_beliefs, last_penalties, last_first), parts = levels[-1], []
         for g, gen in enumerate(gens.candidates):
             if scope == DYNAMIC:
                 with np.errstate(over="ignore"):
-                    step = last_penalties + gamma[g]
+                    step = last_penalties + gens.prior_penalty[g]
                 rows = np.flatnonzero(np.isfinite(step).any(axis=1))
             else:
                 step, rows = last_penalties, np.flatnonzero(last_first == g)
@@ -181,20 +180,18 @@ def payoff_values(models: Level, phis: np.ndarray, k: float,
 
 def oracle_penalty(prior_beliefs, prior_values, gens: GeneratorGrid,
                    obs: Sequence[int], framework: str, scope: str,
-                   grid: SimplexGrid | None = None,
-                   cap: int = ORACLE_CAP_DEFAULT) -> dict:
+                   grid: SimplexGrid | None = None) -> dict:
     """Penalty per reachable terminal belief, by direct enumeration: the
     :func:`penalty_table` of the last level of one walk, which re-rounds
     to ``grid`` after every step when one is given."""
-    walk = _walk_models(prior_beliefs, prior_values, gens, obs, scope, grid,
-                        cap)
+    walk = _walk_models(prior_beliefs, prior_values, gens, obs, scope, grid)
     return penalty_table(walk[framework][-1], scope, grid)
 
 
 def oracle_dr_direct(phis, prior_beliefs, prior_values, gens: GeneratorGrid,
                      obs: Sequence[int], framework: str, scope: str, k: float,
-                     k_exp: float = 1.0, grid: SimplexGrid | None = None,
-                     cap: int = ORACLE_CAP_DEFAULT) -> np.ndarray:
+                     k_exp: float = 1.0,
+                     grid: SimplexGrid | None = None) -> np.ndarray:
     """Worst-case expectations of terminal-state payoffs by raw enumeration:
     the :func:`payoff_values` of the last level of one walk.
 
@@ -206,8 +203,7 @@ def oracle_dr_direct(phis, prior_beliefs, prior_values, gens: GeneratorGrid,
     if phis.ndim != 2:
         raise ValueError(f"phis must be a (draws x states) stack, got shape "
                          f"{phis.shape}")
-    walk = _walk_models(prior_beliefs, prior_values, gens, obs, scope, grid,
-                        cap)
+    walk = _walk_models(prior_beliefs, prior_values, gens, obs, scope, grid)
     return payoff_values(walk[framework][-1], phis, k, k_exp)
 
 

@@ -28,9 +28,7 @@ surface. They are computed once per (grid, symbol), the first time a step
 needs that symbol, into an :class:`ImageTable` memoized in the
 :class:`~robusthmm.models.GeneratorGrid`'s ``image_tables``; the table lives
 exactly as long as that object. Rounding goes through
-:meth:`~robusthmm.models.SimplexGrid.round_rows`, which raises ``ValueError``
-on a belief with a non-finite or negative entry or a sum off 1 by more than
-1e-9.
+:meth:`~robusthmm.models.SimplexGrid.round_rows`.
 
 Each mode has one level kernel, which steps a level's surfaces on one symbol
 into one (surface, :class:`StepReport`) pair per surface.
@@ -58,7 +56,6 @@ its prefix, value and provenance, each distinct float formatted once.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 from math import log
 from typing import NamedTuple, Sequence
 
@@ -66,9 +63,9 @@ import numpy as np
 
 from .errors import CapExceeded, InfeasibleSurface
 from .models import (DR, DYNAMIC, STATIC, UP, GeneratorGrid, SimplexGrid,
-                     gamma_at, normalize_penalties)
+                     normalize_penalties)
 
-EXACT_CAP_DEFAULT = 10 ** 6
+EXACT_CAP = 10 ** 6  # admitted (row, candidate) pairs of one exact surface
 _CELL_BUDGET = 8192  # (surface, candidate, cell) triples per kernel call
 
 
@@ -288,7 +285,7 @@ def _default_gammas(surface, gens: GeneratorGrid) -> np.ndarray | None:
     """The per-step penalties a surface's scope takes when no control picks
     them: the grid's stationary prior in the dynamic scope, None in the
     static one."""
-    return None if _static(surface) else gamma_at(gens)
+    return None if _static(surface) else gens.prior_penalty
 
 
 def _gen_images(grid: SimplexGrid, gen, y: int):
@@ -433,10 +430,10 @@ def _normalize_rows(values: np.ndarray, time: int):
 
 
 def _exact_level(surfaces, gens: GeneratorGrid, gammas: np.ndarray | None,
-                 y: int, framework: str, cap: int = EXACT_CAP_DEFAULT) -> list:
+                 y: int, framework: str) -> list:
     """The exact level kernel: exact surfaces of one scope stepped on symbol
-    ``y`` with no rounding, at most ``cap`` admitted (row, candidate) pairs
-    a surface, into one (surface, :class:`StepReport`) pair each.
+    ``y`` with no rounding, at most ``EXACT_CAP`` admitted (row, candidate)
+    pairs a surface, into one (surface, :class:`StepReport`) pair each.
 
     Per candidate, one stacked product ``T[None] @ B[:, :, None]`` updates
     every admitted row bit for bit as the per-row ``T @ b`` of
@@ -455,9 +452,9 @@ def _exact_level(surfaces, gens: GeneratorGrid, gammas: np.ndarray | None,
     gids, rows = np.nonzero(live)
     n_new = np.bincount(owner[rows], minlength=len(surfaces)).tolist()
     for src, n in zip(surfaces, n_new):
-        if n > cap:
+        if n > EXACT_CAP:
             raise CapExceeded(f"{n} tracked beliefs at step {src.time + 1} "
-                              f"would exceed the cap of {cap}")
+                              f"would exceed the cap of {EXACT_CAP}")
     weighted = np.concatenate([
         gen.emission[:, y] * (gen.transition[None]
                               @ beliefs[live[g]][:, :, None])[..., 0]
@@ -491,22 +488,20 @@ def _exact_level(surfaces, gens: GeneratorGrid, gammas: np.ndarray | None,
 
 
 def exact_step(src: ExactSurface, gens: GeneratorGrid,
-               gammas: np.ndarray | None, y: int, framework: str,
-               cap: int = EXACT_CAP_DEFAULT):
-    """One forward step on exactly tracked beliefs (no rounding), at most
-    ``cap`` admitted (row, candidate) pairs: the one-surface case of the
-    level kernel :func:`_exact_level`."""
-    return _exact_level([src], gens, gammas, y, framework, cap)[0]
+               gammas: np.ndarray | None, y: int, framework: str):
+    """One forward step on exactly tracked beliefs (no rounding): the
+    one-surface case of the level kernel :func:`_exact_level`."""
+    return _exact_level([src], gens, gammas, y, framework)[0]
 
 
 def evolve_steps(surface, gens: GeneratorGrid, obs: Sequence[int],
-                 framework: str, cap: int = EXACT_CAP_DEFAULT):
+                 framework: str):
     """Propagate an initial surface through a whole observation sequence at
     its scope's default per-step penalties, yielding (surface, report) per
     step, time zero first with report None; no earlier step is kept. Grid
     surfaces go through :func:`forward_image_step`, exact ones through
-    :func:`exact_step`, at most ``cap`` candidate rows a step."""
-    step = (partial(exact_step, cap=cap) if isinstance(surface, ExactSurface)
+    :func:`exact_step`."""
+    step = (exact_step if isinstance(surface, ExactSurface)
             else forward_image_step)
     gammas = _default_gammas(surface, gens)
     yield surface, None
@@ -515,10 +510,9 @@ def evolve_steps(surface, gens: GeneratorGrid, obs: Sequence[int],
         yield surface, report
 
 
-def evolve(surface, gens: GeneratorGrid, obs: Sequence[int], framework: str,
-           cap: int = EXACT_CAP_DEFAULT):
+def evolve(surface, gens: GeneratorGrid, obs: Sequence[int], framework: str):
     """Every surface of :func:`evolve_steps` and the per-step reports."""
-    surfaces, reports = zip(*evolve_steps(surface, gens, obs, framework, cap))
+    surfaces, reports = zip(*evolve_steps(surface, gens, obs, framework))
     return list(surfaces), list(reports[1:])
 
 

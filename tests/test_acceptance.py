@@ -17,7 +17,7 @@ from robusthmm import (ControlProblem, Generator, GeneratorGrid, SimplexGrid,
                        StateFunctional, TreeSetup, UncertaintyParams,
                        backward_expectation, brute_force, bsde_decompose,
                        bsde_driver, dr_expectation, evolve, fill_backward,
-                       gamma_at, initial_exact_surface, initial_grid_surface,
+                       initial_exact_surface, initial_grid_surface,
                        one_step_expectation, solve)
 from robusthmm.cli import build_exact_prior, main
 from robusthmm.oracles import (bernoulli_closed_forms, oracle_dr_direct,
@@ -169,7 +169,7 @@ def test_criterion_5_dynamic_consistency(oracle_cfg):
                                               tree.values[t], strict=True):
             redo = one_step_expectation(
                 child_vals, surface, setup.gens,
-                gamma_at(setup.gens), setup.params)
+                setup.gens.prior_penalty, setup.params)
             worst = max(worst, abs(redo - value))
     import copy
     for cut in (1, 2):
@@ -196,12 +196,12 @@ def test_criterion_6_bsde_reconstruction(oracle_cfg):
                 tree.levels[t], kids, tree.values[t], tree.drivers[t],
                 strict=True):
             worst = max(worst, abs(value - (child_vals.mean() + driver)))
-            gammas = gamma_at(setup.gens)
+            gammas = setup.gens.prior_penalty
             zero_exact &= bsde_driver(np.zeros(2), surface, setup.gens,
                                       gammas, setup.params) == 0.0
     rng = np.random.Generator(np.random.Philox(key=99))
     root_z, root_surface = tree.z[0][0], tree.levels[0][0]
-    gammas = gamma_at(setup.gens)
+    gammas = setup.gens.prior_penalty
     base = bsde_driver(root_z, root_surface, setup.gens, gammas, setup.params)
     shift_worst = 0.0
     for _ in range(20):
@@ -219,6 +219,7 @@ def test_criterion_7_control_dp(control_cfg):
     started = time.perf_counter()
     problem = ControlProblem(
         labels=tuple(control_cfg.control["labels"]), gens=control_cfg.gens,
+        gammas=control_cfg.control["gamma"],
         initial_surface=control_cfg.initial_surface(),
         framework=control_cfg.framework,
         horizon=control_cfg.horizon, params=control_cfg.params,

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from robusthmm import cli, oracles, penalty
+from robusthmm import ControlProblem, cli, expectation, oracles, penalty
 from robusthmm.cli import load_config, main
 from robusthmm.errors import ConfigError
 from robusthmm.expectation import dr_expectation
@@ -144,6 +144,26 @@ def test_control_cap_names_the_depth_and_the_count(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "cap exceeded: 20021 reachable (history, state) pairs by depth 7 "
         "exceed the cap of 20000\n")
+
+
+@pytest.mark.parametrize("owner,name,value,command,config,message", [
+    (penalty, "EXACT_CAP", 8, "oracle-check", "oracle_t3.json",
+     "15 tracked beliefs at step 1 would exceed the cap of 8"),
+    (expectation, "TREE_CAP", 7, "expect", "oracle_t3.json",
+     "8 leaves would exceed the cap of 7"),
+    (oracles, "ORACLE_CAP", 14, "oracle-check", "oracle_t3.json",
+     "15 models exceed the cap of 14"),
+    (ControlProblem, "state_cap", 10, "control", "control_t3.json",
+     "13 reachable (history, state) pairs by depth 2 exceed the cap of 10"),
+], ids=["EXACT_CAP", "TREE_CAP", "ORACLE_CAP", "state_cap"])
+def test_each_cap_is_read_when_it_is_checked(tmp_path, capsys, monkeypatch,
+                                            owner, name, value, command,
+                                            config, message):
+    # each cap is a constant in one place; lowering it there lowers the cap
+    # of the next run, so none is bound as a default when a module loads
+    monkeypatch.setattr(owner, name, value)
+    assert run_cli(command, CONFIGS / config, tmp_path / "run") == 4
+    assert capsys.readouterr().err == f"cap exceeded: {message}\n"
 
 
 def test_penalty_evolve_artifacts(tmp_path):
@@ -288,8 +308,7 @@ def test_control_under_a_static_framework_exits_2(tmp_path, capsys):
     ("penalty-evolve", "oracle_t3.json", (), [10]),
     ("expect", "oracle_t3.json", (), [10]),
     ("control", "control_t3.json", (), [10]),
-    ("penalty-evolve", "oracle_t3.json", ("--grid-resolution", "20"),
-     [10, 20]),
+    ("penalty-evolve", "oracle_t3.json", ("--grid-resolution", "20"), [20]),
 ], ids=["penalty-evolve", "expect", "control", "override"])
 def test_one_grid_per_run(tmp_path, monkeypatch, command, config, extra,
                           builds):
@@ -866,3 +885,67 @@ def test_prior_excluding_every_belief_exits_2(tmp_path, capsys, command, name,
     assert capsys.readouterr().err == (
         "config error: prior excludes every belief\n")
     assert not (tmp_path / "run").exists()
+
+
+def _every_subcommand_runs(cfg):
+    # the shipped control problem with what the other subcommands read
+    cfg.update(observations=[0, 1, 0], phi=[1.0, 0.0], simulation={
+        "transition": [[0.9, 0.2], [0.1, 0.8]],
+        "emission": [[0.75, 0.25], [0.25, 0.75]], "p0": [0.5, 0.5],
+        "seed": 7})
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_control_gamma_row_excluding_every_generator_exits_2(tmp_path, capsys,
+                                                             command):
+    # the control table is checked while the config is read, so every
+    # subcommand refuses it, not only control
+    def edit(cfg):
+        _every_subcommand_runs(cfg)
+        cfg["control"]["gamma"][1] = ["inf", "inf"]
+
+    assert run_cli(command, _edited_config(tmp_path, "control_t3.json",
+                                           _every_subcommand_runs),
+                   tmp_path / "ok") == 0
+    path = _edited_config(tmp_path, "control_t3.json", edit)
+    assert run_cli(command, path, tmp_path / "run") == 2
+    assert capsys.readouterr().err == (
+        "config error: control.gamma: a row excludes every generator\n")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_horizon_zero_with_a_control_block(tmp_path, capsys, command):
+    # [] is the one JSON spelling of a (0, n_controls) running cost; every
+    # subcommand but control runs, and control needs a step to choose
+    def edit(cfg):
+        _every_subcommand_runs(cfg)
+        cfg.update(horizon=0, observations=[])
+        cfg["control"]["running_cost"] = []
+
+    path = _edited_config(tmp_path, "control_t3.json", edit)
+    if command != "control":
+        assert run_cli(command, path, tmp_path / "run") == 0
+        return
+    assert run_cli(command, path, tmp_path / "run") == 2
+    assert capsys.readouterr().err == (
+        "config error: control: horizon must be at least 1\n")
+
+
+@pytest.mark.parametrize("edit", [
+    _set(None, "prior", {"shape": "support", "beliefs": [[0.05, 0.95]],
+                         "values": [0.0]}),
+    _set(None, "prior", {"shape": "table", "values": [0.0] * 21}),
+    lambda cfg: cfg.update(grid_resolution=10 ** 7),
+], ids=["support-on-the-override-grid", "table-of-the-override-grid",
+        "configured-grid-over-the-cap"])
+def test_override_builds_the_only_grid_and_prior(tmp_path, edit):
+    # the prior is built at the override alone: a belief or a table that
+    # only the override's grid holds runs, and the configured resolution is
+    # validated but never built
+    path = _edited_config(tmp_path, "oracle_t3.json", edit)
+    out = tmp_path / "run"
+    assert run_cli("penalty-evolve", path, out,
+                   extra=("--grid-resolution", "20")) == 0
+    rows = (out / "surface_t000.csv").read_text().strip().split("\n")[1:]
+    assert len(rows) == 21

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from math import inf
 from unittest import mock
@@ -14,6 +15,7 @@ from robusthmm import (CapExceeded, ControlProblem, Generator, GeneratorGrid,
                        one_step_expectation, solve)
 from robusthmm import InfeasibleSurface, control, expectation, penalty
 from robusthmm.control import StateRegistry, decision_nodes
+from robusthmm.models import normalize_penalties
 from conftest import LEVEL_SHAPES, level_case
 
 P1 = UncertaintyParams(k=1.0, k_exp=1.0)
@@ -25,12 +27,12 @@ def _uninformative_problem(horizon=2, run_costs=None, terminal=7.5):
     gens = GeneratorGrid(
         candidates=(Generator(transition=np.array([[0.7, 0.4], [0.3, 0.6]]),
                               emission=np.full((2, 2), 0.5)),),
-        prior_penalty=np.array([0.0]),
-        control_penalty=np.array([[0.0], [0.0]]))
+        prior_penalty=np.array([0.0]))
     grid = SimplexGrid.build(2, 5)
     if run_costs is None:
         run_costs = np.zeros((horizon, 2))
     return ControlProblem(labels=("a", "b"), gens=gens,
+                          gammas=np.array([[0.0], [0.0]]),
                           initial_surface=initial_grid_surface(
                               np.zeros(len(grid)), gens, grid, "dynamic"),
                           framework="dr", horizon=horizon, params=P1,
@@ -46,10 +48,10 @@ def _sensing_problem(horizon=2, grid_m=8):
                               emission=np.array([[0.75, 0.25], [0.25, 0.75]])),
                     Generator(transition=np.array([[0.9, 0.2], [0.1, 0.8]]),
                               emission=np.full((2, 2), 0.5))),
-        prior_penalty=np.array([0.0, 0.0]),
-        control_penalty=np.array([[0.0, 2.0], [2.0, 0.0]]))
+        prior_penalty=np.array([0.0, 0.0]))
     grid = SimplexGrid.build(2, grid_m)
     return ControlProblem(labels=("listen", "idle"), gens=gens,
+                          gammas=np.array([[0.0, 2.0], [2.0, 0.0]]),
                           initial_surface=initial_grid_surface(
                               np.zeros(len(grid)), gens, grid, "dynamic"),
                           framework="dr", horizon=horizon, params=P1,
@@ -194,36 +196,56 @@ def test_bellman_difference_recomputation():
 
 
 def test_resolving_subtree_reproduces_policy():
+    # a subproblem rooted at the child of the root is a problem of its own:
+    # the child surface, one step fewer and the running costs from step 1
     problem = _sensing_problem(horizon=3)
     solution = solve(problem)
     root_sid = solution.levels[0][()][0]
     for y in range(2):
         child_sid = solution.successors[(root_sid, solution.policy[()], y)]
-        sub = solve(problem, root_history=(y,),
-                    root_surface=solution.registry.surfaces[child_sid])
-        assert sub.policy == {h: u for h, u in solution.policy.items()
+        sub = solve(dataclasses.replace(
+            problem, initial_surface=solution.registry.surfaces[child_sid],
+            horizon=problem.horizon - 1,
+            running_cost=problem.running_cost[1:]))
+        assert sub.policy == {h[1:]: u for h, u in solution.policy.items()
                               if h[:1] == (y,)}
         for (history, sid), record in sub.values.items():
             if record.control is None:
                 continue
             surface = sub.registry.surfaces[sid]
             orig_sid = solution.registry._ids[StateRegistry.key_of(surface)]
-            assert (solution.values[(history, orig_sid)].control
-                    == record.control)
-            assert abs(solution.values[(history, orig_sid)].value
-                       - record.value) < 1e-12
+            original = solution.values[((y,) + history, orig_sid)]
+            assert original.control == record.control
+            assert abs(original.value - record.value) < 1e-12
 
 
-def test_caps_raise():
+def test_caps_raise(monkeypatch):
+    # the caps are class constants, read when the bound is checked
     problem = _sensing_problem(horizon=3)
-    object.__setattr__(problem, "state_cap", 5)
+    monkeypatch.setattr(ControlProblem, "state_cap", 5)
     with pytest.raises(CapExceeded, match=r"^9 reachable \(history, state\) "
                        r"pairs by depth 2 exceed the cap of 5$"):
         solve(problem)
-    problem2 = _sensing_problem(horizon=3)
-    object.__setattr__(problem2, "policy_cap", 10)
-    with pytest.raises(CapExceeded):
-        brute_force(problem2)
+    monkeypatch.setattr(ControlProblem, "policy_cap", 10)
+    with pytest.raises(CapExceeded, match=r"^128 policies exceed the cap "
+                       r"of 10$"):
+        brute_force(problem)
+
+
+def test_control_gammas_are_normalized_rows():
+    problem = _sensing_problem()
+    table = np.array([[1.5, 3.25], [inf, 0.7], [-0.0, 0.0]])
+    gammas = dataclasses.replace(problem, labels=("a", "b", "c"),
+                                 gammas=table,
+                                 running_cost=np.zeros((2, 3))).gammas
+    assert gammas.tobytes() == np.stack(
+        [normalize_penalties(row) for row in table]).tobytes()
+    assert not gammas.flags.writeable
+    for wrong in (table[:2], table[:, :1], table[0]):
+        with pytest.raises(ValueError, match=r"^control penalty table must "
+                           r"be \(n_controls, n_candidates\)$"):
+            dataclasses.replace(problem, labels=("a", "b", "c"),
+                                gammas=wrong, running_cost=np.zeros((2, 3)))
 
 
 def test_policy_lookup_failure():
@@ -237,10 +259,10 @@ def test_brute_force_single_control_equals_policy_evaluation():
         candidates=(Generator(transition=np.array([[0.9, 0.2], [0.1, 0.8]]),
                               emission=np.array([[0.75, 0.25],
                                                  [0.25, 0.75]])),),
-        prior_penalty=np.array([0.0]),
-        control_penalty=np.array([[0.0]]))
+        prior_penalty=np.array([0.0]))
     grid = SimplexGrid.build(2, 6)
     problem = ControlProblem(labels=("only",), gens=gens,
+                             gammas=np.array([[0.0]]),
                              initial_surface=initial_grid_surface(
                                  np.zeros(len(grid)), gens, grid, "dynamic"),
                              framework="dr", horizon=2, params=P1,
@@ -263,8 +285,7 @@ def test_static_scope_rejected():
     gens = GeneratorGrid(
         candidates=(Generator(transition=np.eye(2),
                               emission=np.full((2, 2), 0.5)),),
-        prior_penalty=np.array([0.0]),
-        control_penalty=np.array([[0.0], [0.0]]))
+        prior_penalty=np.array([0.0]))
     grid = SimplexGrid.build(2, 4)
     # a static grid surface and a dynamic exact one
     for initial in (initial_grid_surface(np.zeros(len(grid)), gens, grid,
@@ -273,6 +294,7 @@ def test_static_scope_rejected():
                                           gens, "dynamic")):
         with pytest.raises(ValueError, match="dynamic generator scope"):
             ControlProblem(labels=("a", "b"), gens=gens,
+                           gammas=np.zeros((2, 1)),
                            initial_surface=initial, framework="dr",
                            horizon=1, params=P1,
                            running_cost=np.zeros((1, 2)),

@@ -12,7 +12,7 @@ from robusthmm import (ExtendedPenaltySurface, Generator, GeneratorGrid,
                        InfeasibleSurface, SimplexGrid, StateFunctional,
                        TreeSetup,
                        UncertaintyParams, backward_expectation, bsde_decompose,
-                       bsde_driver, dr_expectation, fill_backward, gamma_at,
+                       bsde_driver, dr_expectation, fill_backward,
                        initial_exact_surface, initial_grid_surface,
                        one_step_expectation)
 from robusthmm.oracles import oracle_dr_direct, oracle_penalty
@@ -107,7 +107,7 @@ def test_scan_errors_name_the_step_and_the_level_count():
     with pytest.raises(InfeasibleSurface, match=(
             f"^every model is excluded in the one-step scan {count}$")):
         expectation._sup_rows(surfaces, np.zeros((4, 2)), gens,
-                              gamma_at(gens), P1)
+                              gens.prior_penalty, P1)
     with pytest.raises(InfeasibleSurface, match=(
             "^surface excludes every belief at step 5: 1 of 1 surfaces")):
         dr_expectation(np.array([1.0, 0.0]), surfaces[1], P1)
@@ -131,7 +131,7 @@ def test_one_step_constant_payoff_is_constant():
     surface = initial_grid_surface(np.abs(grid.points[:, 0] - 0.3), gens,
                                    grid, "dynamic")
     value = one_step_expectation(np.array([4.2, 4.2]), surface, gens,
-                                 gamma_at(gens), P1)
+                                 gens.prior_penalty, P1)
     assert abs(value - 4.2) < 1e-12
 
 
@@ -203,7 +203,7 @@ _SCOPED_CALLS = {
 def test_scope_and_step_penalties_must_pair(name, scope, message):
     exact, call = _SCOPED_CALLS[name]
     gens, surface = _scope_surface(scope, exact)
-    wrong = gamma_at(gens) if scope == "static" else None
+    wrong = gens.prior_penalty if scope == "static" else None
     with pytest.raises(ValueError, match=message):
         call(surface, gens, wrong)
 
@@ -236,8 +236,8 @@ def test_one_step_monotone_in_payoff():
     for _ in range(30):
         lo = rng.uniform(-2, 2, 2)
         hi = lo + rng.uniform(0, 1, 2)
-        v_lo = one_step_expectation(lo, surface, gens, gamma_at(gens), P1)
-        v_hi = one_step_expectation(hi, surface, gens, gamma_at(gens), P1)
+        v_lo = one_step_expectation(lo, surface, gens, gens.prior_penalty, P1)
+        v_hi = one_step_expectation(hi, surface, gens, gens.prior_penalty, P1)
         assert v_hi >= v_lo - 1e-12
 
 
@@ -385,7 +385,7 @@ def test_backward_equals_manual_stepwise_composition():
         for surface, child_vals, value in zip(tree.levels[t], kids,
                                               tree.values[t], strict=True):
             redo = one_step_expectation(child_vals, surface, setup.gens,
-                                        gamma_at(setup.gens), P1)
+                                        setup.gens.prior_penalty, P1)
             assert redo == value
 
 
@@ -477,7 +477,7 @@ def test_driver_zero_at_zero_and_constant_children():
     bsde_decompose(tree, setup)
     assert np.allclose(tree.z[0][0], 0.0, atol=1e-12)
     assert bsde_driver(np.zeros(2), tree.levels[0][0], setup.gens,
-                       gamma_at(setup.gens), P1) == 0.0
+                       setup.gens.prior_penalty, P1) == 0.0
 
 
 def test_driver_invariant_under_constant_shift():
@@ -485,12 +485,12 @@ def test_driver_invariant_under_constant_shift():
     root_surface = setup.initial_surface
     rng = np.random.Generator(np.random.Philox(key=23))
     z = np.array([0.8, -0.8])
-    base = bsde_driver(z, root_surface, setup.gens, gamma_at(setup.gens),
+    base = bsde_driver(z, root_surface, setup.gens, setup.gens.prior_penalty,
                        P1)
     for _ in range(20):
         c = float(rng.uniform(-5, 5))
         shifted = bsde_driver(z + c, root_surface, setup.gens,
-                              gamma_at(setup.gens), P1)
+                              setup.gens.prior_penalty, P1)
         assert abs(shifted - base) < 1e-9
 
 

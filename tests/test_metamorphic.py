@@ -161,12 +161,12 @@ def test_backward_expectation_is_monotone_in_the_payoff(instance, kind,
 
 
 def _control_problem(cfg, running=None, terminal=None, params=None,
-                     gens=None, labels=None):
+                     gammas=None, labels=None):
     """The control problem of a config, with the named parts replaced."""
     control = cfg.control
     return ControlProblem(
         labels=tuple(control["labels"] if labels is None else labels),
-        gens=cfg.gens if gens is None else gens,
+        gens=cfg.gens, gammas=control["gamma"] if gammas is None else gammas,
         initial_surface=cfg.initial_surface(), framework=cfg.framework,
         horizon=cfg.horizon, params=cfg.params if params is None else params,
         running_cost=control["running_cost"] if running is None else running,
@@ -225,14 +225,11 @@ def test_scaling_costs_and_k_together_scales_control_values(control_cfg):
 
 def test_swapping_control_labels_swaps_the_policy(control_cfg):
     # the shipped problem's q-values never tie, so the swap is exact
-    gens = control_cfg.gens
-    swapped = GeneratorGrid(candidates=gens.candidates,
-                            prior_penalty=gens.prior_penalty,
-                            control_penalty=gens.control_penalty[::-1])
+    control = control_cfg.control
     base = solve(_control_problem(control_cfg))
     relabelled = solve(_control_problem(
-        control_cfg, running=control_cfg.control["running_cost"][:, ::-1],
-        gens=swapped, labels=control_cfg.control["labels"][::-1]))
+        control_cfg, running=control["running_cost"][:, ::-1],
+        gammas=control["gamma"][::-1], labels=control["labels"][::-1]))
     assert set(base.policy.values()) == {0, 1}
     assert relabelled.policy == {h: 1 - u for h, u in base.policy.items()}
     assert relabelled.root_value == pytest.approx(base.root_value, abs=1e-12)

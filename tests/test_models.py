@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robusthmm import (CapExceeded, DegenerateObservation, Generator,
-                       GeneratorGrid, SimplexGrid, gamma_at)
+                       GeneratorGrid, SimplexGrid)
 from robusthmm.models import GRID_CAP
-from robusthmm.oracles import (ORACLE_CAP_DEFAULT, _walk_models,
+from robusthmm.oracles import (_walk_models,
                                bernoulli_closed_forms, oracle_dr_direct,
                                oracle_penalty)
 from conftest import example1_generator
@@ -99,8 +99,6 @@ def test_rounding_rejects_beliefs_off_the_simplex(belief):
     grid = SimplexGrid.build(2, 10)
     with pytest.raises(ValueError):
         grid.round_to_index(np.array(belief))
-    with pytest.raises(ValueError):
-        grid.round_rows(np.array([[0.5, 0.5], belief]))
 
 
 @pytest.mark.parametrize("belief", [[-0.1, 1.1], [0.25, 0.75], [0.5],
@@ -189,20 +187,6 @@ def test_generator_grid_normalizes_and_rejects_duplicates():
                       prior_penalty=np.array([0.0, 1.0]))
 
 
-def test_gamma_at_stationary_control_and_hook():
-    gens = GeneratorGrid(candidates=(example1_generator(),
-                                     example1_generator(0.6, 0.4)),
-                         prior_penalty=np.array([0.0, 1.0]),
-                         control_penalty=np.array([[0.0, 2.0], [3.0, 0.0]]))
-    assert gamma_at(gens).tolist() == [0.0, 1.0]
-    assert gamma_at(gens, control=0).tolist() == [0.0, 2.0]
-    assert gamma_at(gens, control=1).tolist() == [3.0, 0.0]
-    plain = GeneratorGrid(candidates=gens.candidates,
-                          prior_penalty=np.array([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        gamma_at(plain, control=0)
-
-
 # ---------------------------------------------------------------------------
 # likelihoods: the data-driven penalty of one model from a zero prior is its
 # negated observation log-likelihood, accumulated by the enumeration oracle
@@ -215,7 +199,7 @@ def _uniform_gens(n=2, d=2):
 
 def _log_likelihood(belief, obs, gens):
     (_, penalty, _), = _walk_models([belief], [0.0], gens, obs, "static",
-                                    None, ORACLE_CAP_DEFAULT)["dr"][-1]
+                                    None)["dr"][-1]
     return -penalty
 
 
@@ -312,8 +296,8 @@ def test_dynamic_model_points_and_degenerate_propagation():
     gens = GeneratorGrid(candidates=(example1_generator(), noiseless),
                          prior_penalty=np.array([0.0, 0.0]))
     p0 = np.array([[1.0, 0.0]])
-    survivors = _walk_models(p0, [0.0], gens, [0, 1], "dynamic", None,
-                             ORACLE_CAP_DEFAULT)["dr"][-1]
+    survivors = _walk_models(p0, [0.0], gens, [0, 1], "dynamic",
+                             None)["dr"][-1]
     assert len(survivors) == 2  # paths (0, 0) and (1, 0) of the four
     only_noiseless = GeneratorGrid(candidates=(noiseless,),
                                    prior_penalty=np.array([0.0]))

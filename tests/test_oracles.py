@@ -9,8 +9,7 @@ import robusthmm.oracles
 from robusthmm import CapExceeded, Generator, GeneratorGrid, SimplexGrid
 from robusthmm.cli import _check_one_framework, build_exact_prior
 from robusthmm.hmm import filter_step
-from robusthmm.models import gamma_at
-from robusthmm.oracles import (ORACLE_CAP_DEFAULT, OracleReport, _walk_models,
+from robusthmm.oracles import (OracleReport, _walk_models,
                                bernoulli_closed_forms, oracle_dr_direct,
                                oracle_penalty, render_report_csv)
 from conftest import example1_generator
@@ -52,7 +51,7 @@ def test_oracle_cap():
                          prior_penalty=np.zeros(2))
     with pytest.raises(CapExceeded):
         oracle_penalty(np.array([[0.5, 0.5]]), np.zeros(1), gens, [0] * 21,
-                       "up", "dynamic", cap=10 ** 6)
+                       "up", "dynamic")
 
 
 def test_dr_direct_singleton_is_plain_expectation():
@@ -113,7 +112,7 @@ def _reference_walk(prior_beliefs, prior_values, gens, obs, framework, scope,
                     grid):
     """Re-filter every full generator path from its prior belief."""
     n_steps = len(obs)
-    gamma = gamma_at(gens)
+    gamma = gens.prior_penalty
     if scope == "static":
         paths = [(g,) * max(n_steps, 1) for g in range(len(gens))]
     else:
@@ -220,8 +219,7 @@ def test_walk_matches_path_by_path_reference(seed, scope, framework):
     for horizon in range(4):
         obs = [int(y) for y in rng.integers(0, d, size=horizon)]
         for grid in (None, SimplexGrid.build(n, 7)):
-            walk = _walk_models(beliefs, values, gens, obs, scope, grid,
-                                ORACLE_CAP_DEFAULT)
+            walk = _walk_models(beliefs, values, gens, obs, scope, grid)
             reference = _assert_walk_is_reference(walk, beliefs, values, gens,
                                                   obs, scope, grid)[framework]
             if not reference:
@@ -241,8 +239,7 @@ def test_walk_matches_reference_at_four_states(seed, scope, framework):
         np.random.default_rng([4, seed]), 4, 3)
     obs = [int(y) for y in rng.integers(0, d, size=4)]
     for grid in (None, SimplexGrid.build(n, 7)):
-        walk = _walk_models(beliefs, values, gens, obs, scope, grid,
-                            ORACLE_CAP_DEFAULT)
+        walk = _walk_models(beliefs, values, gens, obs, scope, grid)
         assert len(walk[framework][-1]) > 0
         _assert_walk_is_reference(walk, beliefs, values, gens, obs, scope,
                                   grid)

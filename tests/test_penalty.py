@@ -12,7 +12,7 @@ from robusthmm import penalty
 from robusthmm import (CapExceeded, ExactSurface, Generator, GeneratorGrid,
                        InfeasibleSurface, SimplexGrid, TreeSetup,
                        UncertaintyParams, build_observation_tree, evolve,
-                       exact_step, forward_image_step, gamma_at,
+                       exact_step, forward_image_step,
                        initial_exact_surface, initial_grid_surface,
                        render_surface_csv)
 from robusthmm.oracles import oracle_penalty
@@ -579,13 +579,14 @@ def test_two_generators_two_steps_track_at_most_four_beliefs():
     assert len(surfaces[-1]) <= 4
 
 
-def test_exact_cap_enforced():
+def test_exact_cap_enforced(monkeypatch):
     gens = mixed_gens(3)
     prior = initial_exact_surface(np.array([[0.5, 0.5]]), np.zeros(1), gens,
                                   "dynamic")
+    monkeypatch.setattr(penalty, "EXACT_CAP", 20)
     with pytest.raises(CapExceeded, match=r"^21 tracked beliefs at step 3 "
                        r"would exceed the cap of 20$"):
-        evolve(prior, gens, [0] * 5, "dr", cap=20)
+        evolve(prior, gens, [0] * 5, "dr")
 
 
 def _reference_exact_step(src, gens, gammas, y, framework, cap):
@@ -674,7 +675,7 @@ def _exact_levels(draw):
     gammas = None
     if scope == "dynamic":
         gammas = rng.choice([0.0, -0.0, 0.25, np.inf], size=n_gens)
-    cap = draw(st.sampled_from([2, 8, penalty.EXACT_CAP_DEFAULT]))
+    cap = draw(st.sampled_from([2, 8, penalty.EXACT_CAP]))
     return gens, surfaces, gammas, cap
 
 
@@ -696,20 +697,23 @@ _LOG_MASS = 0.9833347065534214
     transition=np.eye(1), emission=np.array([[_LOG_MASS, 1 - _LOG_MASS]])),),
     prior_penalty=np.zeros(1)), [ExactSurface(
         beliefs=np.ones((1, 1)), values=np.zeros(1), gen_ids=None, time=0)],
-    np.zeros(1), penalty.EXACT_CAP_DEFAULT), framework="dr")
+    np.zeros(1), penalty.EXACT_CAP), framework="dr")
 @settings(max_examples=400, deadline=None)
 def test_exact_level_kernel_matches_per_pair_reference(case, framework):
     # the stacked kernel is bit for bit the per-pair step on every surface
     # (beliefs, values with their signed zeros, candidates, m_t and
-    # provenance, or the error), and a stacked level is its surfaces' calls
+    # provenance, or the error), and a stacked level is its surfaces' calls;
+    # the cap is read at the check, so lowering the constant lowers it
     gens, surfaces, gammas, cap = case
     for y in range(gens.n_symbols):
         expected = [_outcome(lambda s=s: _reference_exact_step(
             s, gens, gammas, y, framework, cap)) for s in surfaces]
-        ones = [_outcome(lambda s=s: exact_step(s, gens, gammas, y, framework,
-                                                cap=cap)) for s in surfaces]
-        level = _outcome(lambda: penalty._exact_level(surfaces, gens, gammas,
-                                                      y, framework, cap))
+        with mock.patch.object(penalty, "EXACT_CAP", cap):
+            ones = [_outcome(lambda s=s: exact_step(s, gens, gammas, y,
+                                                    framework))
+                    for s in surfaces]
+            level = _outcome(lambda: penalty._exact_level(
+                surfaces, gens, gammas, y, framework))
         errors = [e for e in expected if isinstance(e[0], type)]
         if errors:
             assert [e for e in ones if isinstance(e[0], type)] == errors
@@ -804,7 +808,7 @@ def test_steps_reject_an_unknown_framework(kind):
     gens, kinds = _both_kinds()
     surface, step = kinds[kind]
     with pytest.raises(ValueError, match="bad framework 'bogus'"):
-        step(surface, gens, gamma_at(gens), 0, "bogus")
+        step(surface, gens, gens.prior_penalty, 0, "bogus")
     with pytest.raises(ValueError, match="bad framework 'bogus'"):
         evolve(surface, gens, [0], "bogus")
     setup = TreeSetup(gens=gens, framework="bogus", horizon=1,
@@ -945,7 +949,7 @@ def _render_cases(draw):
     cases = [(surface, None), (surface, hand)]
     try:
         stepped, report = forward_image_step(
-            surface, gens, None if static else gamma_at(gens),
+            surface, gens, None if static else gens.prior_penalty,
             draw(st.integers(0, 1)), draw(st.sampled_from(["up", "dr"])))
         cases.append((stepped, report))
     except InfeasibleSurface:
@@ -989,7 +993,7 @@ def _render_batches(draw):
         if report == "engine":
             try:
                 surface, report = forward_image_step(
-                    surface, gens, None if static else gamma_at(gens),
+                    surface, gens, None if static else gens.prior_penalty,
                     draw(st.integers(0, 1)), "dr")
             except InfeasibleSurface:
                 report = "none"

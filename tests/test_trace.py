@@ -2,9 +2,9 @@
 functions and class attributes by name. A rename or merge in the package
 that leaves one of those names behind, that makes a static-scope step
 count no cells, that renders a surface file past the traced renderer,
-that miscounts the tree's nodes, or that steps an exact surface past the
-traced exact step, fails here instead of only under
-``bench/run.py --trace 1``.
+that miscounts the tree's nodes, that steps an exact surface past the
+traced exact step, or that moves the state cap off the control problem,
+fails here instead of only under ``bench/run.py --trace 1``.
 """
 
 import importlib.util
@@ -12,7 +12,7 @@ import json
 import sys
 
 from conftest import CONFIGS, REPO
-from robusthmm import cli
+from robusthmm import ControlProblem, cli
 from robusthmm.cli import main
 
 
@@ -72,6 +72,10 @@ def test_bench_tracer_wraps_every_layer(tmp_path):
     assert wanted <= set(metrics)
     # the one traced tree, oracle_t3.json's H=3 over 2 symbols
     assert metrics["expectation.tree_nodes"] == 1 + 2 + 4 + 8
+    # the one traced solve reads its cap off the problem it is handed
+    assert metrics["control.states"] > 0
+    assert metrics["control.cap_headroom"] == (
+        1.0 - metrics["control.states"] / ControlProblem.state_cap)
     # every surface file is rendered under the traced name, once; a call
     # renders a batch: one step of penalty-evolve, tree nodes or states
     surface_files = list(tmp_path.rglob("surface_*.csv"))
