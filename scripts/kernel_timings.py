@@ -10,6 +10,12 @@ three stages of one ``oracle-check`` on ``configs/oracle_t3.json`` (N=2,
 of each scope, the four exact runs and the grid-convergence sweep at
 m = 10, 20 and 40, which reuses the exact runs as the check does.
 
+It also times start-up: the best of several fresh interpreters importing
+``robusthmm.cli`` (numpy already loaded) from a copy of the package with no
+cached bytecode and ``PYTHONDONTWRITEBYTECODE=1``, so its modules are
+compiled from source as in a fresh checkout; and it lists the ``robusthmm``
+modules one ``penalty-evolve`` run on ``configs/oracle_t3.json`` loads.
+
 Usage::
 
     python3 scripts/kernel_timings.py [--repeats 20]
@@ -22,7 +28,12 @@ seconds of this machine; compare them only with runs on the same host.
 """
 
 import argparse
+import json
+import os
+import shutil
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
@@ -33,6 +44,7 @@ except ImportError:
 
 import numpy as np
 
+import robusthmm
 from robusthmm import (Generator, GeneratorGrid, SimplexGrid, TreeSetup,
                        UncertaintyParams, build_observation_tree,
                        forward_image_step, initial_grid_surface,
@@ -47,6 +59,15 @@ from robusthmm.penalty import (_blocks, _gen_images, evolve,
 
 ORACLE_CONFIG = (Path(__file__).resolve().parent.parent / "configs"
                  / "oracle_t3.json")
+
+STARTUP_RUNS = 7
+_IMPORT_CLI = ("import time, numpy; start = time.perf_counter(); "
+               "import robusthmm.cli; print(time.perf_counter() - start)")
+_EVOLVE_MODULES = (
+    "import json, sys; from robusthmm.cli import main; "
+    "main(['penalty-evolve', '--config', sys.argv[1], '--out', sys.argv[2]]); "
+    "print(json.dumps(sorted(m for m in sys.modules "
+    "if m.split('.')[0] == 'robusthmm')))")
 
 SHAPES = ((2, 1000), (3, 80), (4, 20))
 # (self-transition, own-symbol probability) around which each candidate is
@@ -121,6 +142,29 @@ def main(argv=None) -> None:
     print(f"tree N=2 m=100 depth 7: {len(nodes)} nodes in {len(blocks)} "
           f"batches, render {tree * 1e3:.3f}")
     oracle_stages(repeats)
+    startup()
+
+
+def startup() -> None:
+    """Import time of ``robusthmm.cli`` compiled from source, and the
+    modules a ``penalty-evolve`` run loads, each in fresh interpreters."""
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(Path(robusthmm.__file__).parent,
+                        Path(tmp) / "robusthmm",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONPATH=tmp, PYTHONDONTWRITEBYTECODE="1")
+
+        def child(*args) -> str:
+            return subprocess.run([sys.executable, "-c", *args], env=env,
+                                  check=True, capture_output=True,
+                                  text=True).stdout.splitlines()[-1]
+
+        best = min(float(child(_IMPORT_CLI)) for _ in range(STARTUP_RUNS))
+        modules = json.loads(child(_EVOLVE_MODULES, str(ORACLE_CONFIG),
+                                   str(Path(tmp) / "out")))
+    print(f"start-up: import robusthmm.cli from source {best * 1e3:.3f} "
+          f"(best of {STARTUP_RUNS}); penalty-evolve loads "
+          f"{', '.join(modules)}")
 
 
 def oracle_stages(repeats: int) -> None:

@@ -9,7 +9,13 @@ under every admitted model), 4 enumeration cap exceeded.
 Runs are serial; ``--threads`` is accepted for compatibility and ignored.
 Artifacts are written atomically (temp file + rename) and are byte-identical
 across runs for a fixed configuration; the run manifest is the only file
-carrying a wall-clock field.
+carrying a wall-clock field. JSON artifacts are strict JSON: a value that is
+infinite or NaN is written as text (``"inf"``, ``"-inf"``, ``"nan"``).
+
+A run imports only the modules its subcommand executes: ``control``,
+``expectation`` and ``oracles`` are imported inside the subcommands that
+run them, so ``simulate``, ``filter`` and ``penalty-evolve`` load none of
+the three.
 """
 
 from __future__ import annotations
@@ -27,18 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .control import ControlProblem, solve
 from .errors import (CapExceeded, ConfigError, DegenerateObservation,
                      InfeasibleSurface)
-from .expectation import (StateFunctional, TreeSetup, UncertaintyParams,
-                          _dr_scores, backward_expectation, bsde_decompose,
-                          history_label, tree_document)
 from .hmm import Generator, as_filter_state, filter_step, simulate_path
 from .models import (DR, DYNAMIC, GeneratorGrid, SimplexGrid,
-                     normalize_penalties, parse_framework)
-from . import oracles
-from .oracles import (OracleReport, payoff_values, penalty_table,
-                      render_report_csv)
+                     UncertaintyParams, normalize_penalties, parse_framework)
 from .penalty import (_blocks, evolve, evolve_steps, initial_exact_surface,
                       initial_grid_surface, render_surface_csv)
 
@@ -362,19 +361,10 @@ def build_exact_prior(values: np.ndarray, grid: SimplexGrid):
 # ---------------------------------------------------------------------------
 # artifact plumbing
 
-def _sanitize(obj):
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        x = float(obj)
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return x
-    if isinstance(obj, np.integer):
-        return int(obj)
-    return obj
+def _json_number(x: float):
+    """``x`` as strict JSON takes it: a finite float as is, an infinite or
+    NaN one as its text, ``"inf"``, ``"-inf"`` or ``"nan"``."""
+    return x if math.isfinite(x) else str(float(x))
 
 
 def _write_atomic(out_dir: str, name: str, text: str) -> str:
@@ -395,7 +385,7 @@ def _add_surfaces(run, names: list, surfaces: list) -> None:
 
 
 def _write_json(out_dir: str, name: str, doc: dict) -> str:
-    text = json.dumps(_sanitize(doc), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     return _write_atomic(out_dir, name, text)
 
 
@@ -503,6 +493,9 @@ def _cmd_penalty_evolve(run: Run) -> int:
 
 
 def _cmd_expect(run: Run) -> int:
+    from .expectation import (StateFunctional, TreeSetup,
+                              backward_expectation, bsde_decompose,
+                              history_label, tree_document)
     cfg = run.cfg
     if cfg.phi is None:
         raise ConfigError("expect needs a phi field (payoff per state)")
@@ -515,11 +508,13 @@ def _cmd_expect(run: Run) -> int:
     names = [f"surface_{history_label(h)}.csv" for h in tree.histories()]
     _add_surfaces(run, names, tree.nodes)
     run.add_json("tree.json", tree_document(tree, dict(enumerate(names))))
-    run.extra["root_value"] = float(tree.values[0][0])
+    run.extra["root_value"] = _json_number(float(tree.values[0][0]))
     return 0
 
 
 def _cmd_control(run: Run) -> int:
+    from .control import ControlProblem, solve
+    from .expectation import StateFunctional, history_label
     cfg = run.cfg
     if cfg.control is None:
         raise ConfigError("control needs a control block")
@@ -541,15 +536,17 @@ def _cmd_control(run: Run) -> int:
     values_doc, policy_doc = {}, {}
     for (history, sid), record in sorted(solution.values.items()):
         key = f"{history_label(history)}|{sid}"
-        values_doc[key] = {"value": record.value, "control": record.control,
-                           "q_values": record.q_values}
+        values_doc[key] = {
+            "value": _json_number(record.value), "control": record.control,
+            "q_values": None if record.q_values is None
+            else [_json_number(q) for q in record.q_values]}
         if record.control is not None:
             policy_doc[key] = {"control": record.control,
                                "label": problem.labels[record.control]}
     run.add_json("values.json", values_doc)
     run.add_json("policy.json", policy_doc)
     run.add_json("states.json", {str(k): v for k, v in enumerate(names)})
-    run.extra["root_value"] = solution.root_value
+    run.extra["root_value"] = _json_number(solution.root_value)
     return 0
 
 
@@ -573,13 +570,16 @@ def _check_one_framework(label: str, cfg: RunConfig, obs, phis, runs, walks):
     of the payoff rows ``phis`` against enumerated models, for one framework
     label. ``walks`` holds one walk of the model set per scope, which scores
     both frameworks, every observation prefix and every payoff."""
+    from .expectation import _dr_scores
+    from .oracles import (OracleReport, _walk_models, payoff_values,
+                          penalty_table)
     scope, framework = parse_framework(label)
     beliefs, values = build_exact_prior(cfg.prior_values, cfg.grid)
     surfaces = _exact_run(runs, beliefs, values, cfg.gens, obs, framework,
                           scope)
     if scope not in walks:
-        walks[scope] = oracles._walk_models(beliefs, values, cfg.gens, obs,
-                                            scope, None)
+        walks[scope] = _walk_models(beliefs, values, cfg.gens, obs, scope,
+                                    None)
     levels = walks[scope][framework]
     reports = []
     for t, (surface, models) in enumerate(zip(surfaces, levels)):
@@ -627,6 +627,7 @@ def _convergence_error(grid, values, cfg: RunConfig, obs, runs) -> float:
 
 
 def _cmd_oracle_check(run: Run) -> int:
+    from .oracles import render_report_csv
     cfg = run.cfg
     obs = _observations(cfg)
     # every sweep prior is built before any check runs, so a bad one fails fast
@@ -647,7 +648,9 @@ def _cmd_oracle_check(run: Run) -> int:
                       sweep)
     run.add_csv("oracle_report.csv", render_report_csv(reports))
     max_diff = max(r.abs_diff for r in reports)
-    run.extra["max_abs_diff"] = max_diff
+    run.extra["max_abs_diff"] = _json_number(max_diff)
+    # a sup error is inf where an exact belief rounds to an excluded cell
+    errors = [_json_number(e) for e in errors]
     run.extra["grid_convergence"] = {
         "resolutions": list(CONVERGENCE_RESOLUTIONS),
         "sup_errors": errors,

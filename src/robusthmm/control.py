@@ -35,8 +35,8 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import CapExceeded, InfeasibleSurface
-from .expectation import StateFunctional, UncertaintyParams, _rho, _sup_rows
-from .models import GeneratorGrid, normalize_penalties
+from .expectation import StateFunctional, _rho, _sup_rows
+from .models import GeneratorGrid, UncertaintyParams, normalize_penalties
 from .penalty import PenaltySurface, _blocks, step_level
 
 _HASH_DECIMALS = 12
@@ -192,7 +192,8 @@ def _enumerate_states(problem: ControlProblem, controls):
                     [registry.surfaces[s] for s in ids], problem.gens,
                     problem.gammas[u], problem.framework)))
         for history, state_ids in level.items():
-            child_lists = {history + (y,): [] for y in range(d)}
+            # each child history's ids as dict keys, in first-seen order
+            children = {history + (y,): {} for y in range(d)}
             for state_id in state_ids:
                 for u in expand[history]:
                     for y in range(d):
@@ -201,11 +202,9 @@ def _enumerate_states(problem: ControlProblem, controls):
                             child_id = registry.intern(
                                 stepped[(state_id, u)][y])
                             successors[(state_id, u, y)] = child_id
-                        bucket = child_lists[history + (y,)]
-                        if child_id not in bucket:
-                            bucket.append(child_id)
-            for child_history, ids in child_lists.items():
-                new_level[child_history] = ids
+                        children[history + (y,)][child_id] = None
+            for child_history, ids in children.items():
+                new_level[child_history] = list(ids)
                 total += len(ids)
                 if total > problem.state_cap:
                     raise CapExceeded(

@@ -18,26 +18,12 @@ from math import inf
 import numpy as np
 
 from .errors import CapExceeded, InfeasibleSurface
-from .models import GeneratorGrid
+from .models import GeneratorGrid, UncertaintyParams
 from .penalty import (ExactSurface, _blocks, _candidate_penalties,
                       _default_gammas, _rows, step_level)
 
 TREE_CAP = 4096  # leaves of one observation tree
 _NO_BELIEF = "surface excludes every belief"
-
-
-@dataclass(frozen=True)
-class UncertaintyParams:
-    """Aversion level ``k > 0`` and penalty exponent ``k_exp in [1, inf]``."""
-
-    k: float
-    k_exp: float = 1.0
-
-    def __post_init__(self):
-        if not (self.k > 0):
-            raise ValueError("k must be positive")
-        if not (self.k_exp >= 1):
-            raise ValueError("k_exp must be at least 1")
 
 
 def _rho(alpha: np.ndarray, params: UncertaintyParams) -> np.ndarray:
@@ -283,14 +269,25 @@ def history_label(history: tuple) -> str:
     return "-".join(str(int(y)) for y in history) if history else "root"
 
 
+def _json_list(array: np.ndarray) -> list:
+    """``array.tolist()``, each non-finite entry as its text."""
+    finite = np.isfinite(array)
+    if finite.all():
+        return array.tolist()
+    return np.where(finite, array.astype(object), array.astype(str)).tolist()
+
+
 def tree_document(tree: ObservationTree,
                   surface_files: dict | None = None) -> dict:
     """JSON-ready dump of the tree: per node the history, value, martingale
     part, driver, and the surface file it references (``surface_files``
-    maps a node's position in ``tree.nodes`` to its file)."""
+    maps a node's position in ``tree.nodes`` to its file). Strict JSON has
+    no infinite or NaN number, so such an entry, which only an overflow
+    makes, is its text: ``"inf"``, ``"-inf"`` or ``"nan"``."""
     def per_node(arrays):
         return [entry for t, array in enumerate(arrays) for entry in (
-            [None] * tree.n_symbols ** t if array is None else array.tolist())]
+            [None] * tree.n_symbols ** t if array is None
+            else _json_list(array))]
 
     columns = zip(tree.histories(), per_node(tree.values), per_node(tree.z),
                   per_node(tree.drivers))

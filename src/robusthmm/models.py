@@ -1,5 +1,5 @@
-"""Finite model classes: simplex grids, candidate-generator grids, and
-prior penalties.
+"""Finite model classes: simplex grids, candidate-generator grids, prior
+penalties, and the uncertainty parameters that price them.
 
 One model from the class is an initial belief (a simplex-grid point) plus
 either a single generator (static) or one generator index per time step
@@ -25,6 +25,9 @@ DR = "dr"
 STATIC = "static"
 DYNAMIC = "dynamic"
 GRID_CAP = 10 ** 6  # cells of one SimplexGrid
+# states of one SimplexGrid: round_rows ranks remainders pairwise, which is
+# quadratic in n_states and slower than an argsort from about 80 states on
+STATES_CAP = 64
 
 _FRAMEWORKS = (UP, DR)
 _SCOPES = (STATIC, DYNAMIC)
@@ -50,6 +53,20 @@ def normalize_penalties(values: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class UncertaintyParams:
+    """Aversion level ``k > 0`` and penalty exponent ``k_exp in [1, inf]``."""
+
+    k: float
+    k_exp: float = 1.0
+
+    def __post_init__(self):
+        if not (self.k > 0):
+            raise ValueError("k must be positive")
+        if not (self.k_exp >= 1):
+            raise ValueError("k_exp must be at least 1")
+
+
+@dataclass(frozen=True)
 class SimplexGrid:
     """All beliefs with coordinates ``x / m`` for integer ``x`` summing to
     ``m``, stored in lexicographic order of the integer vectors (the
@@ -58,7 +75,8 @@ class SimplexGrid:
     A grid is identified by ``(n_states, resolution)``: equality and hashing
     ignore the derived arrays, so grids can key memo tables. :meth:`build`
     lists the cells by one ``np.repeat`` per slot, and raises
-    :class:`CapExceeded` instead for more than ``GRID_CAP`` cells.
+    :class:`CapExceeded` instead for more than ``STATES_CAP`` states or
+    ``GRID_CAP`` cells.
 
     ``row_text`` memoizes the text that every surface CSV on this grid
     repeats (header, fixed leading columns and whole excluded-row lines, per
@@ -79,6 +97,9 @@ class SimplexGrid:
     def build(cls, n_states: int, resolution: int) -> "SimplexGrid":
         if n_states < 1 or resolution < 1:
             raise ValueError("need n_states >= 1 and resolution >= 1")
+        if n_states > STATES_CAP:
+            raise CapExceeded(f"a grid of n_states {n_states} is over the cap "
+                              f"of {STATES_CAP} states")
         size = comb(resolution + n_states - 1, n_states - 1)
         if size > GRID_CAP:
             raise CapExceeded(

@@ -12,11 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from robusthmm import ControlProblem, cli, expectation, oracles, penalty
+from robusthmm import (ControlProblem, cli, control, expectation, oracles,
+                       penalty)
 from robusthmm.cli import load_config, main
 from robusthmm.errors import ConfigError
 from robusthmm.expectation import dr_expectation
-from robusthmm.models import GRID_CAP, SimplexGrid, parse_framework
+from robusthmm.models import (GRID_CAP, STATES_CAP, SimplexGrid,
+                              parse_framework)
 from robusthmm.penalty import (ExactSurface, evolve, initial_exact_surface,
                               initial_grid_surface)
 from conftest import CONFIGS
@@ -119,6 +121,80 @@ def test_oversized_grid_exits_4_before_allocating(tmp_path, n, m, override):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", [STATES_CAP, STATES_CAP + 1])
+def test_states_cap_bounds_the_grid(tmp_path, capsys, n):
+    # rounding ranks remainders pairwise, quadratic in n_states; the cap
+    # keeps it below the size where an argsort ranking would be faster
+    cfg = {"n_states": n, "n_symbols": 2, "horizon": 1, "grid_resolution": 1,
+           "framework": "dynamic-dr", "uncertainty": {"k": 1.0},
+           "generators": [{"transition": np.eye(n).tolist(),
+                           "emission": [[0.5, 0.5]] * n}],
+           "prior": {"shape": "zero"}, "observations": [0]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    if n == STATES_CAP:
+        assert run_cli("penalty-evolve", path, out) == 0
+        surface = (out / "surface_t001.csv").read_text()
+        assert len(surface.splitlines()) == n + 1
+    else:
+        assert run_cli("penalty-evolve", path, out) == 4
+        assert capsys.readouterr().err == (
+            f"cap exceeded: a grid of n_states {n} is over the cap of "
+            f"{STATES_CAP} states\n")
+        assert not out.exists()
+
+
+def _strict_json(path):
+    """The JSON document at ``path``, refusing ``NaN`` and ``Infinity``."""
+    def refuse(token):
+        raise AssertionError(f"{path.name} holds {token}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_overflowed_control_values_are_written_as_text(tmp_path):
+    # costs of 1e308 a step sum past the largest float: the values that
+    # overflow are written as "inf", the rest of the run as usual
+    path = _edited_config(tmp_path, "control_t3.json", lambda cfg: cfg[
+        "control"].update(running_cost=[[1e308, 1e308]] * 3))
+    out = tmp_path / "run"
+    assert run_cli("control", path, out) == 0
+    values = _strict_json(out / "values.json")
+    assert values["root|0"] == {"value": "inf", "control": 0,
+                                "q_values": ["inf", "inf"]}
+    assert all(isinstance(entry["value"], float)
+               for key, entry in values.items() if key.count("-") == 2)
+    assert _strict_json(out / "manifest.json")["root_value"] == "inf"
+
+
+def test_overflowed_tree_values_are_written_as_text(tmp_path):
+    # a payoff of 1.7e308 in each state overflows the centered children and
+    # the driver; numpy warns of the overflow, so the run is a child process
+    path = _edited_config(tmp_path, "oracle_t3.json",
+                          lambda cfg: cfg.update(phi=[1.7e308, 1.7e308]))
+    out = tmp_path / "run"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    child = subprocess.run(
+        [sys.executable, "-m", "robusthmm", "expect", "--config", str(path),
+         "--out", str(out)], capture_output=True, text=True, env=env,
+        timeout=60)
+    assert child.returncode == 0, child.stderr
+    root = _strict_json(out / "tree.json")["nodes"][0]
+    assert root["value"] == 1.7000000000000003e+308
+    assert root["z"] == ["-inf", "-inf"] and root["driver"] == "nan"
+    assert _strict_json(out / "manifest.json")["root_value"] == root["value"]
+
+
+def test_grid_convergence_writes_an_infinite_error_as_text(tmp_path):
+    # on the sparse 3-state support an exact belief rounds to a cell the
+    # grid run excludes, at every resolution of the sweep
+    out = tmp_path / "run"
+    assert run_cli("oracle-check", CONFIGS / "tree_d3.json", out) == 0
+    conv = _strict_json(out / "manifest.json")["grid_convergence"]
+    assert conv["sup_errors"] == ["inf", "inf", "inf"]
+    assert conv["final_error"] == "inf"
+
+
 @pytest.mark.parametrize("command", ["simulate", "filter", "penalty-evolve"])
 @pytest.mark.parametrize("horizon", [10 ** 30, cli.HORIZON_CAP + 1])
 def test_oversized_horizon_exits_4_before_allocating(tmp_path, command,
@@ -212,7 +288,8 @@ def test_control_artifacts(tmp_path):
 def test_out_naming_a_file_exits_2_before_solving(tmp_path, capsys,
                                                   monkeypatch):
     solves = []
-    monkeypatch.setattr(cli, "solve", lambda problem: solves.append(problem))
+    monkeypatch.setattr(control, "solve",
+                        lambda problem: solves.append(problem))
     taken = tmp_path / "taken"
     taken.write_text("keep")
     assert run_cli("control", CONFIGS / "control_t3.json", taken) == 2
@@ -436,7 +513,7 @@ def test_oracle_check_fails_on_a_perturbed_payoff_score(tmp_path,
     # the engine's score of payoff 7 under static-dr (the third label
     # checked) moves by 1e-6: its dr_expectation_7 row shows the gap
     calls = []
-    original = cli._dr_scores
+    original = expectation._dr_scores
 
     def perturbed(*args):
         values, best = original(*args)
@@ -445,7 +522,7 @@ def test_oracle_check_fails_on_a_perturbed_payoff_score(tmp_path,
             values[7] += 1e-6
         return values, best
 
-    monkeypatch.setattr(cli, "_dr_scores", perturbed)
+    monkeypatch.setattr(expectation, "_dr_scores", perturbed)
     out = tmp_path / "run"
     assert run_cli("oracle-check", CONFIGS / "oracle_t3.json", out) == 1
     assert calls == [cli._PHI_DRAWS] * 4

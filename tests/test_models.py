@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from robusthmm import (CapExceeded, DegenerateObservation, Generator,
                        GeneratorGrid, SimplexGrid)
-from robusthmm.models import GRID_CAP
+from robusthmm.models import GRID_CAP, STATES_CAP
 from robusthmm.oracles import (_walk_models,
                                bernoulli_closed_forms, oracle_dr_direct,
                                oracle_penalty)
@@ -58,6 +58,14 @@ def test_grid_over_the_cap_is_refused(n, m):
             f"cells, over the cap of {GRID_CAP}")):
         SimplexGrid.build(n, m)
     assert len(SimplexGrid.build(2, GRID_CAP - 1)) == GRID_CAP
+
+
+def test_grid_over_the_states_cap_is_refused():
+    assert len(SimplexGrid.build(STATES_CAP, 1)) == STATES_CAP
+    with pytest.raises(CapExceeded, match=(
+            f"n_states {STATES_CAP + 1} is over the cap of {STATES_CAP} "
+            f"states")):
+        SimplexGrid.build(STATES_CAP + 1, 1)
 
 
 @pytest.mark.parametrize("n,m", [(2, 3), (2, 6), (3, 4)])
