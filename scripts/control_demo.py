@@ -11,7 +11,7 @@ try:
 except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from robusthmm import ControlProblem, StateFunctional, brute_force, solve
+from robusthmm import brute_force, solve
 from robusthmm.control import decision_nodes
 from robusthmm.cli import load_config
 from robusthmm.expectation import history_label
@@ -20,13 +20,7 @@ CONFIG = Path(__file__).resolve().parent.parent / "configs" / "control_t3.json"
 
 
 def main() -> None:
-    cfg = load_config(str(CONFIG))
-    problem = ControlProblem(
-        labels=tuple(cfg.control["labels"]), gens=cfg.gens,
-        gammas=cfg.control["gamma"], initial_surface=cfg.initial_surface(),
-        framework=cfg.framework, horizon=cfg.horizon,
-        params=cfg.params, running_cost=cfg.control["running_cost"],
-        terminal_cost=StateFunctional(values=cfg.control["terminal_cost"]))
+    problem = load_config(str(CONFIG)).control_problem()
     solution = solve(problem)
     print(f"optimal value: {solution.root_value:.6f}")
     exhaustive = brute_force(problem)

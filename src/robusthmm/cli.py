@@ -4,7 +4,9 @@ pipeline subcommands, and write CSV/JSON artifacts.
 Subcommands: ``simulate``, ``filter``, ``penalty-evolve``, ``expect``,
 ``control``, ``oracle-check``. Exit codes: 0 success, 1 oracle-check
 mismatch, 2 invalid configuration, 3 infeasible (an observation is impossible
-under every admitted model), 4 enumeration cap exceeded.
+under every admitted model), 4 enumeration cap exceeded, or float64's range
+exceeded: ``filter`` carries the exact support of the posterior and stops
+where a supported state's probability underflows to 0.
 
 Runs are serial; ``--threads`` is accepted for compatibility and ignored.
 Artifacts are written atomically (temp file + rename) and are byte-identical
@@ -72,7 +74,6 @@ class RunConfig:
     grid and the prior on it are built once, while validating."""
 
     n_states: int
-    n_symbols: int
     horizon: int
     scope: str
     framework: str
@@ -92,6 +93,26 @@ class RunConfig:
         """The time-zero grid surface of the configured prior and scope."""
         return initial_grid_surface(self.prior_values, self.gens, self.grid,
                                     self.scope)
+
+    def control_problem(self):
+        """The configured :class:`~robusthmm.control.ControlProblem`, from
+        the control block and the dynamic generator scope."""
+        from .control import ControlProblem
+        from .expectation import StateFunctional
+        if self.control is None:
+            raise ConfigError("control needs a control block")
+        try:
+            return ControlProblem(
+                labels=tuple(self.control["labels"]), gens=self.gens,
+                gammas=self.control["gamma"],
+                initial_surface=self.initial_surface(),
+                framework=self.framework, horizon=self.horizon,
+                params=self.params,
+                running_cost=self.control["running_cost"],
+                terminal_cost=StateFunctional(
+                    values=self.control["terminal_cost"]))
+        except ValueError as exc:  # the static generator scope
+            raise ConfigError(f"control: {exc}") from None
 
 
 def _number(value, where: str) -> float:
@@ -286,12 +307,12 @@ def load_config(path: str, resolution: int | None = None) -> RunConfig:
     grid = SimplexGrid.build(n, resolution)
     prior_values = build_grid_prior(prior_cfg, grid)
 
-    return RunConfig(n_states=n, n_symbols=d, horizon=horizon, scope=scope,
+    return RunConfig(n_states=n, horizon=horizon, scope=scope,
                      framework=framework, params=params, gens=gens,
-                     prior_cfg=prior_cfg, grid=grid,
-                     prior_values=prior_values, observations=observations,
-                     simulation=simulation, phi=phi, control=control_cfg,
-                     output_dir=out_dir, raw_bytes=raw_bytes)
+                     prior_cfg=prior_cfg, grid=grid, prior_values=prior_values,
+                     observations=observations, simulation=simulation,
+                     phi=phi, control=control_cfg, output_dir=out_dir,
+                     raw_bytes=raw_bytes)
 
 
 def build_grid_prior(prior_cfg: dict, grid: SimplexGrid) -> np.ndarray:
@@ -469,10 +490,17 @@ def _cmd_filter(run: Run) -> int:
         raise ConfigError("filter needs a simulation block naming the model")
     obs = _observations(cfg)
     model, p = cfg.simulation["model"], cfg.simulation["p0"]
+    support = p > 0  # the states the exact posterior gives positive mass
     header = ["t", "observation"] + [f"p{i}" for i in range(cfg.n_states)]
     lines = [",".join(header), ",".join(["0", "", *map(repr, p.tolist())])]
     for t, y in enumerate(obs, start=1):
         p = filter_step(p, model, y)
+        support = (model.transition > 0) @ support & (model.emission[:, y] > 0)
+        lost = np.flatnonzero(support & (p == 0))
+        if lost.size:
+            raise CapExceeded(
+                f"belief underflow at step {t}: state {lost[0]} is reachable "
+                f"but its float64 probability is 0")
         lines.append(",".join([str(t), str(y), *map(repr, p.tolist())]))
     run.add_csv("filter.csv", "\n".join(lines) + "\n")
     return 0
@@ -513,26 +541,13 @@ def _cmd_expect(run: Run) -> int:
 
 
 def _cmd_control(run: Run) -> int:
-    from .control import ControlProblem, solve
-    from .expectation import StateFunctional, history_label
-    cfg = run.cfg
-    if cfg.control is None:
-        raise ConfigError("control needs a control block")
-    try:
-        problem = ControlProblem(
-            labels=tuple(cfg.control["labels"]), gens=cfg.gens,
-            gammas=cfg.control["gamma"],
-            initial_surface=cfg.initial_surface(), framework=cfg.framework,
-            horizon=cfg.horizon, params=cfg.params,
-            running_cost=cfg.control["running_cost"],
-            terminal_cost=StateFunctional(
-                values=cfg.control["terminal_cost"]))
-    except ValueError as exc:  # the static generator scope
-        raise ConfigError(f"control: {exc}") from None
+    from .control import solve
+    from .expectation import history_label
+    problem = run.cfg.control_problem()
     solution = solve(problem)
-    surfaces = solution.registry.surfaces
-    names = [f"surface_state_{sid:04d}.csv" for sid in range(len(surfaces))]
-    _add_surfaces(run, names, surfaces)
+    names = [f"surface_state_{sid:04d}.csv"
+             for sid in range(len(solution.registry))]
+    _add_surfaces(run, names, solution.registry)
     values_doc, policy_doc = {}, {}
     for (history, sid), record in sorted(solution.values.items()):
         key = f"{history_label(history)}|{sid}"

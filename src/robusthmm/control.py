@@ -6,14 +6,16 @@ surface summarizes everything the past controls and observations imply about
 the hidden chain. A successor surface is the forward image step of its state
 under the control's penalty row, so it depends on the (state, control, symbol)
 triple alone and each triple is stepped once. One enumerator lists the
-reachable surfaces per history node (deduplicated by value hash, bounded by
-the state cap), expanding the controls ``controls(history)`` names: all of
-them for the solver, the policy's choice for the evaluator. A level's new
-triples go through the level kernel together, one call per (control,
-symbol), and are then interned in (history, state, control, symbol) order,
-so state ids do not depend on the batching. Values are then filled bottom
-up, one batched leaf scan and one batched q-value scan per level, and a
-policy is a plain ``{history: control}`` map.
+reachable surfaces per history node (bounded by the state cap), expanding
+the controls ``controls(history)`` names: all of them for the solver, the
+policy's choice for the evaluator. A level's new triples go through the
+level kernel together, one call per (control, symbol), and are then
+interned in (history, state, control, symbol) order: the surfaces are a
+plain list, a state id is its index, and two surfaces are one state when
+their :func:`_state_key` agrees, so state ids do not depend on the
+batching. Values are then filled bottom up, one batched leaf scan and one
+batched q-value scan per level, and a policy is a plain ``{history:
+control}`` map.
 
 Costs: choosing control ``u`` at a node of depth ``t`` pays the running cost
 indexed ``t`` immediately; the terminal cost is charged against the leaf
@@ -38,9 +40,6 @@ from .errors import CapExceeded, InfeasibleSurface
 from .expectation import StateFunctional, _rho, _sup_rows
 from .models import GeneratorGrid, UncertaintyParams, normalize_penalties
 from .penalty import PenaltySurface, _blocks, step_level
-
-_HASH_DECIMALS = 12
-
 
 @dataclass(frozen=True, eq=False)
 class ControlProblem:
@@ -101,40 +100,22 @@ class ControlValue:
     q_values: tuple[float, ...] | None
 
 
-class StateRegistry:
-    """Interned penalty surfaces, deduplicated by rounded value hash."""
-
-    def __init__(self):
-        self.surfaces: list[PenaltySurface] = []
-        self._ids: dict = {}
-
-    @staticmethod
-    def key_of(surface: PenaltySurface) -> tuple:
-        rounded = np.round(surface.values, _HASH_DECIMALS) + 0.0
-        return (surface.time, rounded.tobytes())
-
-    def intern(self, surface: PenaltySurface) -> int:
-        key = self.key_of(surface)
-        hit = self._ids.get(key)
-        if hit is not None:
-            return hit
-        self.surfaces.append(surface)
-        self._ids[key] = len(self.surfaces) - 1
-        return len(self.surfaces) - 1
-
-    def __len__(self) -> int:
-        return len(self.surfaces)
+def _state_key(surface: PenaltySurface) -> tuple:
+    """The dedup rule of the state enumeration: the surface's time and its
+    values rounded to 12 decimals (``+ 0.0`` folds ``-0.0`` into ``0.0``)."""
+    return (surface.time, (np.round(surface.values, 12) + 0.0).tobytes())
 
 
 @dataclass
 class ControlSolution:
     """Solver output: the ``{history: control}`` policy, the value and choice
-    per (history, state) pair, the surface registry, and the successor map
-    (state, control, symbol) -> state."""
+    per (history, state) pair, the interned surfaces (``registry[sid]`` is
+    state ``sid``'s surface), and the successor map (state, control,
+    symbol) -> state."""
 
     policy: dict
     values: dict
-    registry: StateRegistry
+    registry: list
     successors: dict
     levels: list
 
@@ -167,55 +148,58 @@ def _terminal_rows(cost, surfaces: list, params: UncertaintyParams) -> list:
 
 
 def _enumerate_states(problem: ControlProblem, controls):
-    """Reachable (node, surface) pairs level by level from the root, with
-    the successor map (state, control, symbol) -> state.
+    """Reachable (node, surface) pairs level by level from the root: the
+    interned surfaces, a state id being its index, the levels, and the
+    successor map (state, control, symbol) -> state.
 
     ``controls(history)`` lists the controls to expand at a node: every
-    control for the solver, the policy's choice for the evaluator. A triple
-    reached again from another history is looked up, not stepped again.
+    control for the solver, the policy's choice for the evaluator. A
+    (state, control) pair reached again from another history is stepped and
+    interned once.
     """
     d = problem.gens.n_symbols
-    registry = StateRegistry()
-    levels = [{(): [registry.intern(problem.initial_surface)]}]
-    successors: dict = {}
-    total = 1
+    surfaces, ids = [], {}  # ids: _state_key(surface) -> state id
+
+    def intern(surface) -> int:
+        sid = ids.setdefault(_state_key(surface), len(surfaces))
+        if sid == len(surfaces):
+            surfaces.append(surface)
+        return sid
+
+    levels = [{(): [intern(problem.initial_surface)]}]
+    successors, total = {}, 1
     for _ in range(problem.horizon):
         level, new_level = levels[-1], {}
         expand = {history: controls(history) for history in level}
-        stepped = {}  # (state, control) -> children per symbol
+        # (state, control) -> children per symbol, in first-seen order
+        children = dict.fromkeys(
+            (s, u) for history, state_ids in level.items()
+            for s in state_ids for u in expand[history])
         for u in range(problem.n_controls):
-            ids = list(dict.fromkeys(
-                s for history, state_ids in level.items()
-                if u in expand[history] for s in state_ids))
-            if ids:
-                stepped.update(zip(((s, u) for s in ids), step_level(
-                    [registry.surfaces[s] for s in ids], problem.gens,
+            batch = [pair for pair in children if pair[1] == u]
+            if batch:
+                children.update(zip(batch, step_level(
+                    [surfaces[s] for s, _ in batch], problem.gens,
                     problem.gammas[u], problem.framework)))
+        for (s, u), stepped in children.items():
+            children[(s, u)] = kids = [intern(child) for child in stepped]
+            successors.update(((s, u, y), k) for y, k in enumerate(kids))
         for history, state_ids in level.items():
-            # each child history's ids as dict keys, in first-seen order
-            children = {history + (y,): {} for y in range(d)}
-            for state_id in state_ids:
-                for u in expand[history]:
-                    for y in range(d):
-                        child_id = successors.get((state_id, u, y))
-                        if child_id is None:
-                            child_id = registry.intern(
-                                stepped[(state_id, u)][y])
-                            successors[(state_id, u, y)] = child_id
-                        children[history + (y,)][child_id] = None
-            for child_history, ids in children.items():
-                new_level[child_history] = list(ids)
-                total += len(ids)
+            for y in range(d):
+                new_level[history + (y,)] = reached = list(dict.fromkeys(
+                    children[(s, u)][y] for s in state_ids
+                    for u in expand[history]))
+                total += len(reached)
                 if total > problem.state_cap:
                     raise CapExceeded(
                         f"{total} reachable (history, state) pairs by depth "
-                        f"{len(child_history)} exceed the cap of "
+                        f"{len(history) + 1} exceed the cap of "
                         f"{problem.state_cap}")
         levels.append(new_level)
-    return registry, levels, successors
+    return surfaces, levels, successors
 
 
-def _fill_values(problem: ControlProblem, registry, levels, successors,
+def _fill_values(problem: ControlProblem, surfaces, levels, successors,
                  controls) -> dict:
     """Backward pass shared by the solver and the policy evaluator.
 
@@ -227,7 +211,7 @@ def _fill_values(problem: ControlProblem, registry, levels, successors,
     leaves = [(h, s) for h, state_ids in levels[-1].items() for s in state_ids]
     leaf_values = _terminal_rows(
         problem.terminal_cost.values,
-        [registry.surfaces[s] for _, s in leaves], problem.params)
+        [surfaces[s] for _, s in leaves], problem.params)
     values = {key: ControlValue(value, None, None)
               for key, value in zip(leaves, leaf_values)}
     for level in reversed(levels[:-1]):
@@ -237,7 +221,7 @@ def _fill_values(problem: ControlProblem, registry, levels, successors,
         payoffs = [[values[(h + (y,), successors[(s, u, y)])].value
                     for y in range(d)] for h, s, u in scans]
         sups = dict(zip(scans, _sup_rows(
-            [registry.surfaces[s] for _, s, _ in scans], payoffs,
+            [surfaces[s] for _, s, _ in scans], payoffs,
             problem.gens, np.zeros(len(problem.gens)), problem.params)))
         for history, state_ids in level.items():
             t, us = len(history), expand[history]
@@ -264,8 +248,8 @@ def solve(problem: ControlProblem) -> ControlSolution:
     def every_control(history):
         return range(problem.n_controls)
 
-    registry, levels, successors = _enumerate_states(problem, every_control)
-    values = _fill_values(problem, registry, levels, successors,
+    surfaces, levels, successors = _enumerate_states(problem, every_control)
+    values = _fill_values(problem, surfaces, levels, successors,
                           every_control)
     policy: dict = {}
     frontier = {(): levels[0][()][0]}
@@ -276,7 +260,7 @@ def solve(problem: ControlProblem) -> ControlSolution:
             for y in range(problem.gens.n_symbols):
                 reached[history + (y,)] = successors[(sid, u, y)]
         frontier = reached
-    return ControlSolution(policy=policy, values=values, registry=registry,
+    return ControlSolution(policy=policy, values=values, registry=surfaces,
                            successors=successors, levels=levels)
 
 
@@ -298,9 +282,9 @@ def evaluate_policy(problem: ControlProblem, policy: dict) -> ControlSolution:
                              f"range({problem.n_controls})")
         return (u,)
 
-    registry, levels, successors = _enumerate_states(problem, chosen)
-    values = _fill_values(problem, registry, levels, successors, chosen)
-    return ControlSolution(policy=policy, values=values, registry=registry,
+    surfaces, levels, successors = _enumerate_states(problem, chosen)
+    values = _fill_values(problem, surfaces, levels, successors, chosen)
+    return ControlSolution(policy=policy, values=values, registry=surfaces,
                            successors=successors, levels=levels)
 
 

@@ -13,10 +13,10 @@ from math import inf
 
 import numpy as np
 
-from robusthmm import (ControlProblem, Generator, GeneratorGrid, SimplexGrid,
-                       StateFunctional, TreeSetup, UncertaintyParams,
-                       backward_expectation, brute_force, bsde_decompose,
-                       bsde_driver, dr_expectation, evolve, fill_backward,
+from robusthmm import (Generator, GeneratorGrid, SimplexGrid, StateFunctional,
+                       TreeSetup, UncertaintyParams, backward_expectation,
+                       brute_force, bsde_decompose, bsde_driver,
+                       dr_expectation, evolve, fill_backward,
                        initial_exact_surface, initial_grid_surface,
                        one_step_expectation, solve)
 from robusthmm.cli import build_exact_prior, main
@@ -217,15 +217,7 @@ def test_criterion_6_bsde_reconstruction(oracle_cfg):
 
 def test_criterion_7_control_dp(control_cfg):
     started = time.perf_counter()
-    problem = ControlProblem(
-        labels=tuple(control_cfg.control["labels"]), gens=control_cfg.gens,
-        gammas=control_cfg.control["gamma"],
-        initial_surface=control_cfg.initial_surface(),
-        framework=control_cfg.framework,
-        horizon=control_cfg.horizon, params=control_cfg.params,
-        running_cost=control_cfg.control["running_cost"],
-        terminal_cost=StateFunctional(
-            values=control_cfg.control["terminal_cost"]))
+    problem = control_cfg.control_problem()
     solution = solve(problem)
     exhaustive = brute_force(problem)
     diff_root = abs(solution.root_value - exhaustive)
@@ -244,7 +236,7 @@ def test_criterion_7_control_dp(control_cfg):
                              solution.successors[(sid, u, y)])].value
             for y in range(d)])
         one_step = one_step_expectation(
-            child_vals, solution.registry.surfaces[sid], problem.gens,
+            child_vals, solution.registry[sid], problem.gens,
             np.zeros(len(problem.gens)), problem.params)
         dp_worst = max(dp_worst, abs(
             record.value

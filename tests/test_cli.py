@@ -1,5 +1,6 @@
 import argparse
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -39,6 +40,42 @@ def test_filter_reproduces_bayes_update(tmp_path):
     lines = (out / "filter.csv").read_text().strip().split("\n")
     assert lines[0] == "t,observation,p0,p1"
     assert lines[2] == "1,0,0.75,0.25"
+
+
+def _long_filter_config(tmp_path, zeros, ones):
+    """The ``example1`` model (an identity chain) observing ``zeros`` 0s,
+    then ``ones`` 1s: the exact posterior ends favouring state 1."""
+    cfg = json.loads((CONFIGS / "example1.json").read_text())
+    cfg["horizon"] = zeros + ones
+    cfg["observations"] = [0] * zeros + [1] * ones
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_filter_stops_where_a_reachable_state_underflows(tmp_path, capsys):
+    # after 700 zeros state 1 holds 3^-700 of the mass, below float64's
+    # range, and 1,400 ones would then write [1.0, 0.0] where the posterior
+    # favours state 1 with odds 3^700
+    path = _long_filter_config(tmp_path, 700, 1400)
+    out = tmp_path / "run"
+    assert run_cli("filter", path, out) == 4
+    assert capsys.readouterr().err == (
+        "cap exceeded: belief underflow at step 678: state 1 is reachable "
+        "but its float64 probability is 0\n")
+    assert not (out / "filter.csv").exists()
+
+
+def test_filter_inside_float64_range_writes_every_step(tmp_path):
+    # 3^-600 is still a float64 (subnormal included); the bytes are those
+    # written before the support was tracked
+    path = _long_filter_config(tmp_path, 600, 1200)
+    out = tmp_path / "run"
+    assert run_cli("filter", path, out) == 0
+    text = (out / "filter.csv").read_bytes()
+    assert hashlib.sha256(text).hexdigest() == (
+        "67a745a02095b815be75df0dda6e9f19a0731c38c21e14e6cc7e9bb3ce0fd310")
+    assert text.endswith(b"\n1800,1,5.336385165377102e-287,1.0\n")
 
 
 def test_malformed_config_exits_2_without_artifacts(tmp_path):

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from robusthmm import (CapExceeded, ControlProblem, Generator, GeneratorGrid,
                        SimplexGrid, StateFunctional, UncertaintyParams,
-                       brute_force, evaluate_policy,
+                       brute_force, evaluate_policy, forward_image_step,
                        initial_exact_surface, initial_grid_surface,
                        one_step_expectation, solve)
 from robusthmm import InfeasibleSurface, control, expectation, penalty
-from robusthmm.control import StateRegistry, decision_nodes
+from robusthmm.control import _state_key, decision_nodes
 from robusthmm.models import normalize_penalties
 from conftest import LEVEL_SHAPES, level_case
 
@@ -129,7 +129,7 @@ def test_dynamic_programming_identity_on_policy():
                              solution.successors[(sid, u, y)])].value
             for y in range(d)])
         one_step = one_step_expectation(
-            child_vals, solution.registry.surfaces[sid], problem.gens,
+            child_vals, solution.registry[sid], problem.gens,
             np.zeros(len(problem.gens)), problem.params)
         recomposed = problem.running_cost[len(history), u] + one_step
         assert abs(record.value - recomposed) < 1e-9
@@ -163,6 +163,82 @@ def test_each_state_control_symbol_triple_is_stepped_once(monkeypatch):
     assert len(rows) < len(solution.successors)
 
 
+def _random_problem(seed):
+    """A seeded dynamic problem: 2-3 controls, 2-3 symbols, horizon 2-3,
+    a grid of resolution 3-5, a prior and control rows with ``inf``s."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    n, d, n_gens = (int(k) for k in rng.integers(2, 4, size=3))
+    n_controls, horizon = (int(k) for k in rng.integers(2, 4, size=2))
+    gens = GeneratorGrid(candidates=tuple(
+        Generator(transition=rng.dirichlet(np.ones(n), size=n).T,
+                  emission=rng.dirichlet(np.ones(d), size=n))
+        for _ in range(n_gens)), prior_penalty=np.zeros(n_gens))
+    grid = SimplexGrid.build(n, int(rng.integers(3, 6)))
+    prior = np.where(rng.random(len(grid)) < 0.3, inf,
+                     rng.exponential(size=len(grid)))
+    prior[rng.integers(len(grid))] = 0.0
+    gammas = np.where(rng.random((n_controls, n_gens)) < 0.3, inf,
+                      rng.exponential(size=(n_controls, n_gens)))
+    gammas[np.arange(n_controls), rng.integers(n_gens, size=n_controls)] = 0.0
+    return ControlProblem(
+        labels=tuple(f"u{u}" for u in range(n_controls)), gens=gens,
+        gammas=gammas,
+        initial_surface=initial_grid_surface(prior, gens, grid, "dynamic"),
+        framework=str(rng.choice(["up", "dr"])), horizon=horizon, params=P1,
+        running_cost=rng.uniform(0, 1, size=(horizon, n_controls)),
+        terminal_cost=StateFunctional(values=rng.normal(size=n)))
+
+
+def _reference_enumeration(problem, controls):
+    """The state enumeration one triple at a time: each (state, control,
+    symbol) stepped by its own ``forward_image_step`` call and interned by
+    ``_state_key`` in (history, state, control, symbol) order."""
+    surfaces, ids, successors = [], {}, {}
+
+    def intern(surface):
+        key = _state_key(surface)
+        if key not in ids:
+            ids[key] = len(surfaces)
+            surfaces.append(surface)
+        return ids[key]
+
+    levels = [{(): [intern(problem.initial_surface)]}]
+    for _ in range(problem.horizon):
+        level = {}
+        for history, state_ids in levels[-1].items():
+            for s in state_ids:
+                for u in controls(history):
+                    for y in range(problem.gens.n_symbols):
+                        if (s, u, y) not in successors:
+                            child, _ = forward_image_step(
+                                surfaces[s], problem.gens, problem.gammas[u],
+                                y, problem.framework)
+                            successors[(s, u, y)] = intern(child)
+                        level.setdefault(history + (y,), {})[
+                            successors[(s, u, y)]] = None
+        levels.append({h: list(reached) for h, reached in level.items()})
+    return surfaces, levels, successors
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_enumeration_matches_one_triple_at_a_time(seed):
+    problem = _random_problem(seed)
+    rng = np.random.Generator(np.random.Philox(seed + 100))
+    policy = {h: int(rng.integers(problem.n_controls))
+              for h in decision_nodes(problem)}
+    for result, controls in [
+            (solve(problem), lambda history: range(problem.n_controls)),
+            (evaluate_policy(problem, policy),
+             lambda history: (policy[history],))]:
+        surfaces, levels, successors = _reference_enumeration(problem,
+                                                              controls)
+        assert [list(level.items()) for level in result.levels] == [
+            list(level.items()) for level in levels]
+        assert result.successors == successors
+        assert [(s.time, s.values.tobytes()) for s in result.registry] == [
+            (s.time, s.values.tobytes()) for s in surfaces]
+
+
 def test_policy_charges_its_own_control_where_histories_share_a_state():
     # the flat surface is reached from both (0,) and (1,), which the policy
     # expands under different controls
@@ -188,7 +264,7 @@ def test_bellman_difference_recomputation():
                                  solution.successors[(sid, u, y)])].value
                 for y in range(d)])
             sup = one_step_expectation(
-                child_vals, solution.registry.surfaces[sid], problem.gens,
+                child_vals, solution.registry[sid], problem.gens,
                 np.zeros(len(problem.gens)), problem.params)
             qs.append(problem.running_cost[len(history), u] + sup)
         assert abs(min(qs) - record.value) < 1e-12
@@ -201,10 +277,12 @@ def test_resolving_subtree_reproduces_policy():
     problem = _sensing_problem(horizon=3)
     solution = solve(problem)
     root_sid = solution.levels[0][()][0]
+    orig_ids = {_state_key(surface): sid
+                for sid, surface in enumerate(solution.registry)}
     for y in range(2):
         child_sid = solution.successors[(root_sid, solution.policy[()], y)]
         sub = solve(dataclasses.replace(
-            problem, initial_surface=solution.registry.surfaces[child_sid],
+            problem, initial_surface=solution.registry[child_sid],
             horizon=problem.horizon - 1,
             running_cost=problem.running_cost[1:]))
         assert sub.policy == {h[1:]: u for h, u in solution.policy.items()
@@ -212,8 +290,7 @@ def test_resolving_subtree_reproduces_policy():
         for (history, sid), record in sub.values.items():
             if record.control is None:
                 continue
-            surface = sub.registry.surfaces[sid]
-            orig_sid = solution.registry._ids[StateRegistry.key_of(surface)]
+            orig_sid = orig_ids[_state_key(sub.registry[sid])]
             original = solution.values[((y,) + history, orig_sid)]
             assert original.control == record.control
             assert abs(original.value - record.value) < 1e-12

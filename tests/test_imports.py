@@ -1,6 +1,8 @@
-"""A run imports only the modules its subcommand executes, and the package
-resolves its public names on first use without changing them."""
+"""A run imports only the modules its subcommand executes, the package
+resolves its public names on first use without changing them, and its
+modules import only the standard library, numpy and each other."""
 
+import ast
 import json
 import os
 import subprocess
@@ -92,3 +94,38 @@ def test_every_public_name_resolves_to_its_defining_module():
 def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'no_such'"):
         robusthmm.no_such  # noqa: B018
+
+
+SOURCES = sorted((REPO / "src" / "robusthmm").glob("*.py"))
+
+
+def _imported(path) -> set:
+    """Every name a module imports, at the top or inside a function, as a
+    dotted absolute name: ``from .penalty import evolve`` in the package
+    is ``robusthmm.penalty.evolve``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["robusthmm" * bool(node.level),
+                                          node.module]))
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_modules_import_only_the_standard_library_numpy_and_the_package(
+        path):
+    allowed = set(sys.stdlib_module_names) | {"numpy", "robusthmm"}
+    outside = {name.split(".")[0] for name in _imported(path)} - allowed
+    assert not outside, f"{path.name} imports {sorted(outside)}"
+
+
+def test_oracles_import_no_engine():
+    # the oracles are the independent route to each quantity
+    modules = {name.split(".")[1] for name in
+               _imported(REPO / "src" / "robusthmm" / "oracles.py")
+               if name.startswith("robusthmm.")}
+    engines = modules & {"penalty", "expectation", "control"}
+    assert not engines, f"oracles.py imports {sorted(engines)}"
