@@ -13,7 +13,7 @@ except ImportError:
 
 from robusthmm import brute_force, solve
 from robusthmm.control import decision_nodes
-from robusthmm.cli import load_config
+from robusthmm.config import load_config
 from robusthmm.expectation import history_label
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "control_t3.json"

@@ -9,9 +9,8 @@ try:
 except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from robusthmm import SimplexGrid
-from robusthmm.cli import (_convergence_error, _exact_run, build_exact_prior,
-                           build_grid_prior, load_config)
+from robusthmm.cli import _convergence_error, _exact_run
+from robusthmm.config import build_exact_prior, load_config
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "oracle_t3.json"
 
@@ -20,15 +19,15 @@ def main() -> None:
     cfg = load_config(str(CONFIG))
     obs = list(cfg.observations)
     runs: dict = {}  # exact runs shared by every resolution's prior
-    beliefs, values = build_exact_prior(cfg.prior_values, cfg.grid)
+    grid, prior = cfg.grid_prior()
+    beliefs, values = build_exact_prior(prior, grid)
     exact = _exact_run(runs, beliefs, values, cfg.gens, obs, "dr", "dynamic")
     print(f"observations {obs}; "
           f"{len(exact[-1])} exactly reachable beliefs at t={len(obs)}")
     print(f"{'m':>5} {'cells':>6} {'sup error':>12}")
     for m in (10, 20, 40, 80):
-        grid = SimplexGrid.build(cfg.n_states, m)
-        worst = _convergence_error(grid, build_grid_prior(cfg.prior_cfg, grid),
-                                   cfg, obs, runs)
+        grid, prior = cfg.grid_prior(m)
+        worst = _convergence_error(grid, prior, cfg, obs, runs)
         print(f"{m:>5} {len(grid):>6} {worst:>12.6f}")
 
 

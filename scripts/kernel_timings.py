@@ -14,7 +14,8 @@ It also times start-up: the best of several fresh interpreters importing
 ``robusthmm.cli`` (numpy already loaded) from a copy of the package with no
 cached bytecode and ``PYTHONDONTWRITEBYTECODE=1``, so its modules are
 compiled from source as in a fresh checkout; and it lists the ``robusthmm``
-modules one ``penalty-evolve`` run on ``configs/oracle_t3.json`` loads.
+modules one ``penalty-evolve`` run on ``configs/oracle_t3.json`` and one
+``simulate`` run on ``configs/simulate.json`` load.
 
 Usage::
 
@@ -50,22 +51,22 @@ from robusthmm import (Generator, GeneratorGrid, SimplexGrid, TreeSetup,
                        forward_image_step, initial_grid_surface,
                        render_surface_csv)
 from robusthmm.cli import (_FRAMEWORK_LABELS, CONVERGENCE_RESOLUTIONS,
-                           _convergence_error, _exact_run, build_exact_prior,
-                           build_grid_prior, load_config)
+                           _convergence_error, _exact_run)
+from robusthmm.config import build_exact_prior, load_config
 from robusthmm.models import parse_framework
 from robusthmm.oracles import _walk_models
 from robusthmm.penalty import (_blocks, _gen_images, evolve,
                                initial_exact_surface)
 
-ORACLE_CONFIG = (Path(__file__).resolve().parent.parent / "configs"
-                 / "oracle_t3.json")
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ORACLE_CONFIG = CONFIGS / "oracle_t3.json"
 
 STARTUP_RUNS = 7
 _IMPORT_CLI = ("import time, numpy; start = time.perf_counter(); "
                "import robusthmm.cli; print(time.perf_counter() - start)")
-_EVOLVE_MODULES = (
+_RUN_MODULES = (
     "import json, sys; from robusthmm.cli import main; "
-    "main(['penalty-evolve', '--config', sys.argv[1], '--out', sys.argv[2]]); "
+    "main([sys.argv[1], '--config', sys.argv[2], '--out', sys.argv[3]]); "
     "print(json.dumps(sorted(m for m in sys.modules "
     "if m.split('.')[0] == 'robusthmm')))")
 
@@ -147,7 +148,8 @@ def main(argv=None) -> None:
 
 def startup() -> None:
     """Import time of ``robusthmm.cli`` compiled from source, and the
-    modules a ``penalty-evolve`` run loads, each in fresh interpreters."""
+    modules a ``penalty-evolve`` and a ``simulate`` run load, each in fresh
+    interpreters."""
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copytree(Path(robusthmm.__file__).parent,
                         Path(tmp) / "robusthmm",
@@ -160,17 +162,22 @@ def startup() -> None:
                                   text=True).stdout.splitlines()[-1]
 
         best = min(float(child(_IMPORT_CLI)) for _ in range(STARTUP_RUNS))
-        modules = json.loads(child(_EVOLVE_MODULES, str(ORACLE_CONFIG),
-                                   str(Path(tmp) / "out")))
+        loads = []
+        for command, config in (("penalty-evolve", "oracle_t3.json"),
+                                ("simulate", "simulate.json")):
+            modules = json.loads(child(_RUN_MODULES, command,
+                                       str(CONFIGS / config),
+                                       str(Path(tmp) / command)))
+            loads.append(f"{command} loads {', '.join(modules)}")
     print(f"start-up: import robusthmm.cli from source {best * 1e3:.3f} "
-          f"(best of {STARTUP_RUNS}); penalty-evolve loads "
-          f"{', '.join(modules)}")
+          f"(best of {STARTUP_RUNS}); {'; '.join(loads)}")
 
 
 def oracle_stages(repeats: int) -> None:
     cfg = load_config(str(ORACLE_CONFIG))
     obs, gens = list(cfg.observations), cfg.gens
-    beliefs, values = build_exact_prior(cfg.prior_values, cfg.grid)
+    grid, prior = cfg.grid_prior()
+    beliefs, values = build_exact_prior(prior, grid)
     labels = [parse_framework(label) for label in _FRAMEWORK_LABELS]
     walks = best_of(repeats, lambda: [
         _walk_models(beliefs, values, gens, obs, scope, None)
@@ -181,8 +188,7 @@ def oracle_stages(repeats: int) -> None:
     runs: dict = {}
     for scope, framework in labels:
         _exact_run(runs, beliefs, values, gens, obs, framework, scope)
-    sweep = [(grid, build_grid_prior(cfg.prior_cfg, grid)) for grid in (
-        SimplexGrid.build(cfg.n_states, m) for m in CONVERGENCE_RESOLUTIONS)]
+    sweep = [cfg.grid_prior(m) for m in CONVERGENCE_RESOLUTIONS]
     errors = best_of(repeats, lambda: [
         _convergence_error(grid, prior, cfg, obs, runs)
         for grid, prior in sweep])

@@ -9,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from robusthmm import (ExtendedPenaltySurface, Generator,  # noqa: E402
                        GeneratorGrid, PenaltySurface, SimplexGrid)
-from robusthmm.cli import load_config  # noqa: E402
+from robusthmm.config import load_config  # noqa: E402
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"

@@ -19,7 +19,8 @@ from robusthmm import (Generator, GeneratorGrid, SimplexGrid, StateFunctional,
                        dr_expectation, evolve, fill_backward,
                        initial_exact_surface, initial_grid_surface,
                        one_step_expectation, solve)
-from robusthmm.cli import build_exact_prior, main
+from robusthmm.cli import main
+from robusthmm.config import build_exact_prior
 from robusthmm.oracles import (bernoulli_closed_forms, oracle_dr_direct,
                                oracle_penalty)
 from conftest import CONFIGS, REPO, example1_generator
@@ -33,8 +34,8 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
 
 
 def _shipped_instance(oracle_cfg):
-    beliefs, values = build_exact_prior(oracle_cfg.prior_values,
-                                        oracle_cfg.grid)
+    grid, prior = oracle_cfg.grid_prior()
+    beliefs, values = build_exact_prior(prior, grid)
     return beliefs, values, oracle_cfg.gens, list(oracle_cfg.observations)
 
 

@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from robusthmm import (ControlProblem, cli, control, expectation, oracles,
-                       penalty)
-from robusthmm.cli import load_config, main
+from robusthmm import (ControlProblem, cli, config, control, expectation,
+                       oracles, penalty)
+from robusthmm.cli import main
+from robusthmm.config import build_exact_prior, load_config
 from robusthmm.errors import ConfigError
 from robusthmm.expectation import dr_expectation
 from robusthmm.models import (GRID_CAP, STATES_CAP, SimplexGrid,
@@ -233,7 +234,7 @@ def test_grid_convergence_writes_an_infinite_error_as_text(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["simulate", "filter", "penalty-evolve"])
-@pytest.mark.parametrize("horizon", [10 ** 30, cli.HORIZON_CAP + 1])
+@pytest.mark.parametrize("horizon", [10 ** 30, config.HORIZON_CAP + 1])
 def test_oversized_horizon_exits_4_before_allocating(tmp_path, command,
                                                      horizon):
     # a path of 10 ** 30 steps overflows the list that holds its models,
@@ -243,7 +244,7 @@ def test_oversized_horizon_exits_4_before_allocating(tmp_path, command,
     out = tmp_path / "run"
     assert _run_capped(command, path, out) == (4, "", (
         f"cap exceeded: a horizon of {horizon} steps is over the cap of "
-        f"{cli.HORIZON_CAP}\n"))
+        f"{config.HORIZON_CAP}\n"))
     assert not out.exists()
 
 
@@ -423,7 +424,10 @@ def test_control_under_a_static_framework_exits_2(tmp_path, capsys):
     ("expect", "oracle_t3.json", (), [10]),
     ("control", "control_t3.json", (), [10]),
     ("penalty-evolve", "oracle_t3.json", ("--grid-resolution", "20"), [20]),
-], ids=["penalty-evolve", "expect", "control", "override"])
+    ("simulate", "simulate.json", (), []),
+    ("filter", "simulate.json", (), []),
+], ids=["penalty-evolve", "expect", "control", "override", "simulate",
+        "filter"])
 def test_one_grid_per_run(tmp_path, monkeypatch, command, config, extra,
                           builds):
     built = []
@@ -443,13 +447,13 @@ def test_oracle_check_builds_each_grid_prior_once(tmp_path, monkeypatch):
     # the configured grid's prior serves all four exact frameworks and the
     # sweep at its resolution; each other resolution builds its own once
     built = []
-    build = cli.build_grid_prior
+    build = config.build_grid_prior
 
     def counted(prior_cfg, grid):
         built.append(grid.resolution)
         return build(prior_cfg, grid)
 
-    monkeypatch.setattr(cli, "build_grid_prior", counted)
+    monkeypatch.setattr(config, "build_grid_prior", counted)
     assert run_cli("oracle-check", CONFIGS / "oracle_t3.json",
                    tmp_path / "run") == 0
     assert built == [10, 20, 40]
@@ -580,7 +584,8 @@ def test_oracle_check_scores_payoffs_as_one_row_scans(tmp_path, name):
     cfg = load_config(str(CONFIGS / name))
     rng = np.random.Generator(np.random.Philox(key=2026))
     phis = rng.uniform(-1.0, 1.0, size=(cli._PHI_DRAWS, cfg.n_states))
-    prior = cli.build_exact_prior(cfg.prior_values, cfg.grid)
+    grid, values = cfg.grid_prior()
+    prior = build_exact_prior(values, grid)
     for label in cli._FRAMEWORK_LABELS:
         scope, framework = parse_framework(label)
         surfaces, _ = evolve(initial_exact_surface(*prior, cfg.gens, scope),
@@ -626,13 +631,12 @@ def test_convergence_errors_of_priors_that_differ_by_resolution(tmp_path,
     obs = list(cfg.observations)
     expected = []
     for m in cli.CONVERGENCE_RESOLUTIONS:
-        grid = SimplexGrid.build(cfg.n_states, m)
-        values = cli.build_grid_prior(cfg.prior_cfg, grid)
+        grid, values = cfg.grid_prior(m)
         gridded, _ = evolve(initial_grid_surface(values, cfg.gens, grid,
                                                  "dynamic"), cfg.gens, obs,
                             "dr")
         exact, _ = evolve(initial_exact_surface(
-            *cli.build_exact_prior(values, grid), cfg.gens, "dynamic"),
+            *build_exact_prior(values, grid), cfg.gens, "dynamic"),
             cfg.gens, obs, "dr")
         expected.append(max(
             float(np.max(np.abs(g.values[grid.round_rows(e.beliefs)]
@@ -659,8 +663,8 @@ def test_table_prior_fails_the_sweep_before_any_check(tmp_path, monkeypatch,
 
 
 def test_exact_runs_are_keyed_by_the_whole_exact_prior(oracle_cfg):
-    beliefs, values = cli.build_exact_prior(oracle_cfg.prior_values,
-                                            oracle_cfg.grid)
+    grid, prior = oracle_cfg.grid_prior()
+    beliefs, values = build_exact_prior(prior, grid)
     obs = list(oracle_cfg.observations)
     runs = {}
 
@@ -684,7 +688,7 @@ def test_load_config_closes_the_config_file(monkeypatch):
         opened.append(open(*args, **kwargs))
         return opened[-1]
 
-    monkeypatch.setattr(cli, "open", tracked, raising=False)
+    monkeypatch.setattr(config, "open", tracked, raising=False)
     load_config(str(CONFIGS / "oracle_t3.json"))
     assert len(opened) == 1 and opened[0].closed
 
@@ -738,11 +742,18 @@ def test_simulate_deterministic_across_runs(tmp_path):
     assert m1 == m2
 
 
-@pytest.mark.parametrize("threads", ["0", "-3", "abc"])
-def test_thread_count_below_one_exits_2(tmp_path, threads):
+_BELOW_ONE = ["0", "-3", "abc"]
+
+
+@pytest.mark.parametrize("flag,value", [
+    *(("--threads", value) for value in _BELOW_ONE),
+    *(("--grid-resolution", value) for value in _BELOW_ONE),
+], ids=_BELOW_ONE + [f"grid-resolution={value}" for value in _BELOW_ONE])
+def test_thread_count_below_one_exits_2(tmp_path, flag, value):
+    # both flags are parsed by one rule, before the config is read
     with pytest.raises(SystemExit) as exc:
         main(["filter", "--config", str(CONFIGS / "example1.json"),
-              "--out", str(tmp_path / "run"), "--threads", threads])
+              "--out", str(tmp_path / "run"), flag, value])
     assert exc.value.code == 2
     assert not (tmp_path / "run").exists()
 
@@ -862,7 +873,7 @@ def test_support_prior_ranks_its_beliefs_once(monkeypatch):
     prior = {"shape": "support", "values": [0.5, 0.0, 0.2, 0.7],
              "beliefs": [[0.1, 0.2, 0.7], [1.0, 0.0, 0.0], [0.1, 0.2, 0.7],
                          [0.0, 0.5, 0.5]]}
-    values = cli.build_grid_prior(prior, grid)
+    values = config.build_grid_prior(prior, grid)
     assert calls == [4]
     monkeypatch.undo()
     expected = np.full(len(grid), np.inf)
@@ -1026,6 +1037,44 @@ def test_control_gamma_row_excluding_every_generator_exits_2(tmp_path, capsys,
     assert capsys.readouterr().err == (
         "config error: control.gamma: a row excludes every generator\n")
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+@pytest.mark.parametrize("prior,message", [
+    ({"shape": "cone"}, "unknown prior shape 'cone'"),
+    ([0.0] * 11, "prior must be an object with a 'shape' field"),
+    ({"shape": "zero", "values": [0.0]}, "prior (zero): unknown keys: values"),
+], ids=["unknown-shape", "not-an-object", "unknown-key"])
+def test_prior_block_is_checked_for_every_subcommand(tmp_path, capsys,
+                                                     command, prior, message):
+    # the prior checks that need no grid run while the config is read, so
+    # every subcommand refuses the block, also those that never build it
+    def edit(cfg):
+        _every_subcommand_runs(cfg)
+        cfg["prior"] = prior
+
+    path = _edited_config(tmp_path, "control_t3.json", edit)
+    assert run_cli(command, path, tmp_path / "run") == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command,artifact", [("simulate", "path.csv"),
+                                              ("filter", "filter.csv")])
+@pytest.mark.parametrize("edit,extra", [
+    (_set(None, "prior", {"shape": "table", "values": [0.0] * 3}), ()),
+    (lambda cfg: None, ("--grid-resolution", str(10 ** 6))),
+], ids=["table-of-the-wrong-length", "grid-over-the-cap"])
+def test_simulate_and_filter_never_build_the_grid(tmp_path, command,
+                                                  artifact, edit, extra):
+    # neither reads the penalty's grid or prior, so a prior that cannot be
+    # built, or a grid over the cap, changes nothing they write
+    clean = tmp_path / "clean"
+    assert run_cli(command, CONFIGS / "simulate.json", clean) == 0
+    out = tmp_path / "run"
+    assert run_cli(command, _edited_config(tmp_path, "simulate.json", edit),
+                   out, extra=extra) == 0
+    assert (out / artifact).read_bytes() == (clean / artifact).read_bytes()
 
 
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))

@@ -35,8 +35,8 @@ PUBLIC = {
     "oracles": ["OracleReport", "bernoulli_closed_forms", "oracle_dr_direct",
                 "oracle_penalty", "render_report_csv"],
 }
-BASE = {"robusthmm", "robusthmm.cli", "robusthmm.errors", "robusthmm.hmm",
-        "robusthmm.models", "robusthmm.penalty"}
+BASE = {"robusthmm", "robusthmm.cli", "robusthmm.config", "robusthmm.errors",
+        "robusthmm.hmm", "robusthmm.models", "robusthmm.penalty"}
 
 
 def _loaded_after(code: str) -> set:

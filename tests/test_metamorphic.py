@@ -20,7 +20,7 @@ from robusthmm import (ControlProblem, Generator, GeneratorGrid, SimplexGrid,
                        StateFunctional, TreeSetup, UncertaintyParams,
                        backward_expectation, dr_expectation, evolve,
                        initial_exact_surface, initial_grid_surface, solve)
-from robusthmm.cli import build_exact_prior
+from robusthmm.config import build_exact_prior
 
 LABELS = [("static", "up"), ("dynamic", "up"), ("static", "dr"),
           ("dynamic", "dr")]
@@ -32,9 +32,9 @@ def instance(request, oracle_cfg):
     """Generators, grid, prior values on the grid, observations and
     uncertainty parameters of one instance."""
     if request.param == "oracle_t3":
+        grid, values = oracle_cfg.grid_prior()
         return SimpleNamespace(
-            gens=oracle_cfg.gens, grid=oracle_cfg.grid,
-            prior_values=oracle_cfg.prior_values,
+            gens=oracle_cfg.gens, grid=grid, prior_values=values,
             obs=list(oracle_cfg.observations) + [0, 1, 1],
             params=oracle_cfg.params)
     rng = np.random.Generator(np.random.Philox(key=5))

@@ -7,7 +7,8 @@ import pytest
 
 import robusthmm.oracles
 from robusthmm import CapExceeded, Generator, GeneratorGrid, SimplexGrid
-from robusthmm.cli import _check_one_framework, build_exact_prior
+from robusthmm.cli import _check_one_framework
+from robusthmm.config import build_exact_prior
 from robusthmm.hmm import filter_step
 from robusthmm.oracles import (OracleReport, _walk_models,
                                bernoulli_closed_forms, oracle_dr_direct,
@@ -279,8 +280,8 @@ def test_gridded_walk_rounds_by_level(scope, framework, monkeypatch):
 # metamorphic properties of the oracles
 
 def _shipped(oracle_cfg):
-    beliefs, values = build_exact_prior(oracle_cfg.prior_values,
-                                        oracle_cfg.grid)
+    grid, prior = oracle_cfg.grid_prior()
+    beliefs, values = build_exact_prior(prior, grid)
     return beliefs, values, oracle_cfg.gens, list(oracle_cfg.observations)
 
 
@@ -395,11 +396,14 @@ def test_oracle_check_walks_once(oracle_cfg, label, monkeypatch):
     walks = _count_calls(monkeypatch, "_walk_models")
     obs = list(oracle_cfg.observations)
     phis = _phi_stack(oracle_cfg.n_states)
+    grid, values = oracle_cfg.grid_prior()
+    prior = build_exact_prior(values, grid)
     scope, framework = label.split("-")
     twin = f"{scope}-{'dr' if framework == 'up' else 'up'}"
     memo = {}
     for name in (label, twin):
-        reports = _check_one_framework(name, oracle_cfg, obs, phis, {}, memo)
+        reports = _check_one_framework(name, oracle_cfg, prior, obs, phis, {},
+                                       memo)
         assert len(reports) == len(obs) + 1 + 50
         assert max(r.abs_diff for r in reports) <= 1e-9
     assert len(walks) == 1 and list(memo) == [scope]
