@@ -5,10 +5,12 @@ stepped surface's CSV (``render_surface_csv`` with the step's report) in
 the dynamic and the static scope, at the grid shapes N=2/m=1000, N=3/m=80
 and N=4/m=20; of rendering the 255 nodes of an N=2/m=100 observation
 tree of depth 7 in the batches the ``expect`` command uses; and of the
-three stages of one ``oracle-check`` on ``configs/oracle_t3.json`` (N=2,
+four stages of one ``oracle-check`` on ``configs/oracle_t3.json`` (N=2,
 3 candidates, horizon 3, a 5-belief support prior): the enumeration walk
-of each scope, the four exact runs and the grid-convergence sweep at
-m = 10, 20 and 40, which reuses the exact runs as the check does.
+of each scope, the four exact runs, the comparison and report (the four
+framework checks against the walks and runs already made, and rendering
+their report CSV) and the grid-convergence sweep at m = 10, 20 and 40,
+which reuses the exact runs as the check does.
 
 It also times start-up: the best of several fresh interpreters importing
 ``robusthmm.cli`` (numpy already loaded) from a copy of the package with no
@@ -50,11 +52,12 @@ from robusthmm import (Generator, GeneratorGrid, SimplexGrid, TreeSetup,
                        UncertaintyParams, build_observation_tree,
                        forward_image_step, initial_grid_surface,
                        render_surface_csv)
-from robusthmm.cli import (_FRAMEWORK_LABELS, CONVERGENCE_RESOLUTIONS,
+from robusthmm.cli import (_FRAMEWORK_LABELS, _PHI_DRAWS,
+                           CONVERGENCE_RESOLUTIONS, _check_one_framework,
                            _convergence_error, _exact_run)
 from robusthmm.config import build_exact_prior, load_config
 from robusthmm.models import parse_framework
-from robusthmm.oracles import _walk_models
+from robusthmm.oracles import _walk_models, render_report_csv
 from robusthmm.penalty import (_blocks, _gen_images, evolve,
                                initial_exact_surface)
 
@@ -188,12 +191,26 @@ def oracle_stages(repeats: int) -> None:
     runs: dict = {}
     for scope, framework in labels:
         _exact_run(runs, beliefs, values, gens, obs, framework, scope)
+    # the payoff rows oracle-check draws; the first pass fills the walks
+    phis = np.random.Generator(np.random.Philox(key=2026)).uniform(
+        -1.0, 1.0, size=(_PHI_DRAWS, cfg.n_states))
+    scope_walks: dict = {}
+
+    def check() -> str:
+        return render_report_csv([
+            report for label in _FRAMEWORK_LABELS
+            for report in _check_one_framework(
+                label, cfg, (beliefs, values), obs, phis, runs, scope_walks)])
+
+    check()
+    compare = best_of(repeats, check)
     sweep = [cfg.grid_prior(m) for m in CONVERGENCE_RESOLUTIONS]
     errors = best_of(repeats, lambda: [
         _convergence_error(grid, prior, cfg, obs, runs)
         for grid, prior in sweep])
     print(f"oracle-check {ORACLE_CONFIG.name}: walk per scope (2) "
           f"{walks * 1e3:.3f}, exact runs (4) {exact * 1e3:.3f}, "
+          f"compare and report (4) {compare * 1e3:.3f}, "
           f"sweep m={'/'.join(map(str, CONVERGENCE_RESOLUTIONS))} "
           f"{errors * 1e3:.3f}")
 

@@ -15,10 +15,10 @@ across runs for a fixed configuration; the run manifest is the only file
 carrying a wall-clock field. JSON artifacts are strict JSON: a value that is
 infinite or NaN is written as text (``"inf"``, ``"-inf"``, ``"nan"``).
 
-A run imports only the modules its subcommand executes: ``control``,
-``expectation`` and ``oracles`` are imported inside the subcommands that
-run them, so ``simulate``, ``filter`` and ``penalty-evolve`` load none of
-the three.
+A run imports only the modules its subcommand executes: ``penalty``,
+``control``, ``expectation`` and ``oracles`` are imported inside the
+subcommands and helpers that run them, so ``simulate`` and ``filter`` load
+none of the four and ``penalty-evolve`` loads only ``penalty``.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ from .errors import (CapExceeded, ConfigError, DegenerateObservation,
                      InfeasibleSurface)
 from .hmm import filter_step, simulate_path
 from .models import DR, DYNAMIC, GeneratorGrid, parse_framework
-from .penalty import (_blocks, evolve, evolve_steps, initial_exact_surface,
-                      initial_grid_surface, render_surface_csv)
 
 ORACLE_TOL = 1e-9
 CONVERGENCE_RESOLUTIONS = (10, 20, 40)
@@ -68,6 +66,7 @@ def _write_atomic(out_dir: str, name: str, text: str) -> str:
 
 def _add_surfaces(run, names: list, surfaces: list) -> None:
     """Write each surface's CSV, rendered in the level kernels' batches."""
+    from .penalty import _blocks, render_surface_csv
     for block in _blocks(surfaces, surfaces[0].values.size):
         texts = render_surface_csv(surfaces[block])
         for name, text in zip(names[block], texts):
@@ -176,6 +175,7 @@ def _cmd_filter(run: Run) -> int:
 
 
 def _cmd_penalty_evolve(run: Run) -> int:
+    from .penalty import evolve_steps, render_surface_csv
     cfg = run.cfg
     obs = _observations(cfg)
     run.extra["m_t"] = m_t = []  # each step is written, then let go
@@ -242,6 +242,7 @@ def _exact_run(runs: dict, beliefs, values, gens: GeneratorGrid, obs,
     """The exact surfaces of one prior through ``obs``, evolved once per
     oracle-check: ``runs`` maps (scope, framework, belief bytes, value
     bytes) of the exact prior to the surfaces already evolved from it."""
+    from .penalty import evolve, initial_exact_surface
     key = (scope, framework, beliefs.tobytes(), values.tobytes())
     if key not in runs:
         runs[key] = evolve(initial_exact_surface(beliefs, values, gens, scope),
@@ -268,28 +269,34 @@ def _check_one_framework(label: str, cfg: RunConfig, prior, obs, phis, runs,
     for t, (surface, models) in enumerate(zip(surfaces, levels)):
         oracle = penalty_table(models, scope)
         engine = surface.as_lookup()
-        if set(oracle) != set(engine):
+        if oracle.keys() != engine.keys():
+            # abs_diff counts the keys that are in one set only
+            apart = len(oracle.keys() ^ engine.keys())
             reports.append(OracleReport(
-                quantity=f"{label}/penalty_t{t}", oracle_value=float(len(oracle)),
-                engine_value=float(len(engine)), instance="reachable-set"))
+                quantity=f"{label}/penalty_t{t}",
+                oracle_value=float(len(oracle)),
+                engine_value=float(len(oracle) - apart),
+                instance="reachable-set"))
             continue
-        anchor = max(oracle, key=lambda k: abs(oracle[k] - engine[k])) \
-            if oracle else None
+        # the first key of the largest gap, the one max(oracle, key=gap)
+        # picks; an empty table compares 0.0 with 0.0
+        keys = list(oracle)
+        gaps = [abs(value - engine[k]) for k, value in oracle.items()]
+        anchor = keys[gaps.index(max(gaps))] if keys else None
         reports.append(OracleReport(
             quantity=f"{label}/penalty_t{t}",
-            oracle_value=oracle[anchor] if anchor is not None else 0.0,
-            engine_value=engine[anchor] if anchor is not None else 0.0,
+            oracle_value=oracle.get(anchor, 0.0),
+            engine_value=engine.get(anchor, 0.0),
             instance=f"sup-over-{len(oracle)}-rows"))
     oracle_vals = payoff_values(levels[-1], phis, k=cfg.params.k,
-                                k_exp=cfg.params.k_exp)
+                                k_exp=cfg.params.k_exp).tolist()
     final = surfaces[-1]  # every payoff's dr_expectation, one gemv each
     dr_vals = _dr_scores((final.beliefs[None] @ phis[:, :, None])[..., 0],
                          final.values[None], cfg.params)[0]
-    for j, (oracle_val, engine_val) in enumerate(zip(oracle_vals, dr_vals)):
-        reports.append(OracleReport(quantity=f"{label}/dr_expectation_{j}",
-                                    oracle_value=float(oracle_val),
-                                    engine_value=engine_val,
-                                    instance="random-phi"))
+    reports.extend(OracleReport(f"{label}/dr_expectation_{j}", oracle_val,
+                                engine_val, "random-phi")
+                   for j, (oracle_val, engine_val)
+                   in enumerate(zip(oracle_vals, dr_vals)))
     return reports
 
 
@@ -298,6 +305,7 @@ def _convergence_error(grid, values, cfg: RunConfig, obs, runs) -> float:
     the exact run, over every step and every reachable exact belief, all
     rounded by one call. The exact run comes from ``runs`` when an earlier
     item of the same check evolved the same exact prior."""
+    from .penalty import evolve, initial_grid_surface
     gridded, _ = evolve(initial_grid_surface(values, cfg.gens, grid, DYNAMIC),
                         cfg.gens, obs, DR)
     exact = _exact_run(runs, *build_exact_prior(values, grid), cfg.gens, obs,

@@ -15,7 +15,6 @@ from .errors import CapExceeded, ConfigError, InfeasibleSurface
 from .hmm import Generator, as_filter_state
 from .models import (GeneratorGrid, SimplexGrid, UncertaintyParams,
                      normalize_penalties, parse_framework)
-from .penalty import initial_grid_surface
 
 HORIZON_CAP = 10 ** 6  # steps of one run
 _CONFIG_KEYS = frozenset({
@@ -68,6 +67,7 @@ class RunConfig:
 
     def initial_surface(self):
         """The time-zero grid surface of the configured prior and scope."""
+        from .penalty import initial_grid_surface
         grid, values = self.grid_prior()
         return initial_grid_surface(values, self.gens, grid, self.scope)
 
@@ -158,7 +158,8 @@ def load_config(path: str, resolution: int | None = None) -> RunConfig:
         cfg = json.loads(raw_bytes)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    except ValueError as exc:  # malformed JSON, or an oversized integer
+    except (ValueError, RecursionError) as exc:
+        # malformed JSON, an oversized integer, or nesting too deep to parse
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     _check_keys(cfg, _CONFIG_KEYS, "config")
 

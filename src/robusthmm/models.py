@@ -52,6 +52,14 @@ def normalize_penalties(values: np.ndarray) -> np.ndarray:
     return values - values[finite].min()
 
 
+def row_bytes(rows: np.ndarray) -> list:
+    """``row.tobytes()`` of every row of a 2-D array, read at once through
+    one void view: the belief key both routes to a penalty table use."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))
+                     ).ravel().tolist()
+
+
 @dataclass(frozen=True)
 class UncertaintyParams:
     """Aversion level ``k > 0`` and penalty exponent ``k_exp in [1, inf]``."""

@@ -16,38 +16,51 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf, log
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import CapExceeded, DegenerateObservation
-from .models import DR, DYNAMIC, STATIC, UP, GeneratorGrid, SimplexGrid
+from .models import (DR, DYNAMIC, STATIC, UP, GeneratorGrid, SimplexGrid,
+                     row_bytes)
 
 ORACLE_CAP = 10 ** 6  # models of the last level of one walk
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    """One engine-versus-oracle comparison, difference always recorded."""
-
+class _Report(NamedTuple):
     quantity: str
     oracle_value: float
     engine_value: float
     instance: str
-    abs_diff: float = None  # type: ignore[assignment]
+    abs_diff: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "abs_diff",
-                           abs(self.oracle_value - self.engine_value))
+
+class OracleReport(_Report):
+    """One engine-versus-oracle comparison, difference always recorded: an
+    immutable named tuple built from the first four fields, by position or
+    keyword, whose constructor computes ``abs_diff``."""
+
+    __slots__ = ()
+
+    def __new__(cls, quantity: str, oracle_value: float, engine_value: float,
+                instance: str):
+        return tuple.__new__(cls, (quantity, oracle_value, engine_value,
+                                   instance, abs(oracle_value - engine_value)))
+
+    @classmethod
+    def _make(cls, iterable):  # _replace rebuilds here: abs_diff anew
+        return cls(*tuple(iterable)[:4])
+
+    def __getnewargs__(self):  # copy and pickle rebuild from four fields
+        return tuple(self[:4])
 
 
 def render_report_csv(reports: Sequence[OracleReport]) -> str:
-    lines = ["quantity,oracle_value,engine_value,abs_diff,instance"]
-    for r in reports:
-        lines.append(",".join([r.quantity, repr(float(r.oracle_value)),
-                               repr(float(r.engine_value)),
-                               repr(float(r.abs_diff)), r.instance]))
-    return "\n".join(lines) + "\n"
+    """The report CSV: one row per report, each number as
+    ``repr(float(x))``."""
+    return "quantity,oracle_value,engine_value,abs_diff,instance\n" + "".join([
+        f"{q},{float(o)!r},{float(e)!r},{float(d)!r},{i}\n"
+        for q, o, e, i, d in reports])
 
 
 @dataclass(frozen=True)
@@ -149,12 +162,13 @@ def penalty_table(models: Level, scope: str,
     pair. Values are normalized so the global minimum is zero.
     """
     if grid is not None and len(models):
-        wheres = grid.round_rows(models.beliefs).tolist()
+        keys = grid.round_rows(models.beliefs).tolist()
     else:
-        wheres = [belief.tobytes() for belief in models.beliefs]
+        keys = row_bytes(models.beliefs)
+    if scope == STATIC:
+        keys = zip(models.first.tolist(), keys)
     table: dict = {}
-    for where, (_, penalty, g) in zip(wheres, models):
-        key = (g, where) if scope == STATIC else where
+    for key, penalty in zip(keys, models.penalties.tolist()):
         if key not in table or penalty < table[key]:
             table[key] = penalty
     if not table:

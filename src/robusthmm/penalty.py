@@ -63,7 +63,7 @@ import numpy as np
 
 from .errors import CapExceeded, InfeasibleSurface
 from .models import (DR, DYNAMIC, STATIC, UP, GeneratorGrid, SimplexGrid,
-                     normalize_penalties)
+                     normalize_penalties, row_bytes)
 
 EXACT_CAP = 10 ** 6  # admitted (row, candidate) pairs of one exact surface
 _CELL_BUDGET = 8192  # (surface, candidate, cell) triples per kernel call
@@ -136,12 +136,12 @@ class ExactSurface:
         return len(self.values)
 
     def as_lookup(self) -> dict:
-        """Mapping (belief bytes[, gen id]) -> value, for comparisons."""
-        if self.gen_ids is None:
-            return {b.tobytes(): float(v)
-                    for b, v in zip(self.beliefs, self.values)}
-        return {(int(g), b.tobytes()): float(v)
-                for g, b, v in zip(self.gen_ids, self.beliefs, self.values)}
+        """Mapping (belief bytes[, gen id]) -> value, for comparisons; the
+        bytes are :func:`~robusthmm.models.row_bytes`'s."""
+        keys = row_bytes(self.beliefs)
+        if self.gen_ids is not None:
+            keys = zip(self.gen_ids.tolist(), keys)
+        return dict(zip(keys, self.values.tolist()))
 
 
 class StepReport(NamedTuple):
@@ -469,10 +469,13 @@ def _exact_level(surfaces, gens: GeneratorGrid, gammas: np.ndarray | None,
     static = _static(surfaces[0])
     keys = [*posts.T[::-1], *([gids] if static else []), owner[rows]]
     keep = _merge_rows(np.array(keys), values, gids, rows)
-    parts = np.split(keep, np.searchsorted(owner[rows[keep]],
-                                           range(1, len(surfaces))))
+    # surface i keeps keep[ends[i]:ends[i + 1]]; its rows start at starts[i]
+    ends = np.searchsorted(owner[rows[keep]],
+                           range(len(surfaces) + 1)).tolist()
+    starts = np.cumsum([0] + sizes).tolist()
     out = []
-    for src, first, k in zip(surfaces, np.cumsum([0] + sizes).tolist(), parts):
+    for src, lo, hi, start in zip(surfaces, ends, ends[1:], starts):
+        k = keep[lo:hi]
         time = src.time + 1
         if not k.size:
             raise InfeasibleSurface(
@@ -482,7 +485,7 @@ def _exact_level(surfaces, gens: GeneratorGrid, gammas: np.ndarray | None,
                                  gen_ids=gids[k] if static else None,
                                  time=time),
                     StepReport(time=time, m_t=float(m_t), infeasible_cells=0,
-                               argmin_src=rows[k] - first,
+                               argmin_src=rows[k] - start,
                                argmin_gen=gids[k])))
     return out
 

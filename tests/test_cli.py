@@ -89,6 +89,19 @@ def test_malformed_config_exits_2_without_artifacts(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "oracle-check"])
+def test_config_nested_too_deep_to_parse_exits_2(tmp_path, capsys, command):
+    # the JSON parser gives up on deep nesting with a RecursionError; that
+    # is a config it cannot read, not a traceback and exit 1
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    out = tmp_path / "run"
+    assert run_cli(command, bad, out) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: config is not valid JSON: maximum recursion depth")
+    assert not out.exists()
+
+
 def test_missing_required_field_is_config_error(tmp_path):
     cfg = json.loads((CONFIGS / "example1.json").read_text())
     del cfg["uncertainty"]
@@ -492,7 +505,7 @@ def _edit_exact_run(monkeypatch, label, edit):
     """Pass the surfaces of oracle-check's exact run for ``label`` through
     ``edit``, leaving every other evolve call alone."""
     scope, framework = parse_framework(label)
-    original = cli.evolve
+    original = penalty.evolve
 
     def edited(surface, gens, obs, fw):
         surfaces, reports = original(surface, gens, obs, fw)
@@ -501,7 +514,7 @@ def _edit_exact_run(monkeypatch, label, edit):
             surfaces = edit(list(surfaces))
         return surfaces, reports
 
-    monkeypatch.setattr(cli, "evolve", edited)
+    monkeypatch.setattr(penalty, "evolve", edited)
 
 
 def _report_gaps(out):
@@ -547,6 +560,29 @@ def test_oracle_check_fails_on_a_dropped_exact_row(tmp_path, monkeypatch):
     assert [(row[0], row[4]) for row in gaps] == [
         ("static-up/penalty_t2", "reachable-set")]
     assert float(gaps[0][1]) == float(gaps[0][2]) + 1
+
+
+@pytest.mark.parametrize("label", ["dynamic-up", "dynamic-dr"])
+def test_oracle_check_fails_on_a_reachable_set_of_equal_size(tmp_path,
+                                                             monkeypatch,
+                                                             label):
+    # one belief of the exact surface at step 2 moves by one ulp: both key
+    # sets keep 23 keys but two keys are in one set only, so the row reads
+    # a difference of 2 and the check fails
+    def nudge(surfaces):
+        s = surfaces[2]
+        beliefs = s.beliefs.copy()
+        beliefs[1, 0] = np.nextafter(beliefs[1, 0], np.inf)
+        surfaces[2] = ExactSurface(beliefs=beliefs, values=s.values,
+                                   gen_ids=s.gen_ids, time=s.time)
+        return surfaces
+
+    _edit_exact_run(monkeypatch, label, nudge)
+    out = tmp_path / "run"
+    assert run_cli("oracle-check", CONFIGS / "oracle_t3.json", out) == 1
+    assert _report_gaps(out) == [
+        [f"{label}/penalty_t2", "23.0", "21.0", "2.0", "reachable-set"]]
+    assert read_manifest(out)["max_abs_diff"] == 2.0
 
 
 def test_oracle_check_fails_on_a_perturbed_payoff_score(tmp_path,

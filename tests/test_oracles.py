@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 from math import inf, log
 from pathlib import Path
 
@@ -12,7 +14,8 @@ from robusthmm.config import build_exact_prior
 from robusthmm.hmm import filter_step
 from robusthmm.oracles import (OracleReport, _walk_models,
                                bernoulli_closed_forms, oracle_dr_direct,
-                               oracle_penalty, render_report_csv)
+                               oracle_penalty, penalty_table,
+                               render_report_csv)
 from conftest import example1_generator
 
 FRAMEWORKS = [(scope, framework) for scope in ("static", "dynamic")
@@ -96,6 +99,76 @@ def test_report_csv_layout():
     lines = text.strip().split("\n")
     assert lines[0] == "quantity,oracle_value,engine_value,abs_diff,instance"
     assert lines[1] == "q,1.0,1.5,0.5,demo"
+
+
+def _reference_report_csv(reports):
+    """``render_report_csv`` as one join of five columns per report."""
+    lines = ["quantity,oracle_value,engine_value,abs_diff,instance"]
+    for r in reports:
+        lines.append(",".join([r.quantity, repr(float(r.oracle_value)),
+                               repr(float(r.engine_value)),
+                               repr(float(r.abs_diff)), r.instance]))
+    return "\n".join(lines) + "\n"
+
+
+def test_report_csv_is_the_per_row_join():
+    # Python floats, numpy scalars, signed zeros, subnormals and +-inf
+    numbers = [0.0, -0.0, 1.5, 0.1, 5e-324, 2.0 ** 70, inf, -inf,
+               np.float64(0.1), np.float64(-0.0), np.float64(inf)]
+    pairs = [(o, e) for o in numbers for e in numbers
+             if not (np.isinf(o) and np.isinf(e))]
+    pairs += [(inf, inf), (-inf, inf)]  # nan and inf differences
+    reports = [OracleReport(quantity=f"q/{i}", oracle_value=o,
+                            engine_value=e, instance=f"case-{i}")
+               for i, (o, e) in enumerate(pairs)]
+    assert render_report_csv(reports) == _reference_report_csv(reports)
+    assert render_report_csv([]) == _reference_report_csv([])
+
+
+def test_oracle_report_is_an_immutable_tuple():
+    report = OracleReport(quantity="q", oracle_value=2.0, engine_value=0.5,
+                          instance="demo")
+    assert report == OracleReport("q", 2.0, 0.5, "demo")
+    assert report == ("q", 2.0, 0.5, "demo", 1.5)
+    assert report._fields == ("quantity", "oracle_value", "engine_value",
+                              "instance", "abs_diff")
+    assert report.abs_diff == 1.5
+    with pytest.raises(AttributeError):
+        report.abs_diff = 0.0
+    with pytest.raises(AttributeError):
+        report.note = "x"
+    assert copy.deepcopy(report) == pickle.loads(pickle.dumps(report)) == report
+    assert report._replace(engine_value=3.0).abs_diff == 1.0
+
+
+def _reference_penalty_table(models, scope, grid=None):
+    """``penalty_table`` as one loop over the rows of a level, each belief
+    keyed by its ``tobytes()`` or its cell, rounded row by row."""
+    table = {}
+    for belief, penalty, g in models:
+        where = (belief.tobytes() if grid is None
+                 else int(grid.round_rows(belief[None])[0]))
+        key = (g, where) if scope == "static" else where
+        if key not in table or penalty < table[key]:
+            table[key] = penalty
+    if not table:
+        return table
+    floor = min(table.values())
+    return {k: v - floor for k, v in table.items()}
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("scope", ["static", "dynamic"])
+def test_penalty_table_is_the_per_row_loop(seed, scope):
+    # keys, values and their order, at every level of both frameworks
+    n, d, gens, beliefs, values, rng = _random_instance(seed)
+    obs = [int(y) for y in rng.integers(0, d, size=3)]
+    for grid in (None, SimplexGrid.build(n, 7)):
+        walk = _walk_models(beliefs, values, gens, obs, scope, grid)
+        for level in walk["up"] + walk["dr"]:
+            assert (repr(list(penalty_table(level, scope, grid).items()))
+                    == repr(list(_reference_penalty_table(
+                        level, scope, grid).items())))
 
 
 def test_oracles_do_not_import_the_engines():

@@ -754,6 +754,33 @@ def test_step_level_steps_an_exact_level_as_its_surfaces(case, framework):
           for c in kids] for kids in expected]
 
 
+def _reference_lookup(surface):
+    """``as_lookup`` as one ``tobytes()`` call per belief row."""
+    if surface.gen_ids is None:
+        return {b.tobytes(): float(v)
+                for b, v in zip(surface.beliefs, surface.values)}
+    return {(int(g), b.tobytes()): float(v)
+            for g, b, v in zip(surface.gen_ids, surface.beliefs,
+                               surface.values)}
+
+
+@given(_exact_levels(), st.sampled_from(["up", "dr"]))
+@settings(max_examples=100, deadline=None)
+def test_as_lookup_is_the_per_row_dict(case, framework):
+    # keys, values (signed zeros and inf included) and their order are the
+    # per-row dict's, on drawn surfaces of both scopes and on their steps
+    gens, surfaces, gammas, _ = case
+    checked = list(surfaces)
+    for y in range(gens.n_symbols):
+        level = _outcome(lambda: penalty._exact_level(surfaces, gens, gammas,
+                                                      y, framework))
+        if isinstance(level, list):
+            checked += [surface for surface, _ in level]
+    for surface in checked:
+        assert (repr(list(surface.as_lookup().items()))
+                == repr(list(_reference_lookup(surface).items())))
+
+
 def test_initial_exact_surface_merges_at_the_least_value():
     gens = mixed_gens(2)
     beliefs = np.array([[0.5, 0.5], [0.25, 0.75], [0.5, 0.5], [-0.0, 1.0],

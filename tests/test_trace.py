@@ -12,7 +12,7 @@ import json
 import sys
 
 from conftest import CONFIGS, REPO
-from robusthmm import ControlProblem, cli
+from robusthmm import ControlProblem, penalty
 from robusthmm.cli import main
 
 
@@ -44,7 +44,7 @@ def test_bench_tracer_wraps_every_layer(tmp_path):
     wanted = {m["name"] for m in benchmark["per_layer"]} - {"trace.overhead_s"}
     tracer = spans.Tracer()
     tracer.install()
-    traced = cli.render_surface_csv
+    traced = penalty.render_surface_csv
     batches = []  # the number of texts each traced render call returned
 
     def counted(*args, **kwargs):
@@ -52,7 +52,7 @@ def test_bench_tracer_wraps_every_layer(tmp_path):
         batches.append(len(texts))
         return texts
 
-    cli.render_surface_csv = counted
+    penalty.render_surface_csv = counted
     try:
         static = _with_label(tmp_path, "oracle_t3.json", "static-dr")
         assert main(["penalty-evolve", "--config", str(static),
@@ -66,7 +66,7 @@ def test_bench_tracer_wraps_every_layer(tmp_path):
             assert main([command, "--config", str(config),
                          "--out", str(tmp_path / command)]) == 0
     finally:
-        cli.render_surface_csv = traced
+        penalty.render_surface_csv = traced
         tracer.remove()
     metrics = tracer.layer_metrics()
     assert wanted <= set(metrics)
